@@ -10,7 +10,6 @@ quantum limit and the Helstrom bound.
 from ._rng import TrialStream
 from .analytic import (
     CyclicError,
-    ExpPolyMix,
     click_density,
     cyclic_error_probability,
     kennedy_error_probability,
@@ -38,7 +37,6 @@ from .strategy import (
     bayes_finalize,
     bayes_silence_update,
     cyclic_finalize,
-    cyclic_on_click,
     initial_posterior,
 )
 
@@ -47,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CyclicError",
     "ErrorEstimate",
-    "ExpPolyMix",
     "Hypothesis",
     "IDEAL",
     "ImperfectionModel",
@@ -63,7 +60,6 @@ __all__ = [
     "click_density",
     "cyclic_error_probability",
     "cyclic_finalize",
-    "cyclic_on_click",
     "displaced_rates",
     "estimate_error",
     "gram_srm_oracle",

@@ -1,39 +1,35 @@
-"""Closed-form photon counting statistics for rate-switching detection.
+"""Exact photon counting statistics for rate-switching detection.
 
 A coherent pulse of mean photon number n on the unit interval produces
 Poissonian counts, P_m(n) = n^m e^{-n} / m!.  An adaptive receiver
 changes its displacement after every detection, so the instantaneous
 rate is piecewise constant in the *count*: rate seq[j] applies after j
-clicks.  The density of the m-th click time then obeys the recurrence
+clicks.  The count is then a continuous-time Markov chain, a pure-birth
+chain that leaves state j at rate seq[j], and its distribution at the
+end of the pulse is the row vector e_0 exp(Q) of the chain's generator
+Q.
 
-    f_1(t)     = seq[0] exp(-seq[0] t)
-    f_{k+1}(t) = integral_0^t f_k(s) seq[k] exp(-seq[k](t-s)) ds
+Both chains used here are evaluated by uniformization (Jensen 1953; see
+also Moler & Van Loan, SIAM Review 45, 2003).  With lam the largest
+rate, P = I + Q/lam is a stochastic matrix and
 
-and the probability of exactly m counts in the pulse is
+    exp(Q) = sum_n Pois(n; lam) P^n.
 
-    P_m = integral_0^1 f_m(t) exp(-seq[m](1-t)) dt.
+Every term is nonnegative, so nothing cancels, and equal or nearly
+equal rates need no special treatment.  Because every entry of P^n lies
+in [0, 1], stopping after the terms n <= N leaves out at most the
+Poisson tail P(Pois(lam) > N) of any entry: the truncation error has a
+known sign and a rigorous bound.
 
-Each f_k is a finite mixture of terms c * t^p * exp(-r t), which is
-closed under the convolution above; the whole calculation is exact up
-to floating point.  The mixture representation is, however, singular
-when two rates coincide: the partial-fraction coefficients carry
-1/(r_i - r_j) powers.  Two safeguards keep it well conditioned:
+Two chains are evaluated:
 
-* rates closer than ``CONFLUENCE_RTOL`` (relative) are merged before
-  any convolution, switching those terms to polynomial-in-t form;
-* coefficient growth is monitored during the cascade, and if the
-  estimated rounding noise exceeds ``COEFF_NOISE_TOL`` the cascade is
-  rerun in arbitrary precision (mpmath), which only happens for nearly
-  degenerate rate sets (weak-signal regime).
-
-The module also provides the cyclic-probing average error probability:
-with probe rotation 1 -> 2 -> ... -> M -> 1 on each click, the decision
-is correct for true state k exactly when the count is (k-1) + M*j, so
-
-    P_err = 1 - (1/M) sum_k sum_j P_{(k-1)+Mj}(seq_k).
-
-The j-series is truncated with a rigorous bound: counts are
-stochastically dominated by a Poisson at the maximum displaced rate.
+* ``m_click_probability``: the (m+2)-state pure-birth chain whose last
+  state (more than m clicks) absorbs;
+* ``cyclic_error_probability``: with probe rotation 1 -> 2 -> ... -> M
+  -> 1 on each click, the decision is fixed by the count mod M, a chain
+  on M phases.  Phase j of true state k leaves at rate
+  table[(k-1-j) mod M] and the decision is correct in phase k-1, so the
+  error is the mass outside that phase, averaged over the M states.
 """
 
 from __future__ import annotations
@@ -42,25 +38,21 @@ from dataclasses import dataclass
 from math import exp, expm1, isfinite, lgamma, log
 from typing import Sequence
 
-import mpmath
-from scipy import stats
+import numpy as np
+from scipy import special
 
 from .core import PskAlphabet, probe_relative_rates
-from .errors import PrecisionError
-
-#: Relative spacing below which two detection rates are treated as equal.
-CONFLUENCE_RTOL = 1e-9
-
-#: Mixture terms with |coeff| * max(1, exp(-rate)) below this are dropped.
-PRUNE_THRESHOLD = 1e-30
-
-#: Estimated cascade rounding noise above which precision is escalated.
-COEFF_NOISE_TOL = 1e-6
-
-#: Allowed slack on the completeness residual of an accepted cascade.
-_RESIDUAL_TOL = 1e-10
 
 DEFAULT_TAIL_TOL = 1e-12
+
+#: The series also runs until its tail is this small against the mass.
+_RELATIVE_TOL = 1e-9
+
+#: The series stops at this tail even when the summed mass stays 0.
+_TAIL_FLOOR = 1e-300
+
+#: Truncation of single count probabilities: below float64 rounding of 1.
+_M_CLICK_TAIL_TOL = 1e-16
 
 
 def poisson_pmf(n: float, m: int) -> float:
@@ -87,237 +79,51 @@ def click_density(n: float, t: float) -> float:
 
 
 def poisson_tail(n: float, m: int) -> float:
-    """P(X > m) for X ~ Poisson(n); the count-truncation bound."""
-    return float(stats.poisson.sf(m, n))
+    """P(X > m) for X ~ Poisson(n); the series-truncation bound."""
+    return float(special.pdtrc(m, n))
 
 
-# ---------------------------------------------------------------------------
-# exponential-polynomial mixtures
-# ---------------------------------------------------------------------------
+def _uniformized(
+    rates: np.ndarray, start: np.ndarray, target: np.ndarray, tail_tol: float
+) -> tuple[float, float, int]:
+    """sum_n Pois(n; lam) <start P^n, target> for a chain of forward steps.
 
+    State j (last axis) moves to state j+1, cyclically, at rate
+    ``rates[..., j]``; leading axes are independent chains.  ``target``
+    weights the states, each weight in [0, 1] summed over one chain, so
+    every term is at most Pois(n; lam).  The series stops at the first N
+    whose tail P(Pois(lam) > N) is at most ``tail_tol`` and at most
+    _RELATIVE_TOL times the mass summed so far (or below _TAIL_FLOOR).
 
-def _exp(x):
-    if isinstance(x, mpmath.mpf):
-        return mpmath.exp(x)
-    return exp(x)
-
-
-def _series_eps(one) -> float:
-    # truncation must track the working precision: the mixture terms can
-    # cancel by many orders, so a fixed cutoff would cap the accuracy of
-    # the arbitrary-precision path
-    if isinstance(one, mpmath.mpf):
-        return max(float(mpmath.mp.eps) * 0.1, 1e-300)
-    return 2.3e-17
-
-
-def _poly_exp_integral(p: int, delta, one):
-    """integral_0^1 t^p e^{-delta t} dt via all-positive series.
-
-    For delta >= 0 uses  e^{-delta} * sum_i delta^i p! / (p+1+i)!,
-    for delta < 0 the direct expansion sum_i (-delta)^i / (i! (p+i+1)).
-    Both have nonnegative terms only, so there is no cancellation for
-    any sign or magnitude of delta.  ``one`` fixes the arithmetic type.
+    Returns (mass, tail, terms): the exact value lies in
+    [mass, mass + tail], and ``terms`` = N + 1 terms were summed.
     """
-    eps = _series_eps(one)
-    if delta >= 0:
-        term = one / (p + 1)
-        total = term
-        i = 1
-        while True:
-            term = term * delta / (p + 1 + i)
-            total += term
-            if term < total * eps and i > delta:
-                break
-            i += 1
-            if i > 100000:  # pragma: no cover - series always terminates
-                raise PrecisionError("poly-exp integral series did not converge")
-        return _exp(-delta) * total
-    x = -delta
-    term = one / (p + 1)
-    total = term
-    i = 1
+    lam = float(rates.max())
+    if not isfinite(lam):
+        raise ValueError(f"rates must be finite, got maximum {lam}")
+    if lam == 0.0:
+        return float(np.vdot(start, target)), 0.0, 1
+    # lam - rates is exact near lam, so P keeps full relative accuracy
+    leave = rates / lam
+    stay = (lam - rates) / lam
+    v = start
+    mass = 0.0
+    n = 0
     while True:
-        term = term * x * (p + i) / (i * (p + i + 1))
-        total += term
-        if term < total * eps and i > x:
-            break
-        i += 1
-        if i > 100000:  # pragma: no cover
-            raise PrecisionError("poly-exp integral series did not converge")
-    return total
-
-
-@dataclass(frozen=True)
-class ExpPolyMix:
-    """Mixture f(t) = sum_i coeff_i * t^power_i * exp(-rate_i t) on [0, 1].
-
-    Closed under convolution with lam*exp(-lam t) and multiplication by
-    exp(-lam t).  Rates are compared exactly inside the calculus; callers
-    merge nearly equal rates first (see :func:`merge_confluent_rates`).
-    """
-
-    terms: tuple[tuple[float, int, float], ...]
-
-    @classmethod
-    def first_click_density(cls, rate) -> "ExpPolyMix":
-        """f_1(t) = rate * exp(-rate t)."""
-        return cls(((rate, 0, rate),))
-
-    def evaluate(self, t) -> float:
-        return sum(c * t**p * _exp(-r * t) for c, p, r in self.terms)
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c, _, _ in self.terms), default=0.0)
-
-    def convolve_exp(self, lam) -> "ExpPolyMix":
-        """Mixture of integral_0^t f(s) * lam * exp(-lam (t-s)) ds."""
-        out: dict = {}
-        for c, p, mu in self.terms:
-            if mu == lam:
-                _accumulate(out, p + 1, lam, c * lam / (p + 1))
-            else:
-                delta = mu - lam
-                # A = c * lam * p! / delta^(p+1), built without factorials
-                a = c * lam / delta
-                for j in range(1, p + 1):
-                    a = a * j / delta
-                _accumulate(out, 0, lam, a)
-                b = a
-                _accumulate(out, 0, mu, -b)
-                for j in range(1, p + 1):
-                    b = b * delta / j
-                    _accumulate(out, j, mu, -b)
-        return ExpPolyMix(_pruned(out))
-
-    def times_exp(self, lam) -> "ExpPolyMix":
-        """Mixture of f(t) * exp(-lam t)."""
-        return ExpPolyMix(tuple((c, p, r + lam) for c, p, r in self.terms))
-
-    def survival_integral(self, end_rate, _cache: dict | None = None) -> float:
-        """integral_0^1 f(t) * exp(-end_rate (1-t)) dt.
-
-        The trailing factor is the no-click probability on (t, 1] at
-        rate ``end_rate``.  ``_cache`` memoizes the per-term integrals
-        across repeated calls with recurring (power, rate) pairs, which
-        dominates the cost of long cascades.
-        """
-        total = 0.0
-        for c, p, r in self.terms:
-            delta = r - end_rate
-            key = (p, delta)
-            if _cache is not None and key in _cache:
-                g = _cache[key]
-            else:
-                one = c / c if c else 1.0  # preserves mpf arithmetic
-                g = _poly_exp_integral(p, delta, one)
-                if _cache is not None:
-                    _cache[key] = g
-            total = total + c * g
-        return _exp(-end_rate) * total
-
-
-def _accumulate(out: dict, power: int, rate, coeff) -> None:
-    key = (power, rate)
-    out[key] = out.get(key, 0) + coeff
-
-
-def _pruned(out: dict) -> tuple:
-    kept = []
-    for (power, rate), coeff in out.items():
-        if abs(coeff) * max(1.0, _exp(-rate)) > PRUNE_THRESHOLD:
-            kept.append((coeff, power, rate))
-    return tuple(kept)
-
-
-def merge_confluent_rates(seq: Sequence[float]) -> list[float]:
-    """Snap rates within CONFLUENCE_RTOL (relative) to one representative.
-
-    Prevents the ill-conditioned nearly-cancelling exponential pairs the
-    partial-fraction form produces at (almost) equal rates.
-    """
-    reps: list[float] = []
-    snapped = []
-    for r in seq:
-        r = float(r)
-        for rep in reps:
-            if abs(r - rep) <= CONFLUENCE_RTOL * max(r, rep):
-                snapped.append(rep)
-                break
-        else:
-            reps.append(r)
-            snapped.append(r)
-    return snapped
-
-
-def _cascade(seq, m_max: int, ctx):
-    """All count probabilities P_0..P_m_max for one rate sequence.
-
-    Returns (probs, max_abs_coeff) where the second entry feeds the
-    rounding-noise estimate used to decide precision escalation.
-    """
-    lam = [ctx.mpf(r) for r in seq]
-    probs = [_exp(-lam[0])]
-    if m_max == 0:
-        return probs, 0.0
-    cache: dict = {}
-    mix = ExpPolyMix.first_click_density(lam[0])
-    max_coeff = mix.max_abs_coeff()
-    for m in range(1, m_max + 1):
-        probs.append(mix.survival_integral(lam[m], cache))
-        if m < m_max:
-            mix = mix.convolve_exp(lam[m])
-            max_coeff = max(max_coeff, mix.max_abs_coeff())
-    return probs, max_coeff
-
-
-def _count_probabilities(seq: Sequence[float], m_max: int) -> list[float]:
-    """Escalating-precision wrapper around the mixture cascade.
-
-    A cascade is accepted when (a) the coefficient-scale rounding-noise
-    estimate is below COEFF_NOISE_TOL and (b) the distribution passes
-    the completeness check: total mass within the rigorous Poisson
-    truncation bound of 1, every entry a probability.  When float64
-    fails, the working precision is chosen from the observed
-    coefficient blow-up, which only happens for nearly degenerate rate
-    sets (weak signals).
-    """
-    seq = merge_confluent_rates(seq)
-    n_max = max(seq[: m_max + 1])
-    tail = poisson_tail(n_max, m_max)
-
-    def _acceptable(probs, max_coeff, eps):
-        noise = max_coeff * eps * 4.0 * (m_max + 1)
-        if not (noise < COEFF_NOISE_TOL):
-            return False
-        if not all(isfinite(p) and -_RESIDUAL_TOL <= p <= 1 + _RESIDUAL_TOL for p in probs):
-            return False
-        residual = 1.0 - sum(probs)
-        return -_RESIDUAL_TOL <= residual <= tail + _RESIDUAL_TOL
-
-    probs, max_coeff = _cascade(seq, m_max, mpmath.fp)
-    if _acceptable(probs, max_coeff, 2.3e-16):
-        return probs
-    if isfinite(max_coeff) and max_coeff > 0:
-        base_dps = max(40, int(log(max_coeff) / log(10.0)) + 25)
-    else:
-        base_dps = 80
-    for dps in (base_dps, base_dps + 40):
-        with mpmath.workdps(dps):
-            probs, max_coeff = _cascade(seq, m_max, mpmath.mp)
-            if _acceptable(probs, max_coeff, mpmath.mpf(10) ** (-dps)):
-                return [float(p) for p in probs]
-    raise PrecisionError(
-        f"count distribution for rates {seq[:4]}... did not stabilize; "
-        f"max coefficient {float(max_coeff):.3g}"
-    )
+        mass += poisson_pmf(lam, n) * float(np.vdot(v, target))
+        tail = poisson_tail(lam, n)
+        if tail <= max(min(tail_tol, _RELATIVE_TOL * mass), _TAIL_FLOOR):
+            return mass, tail, n + 1
+        v = v * stay + np.roll(v * leave, 1, axis=-1)
+        n += 1
 
 
 def m_click_probability(seq: Sequence[float], m: int) -> float:
     """Probability of exactly m detections with count-switched rates.
 
     ``seq[j]`` is the rate in force after j detections; entries beyond
-    ``seq[m]`` are irrelevant and ignored.
+    ``seq[m]`` are irrelevant and ignored.  The result lies within
+    min(1e-16, 1e-9 * result) below the exact value.
     """
     if m < 0:
         raise ValueError(f"count must be >= 0, got {m}")
@@ -326,7 +132,13 @@ def m_click_probability(seq: Sequence[float], m: int) -> float:
     for r in seq[: m + 1]:
         if not r >= 0.0:
             raise ValueError(f"rates must be >= 0, got {r}")
-    return _count_probabilities(list(seq[: m + 1]), m)[m]
+    rates = np.zeros(m + 2)
+    rates[: m + 1] = seq[: m + 1]
+    start = np.zeros(m + 2)
+    start[0] = 1.0
+    target = np.zeros(m + 2)
+    target[m] = 1.0
+    return _uniformized(rates, start, target, _M_CLICK_TAIL_TOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +150,9 @@ def m_click_probability(seq: Sequence[float], m: int) -> float:
 class CyclicError:
     """Cyclic-probing average error with its series-truncation bound.
 
-    The exact error lies in [p_err - tail_bound, p_err]: truncating the
-    count series can only discard correct-decision mass.
+    The exact error lies in [p_err - tail_bound, p_err]: the summed
+    error mass is a lower bound and ``p_err`` adds the whole tail.
+    ``m_max`` is the number of uniformization terms summed.
     """
 
     p_err: float
@@ -350,42 +163,29 @@ class CyclicError:
         return self.p_err
 
 
-def _truncation_count(n_max: float, tail_tol: float) -> int:
-    """Smallest m with P(Poisson(n_max) > m) < tail_tol."""
-    if n_max == 0.0:
-        return 0
-    m = max(0, int(stats.poisson.isf(tail_tol, n_max)))
-    while poisson_tail(n_max, m) >= tail_tol:
-        m += 1
-    return m
-
-
 def cyclic_error_probability(
     alphabet: PskAlphabet, beta: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> CyclicError:
     """Average error of the cyclic-probing receiver at surplus ``beta``.
 
-    Sums the correct-count probabilities P_{(k-1)+Mj} for every true
-    state k with the exact mixture cascade; the j-series stops once the
-    dominating Poisson tail at the maximum displaced rate drops below
-    ``tail_tol``.
+    Uniformizes the count-mod-M chain of all M true states at once and
+    sums the error mass (every phase but the correct one) directly, so
+    small errors keep their relative accuracy.  The series stops once
+    the Poisson tail at the maximum displaced rate is below ``tail_tol``
+    and below 1e-9 of the error mass; ``m_max`` of the result is the
+    number of terms summed.
     """
     if not 0.0 < tail_tol <= 1e-3:
         raise ValueError(f"tail_tol must be in (0, 1e-3], got {tail_tol}")
     table = probe_relative_rates(alphabet, beta)
     M = alphabet.M
-    n_max = float(table.max())
-    m_max = _truncation_count(n_max, tail_tol)
-    correct = 0.0
-    for k in range(1, M + 1):
-        seq = [float(table[(k - 1 - j) % M]) for j in range(m_max + 1)]
-        probs = _count_probabilities(seq, m_max)
-        correct += sum(probs[m] for m in range((k - 1) % M, m_max + 1, M))
-    return CyclicError(
-        p_err=1.0 - correct / M,
-        tail_bound=poisson_tail(n_max, m_max),
-        m_max=m_max,
-    )
+    k = np.arange(M)
+    rates = table[(k[:, None] - k[None, :]) % M]
+    start = np.zeros((M, M))
+    start[:, 0] = 1.0
+    target = (1.0 - np.eye(M)) / M
+    error, tail, terms = _uniformized(rates, start, target, tail_tol)
+    return CyclicError(p_err=error + tail, tail_bound=tail, m_max=terms)
 
 
 def kennedy_error_probability(alpha: float, beta: float) -> float:

@@ -22,7 +22,6 @@ efficiency elsewhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, erf, exp, pi, sin, sqrt
 
 import numpy as np
@@ -129,43 +128,3 @@ def sql_heterodyne(alpha: float, M: int) -> float:
     if err > 1e-10:
         raise PrecisionError(f"wedge quadrature error estimate {err:.3g}")
     return 1.0 - p_correct
-
-
-def sql_heterodyne_noisy(
-    alpha: float, M: int, n_th: float, samples: int = 1_000_000, seed: int = 0
-) -> float:
-    """Heterodyne error under thermal excess noise, by direct sampling.
-
-    The outcome is the signal plus the convolution of heterodyne noise
-    (variance 1/2 per quadrature) with the thermal Gaussian (variance
-    n_th/2 per quadrature); the wedge decision is unchanged.
-    """
-    if not n_th >= 0.0:
-        raise ValueError(f"thermal photon number must be >= 0, got {n_th}")
-    rng = np.random.default_rng(seed)
-    sigma = sqrt((1.0 + n_th) / 2.0)
-    z = alpha + sigma * (rng.standard_normal(samples) + 1j * rng.standard_normal(samples))
-    correct = np.abs(np.angle(z)) < pi / M
-    return float(1.0 - correct.mean())
-
-
-@dataclass(frozen=True)
-class BenchmarkCurve:
-    """One reference curve: (mean photon number, error probability) points."""
-
-    kind: str
-    points: tuple[tuple[float, float], ...]
-
-
-def benchmark_curve(M: int, powers) -> dict[str, BenchmarkCurve]:
-    """SQL and Helstrom curves over a grid of mean photon numbers."""
-    sql_pts = []
-    hel_pts = []
-    for p in powers:
-        a = sqrt(p)
-        sql_pts.append((float(p), sql_heterodyne(a, M)))
-        hel_pts.append((float(p), helstrom_mpsk(a, M)))
-    return {
-        "sql": BenchmarkCurve("sql", tuple(sql_pts)),
-        "helstrom": BenchmarkCurve("helstrom", tuple(hel_pts)),
-    }

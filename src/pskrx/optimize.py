@@ -106,7 +106,8 @@ def optimize_beta_analytic(
     at_high = beta_opt >= hi - 10 * tol and hi >= _MAX_BRACKET_HI
     gap = None
     if not (at_low or at_high):
-        h = max(1e-4, 4 * tol)
+        # the probe must stay inside the bracket: beta_opt - h >= lo
+        h = min(max(1e-4, 4 * tol), beta_opt - lo)
         gap = abs(f(beta_opt + h) - f(beta_opt - h)) / (2 * h)
         if gap > grad_tol:
             raise PrecisionError(

@@ -42,23 +42,6 @@ class Hypothesis:
     confidence: float = 1.0
 
 
-@dataclass(frozen=True)
-class CyclicState:
-    """Cyclic-probing bookkeeping: only the click count matters."""
-
-    M: int
-    click_count: int = 0
-
-    @property
-    def probe(self) -> int:
-        return 1 + self.click_count % self.M
-
-
-def cyclic_on_click(state: CyclicState) -> CyclicState:
-    """Advance the probe to the next state in the cycle."""
-    return replace(state, click_count=state.click_count + 1)
-
-
 def cyclic_finalize(click_count: int, M: int) -> Hypothesis:
     """Hypothesis after the pulse: the state probed when it ended."""
     if click_count < 0:

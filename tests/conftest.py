@@ -2,13 +2,15 @@
 
 Everything here deliberately avoids the implementation paths it checks:
 rates come from brute-force complex arithmetic, counting statistics from
-an ODE integration of the counting master equation and from literal
-nested quadrature, so agreement is meaningful.
+an ODE integration of the counting master equation, from literal nested
+quadrature and from a 50-digit matrix exponential, so agreement is
+meaningful.
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -45,6 +47,29 @@ def ode_count_probabilities(seq, m_max: int) -> np.ndarray:
         rhs, (0.0, 1.0), p0, method="DOP853", rtol=1e-12, atol=1e-14
     )
     return sol.y[:, -1]
+
+
+def expm_error_oracle(M: int, alpha_sq: float, beta_sq: float) -> float:
+    """Cyclic-probing error from a 50-digit matrix exponential.
+
+    The count-mod-M chain, labelled by the offset i = (true - probed)
+    mod M instead of by phase: offset i clicks at rate n_i and moves to
+    i - 1, the receiver starts at offset k - 1 for true state k, and it
+    decides correctly at offset 0.  So P(correct | k) = exp(Q)[k-1, 0]
+    for one generator Q shared by all M states.  Rates come from complex
+    arithmetic at the same float alpha and beta the package sees.
+    """
+    with mpmath.workdps(50):
+        alpha = mpmath.mpf(math.sqrt(alpha_sq))
+        beta = mpmath.mpf(math.sqrt(beta_sq))
+        q = mpmath.zeros(M, M)
+        for i in range(M):
+            field = alpha * mpmath.expj(2 * mpmath.pi * i / M) - (alpha + beta)
+            rate = abs(field) ** 2
+            q[i, i] -= rate
+            q[i, (i - 1) % M] += rate
+        e = mpmath.expm(q)
+        return float(mpmath.fsum(e[i, j] for i in range(M) for j in range(1, M)) / M)
 
 
 def quad_one_click(l0: float, l1: float) -> float:

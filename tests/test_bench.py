@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pskrx.bench import (
-    BenchmarkCurve,
-    benchmark_curve,
-    gram_srm_oracle,
-    helstrom_mpsk,
-    sql_heterodyne,
-    sql_heterodyne_noisy,
-)
+from pskrx.bench import gram_srm_oracle, helstrom_mpsk, sql_heterodyne
 from pskrx.errors import PrecisionError
 
 
@@ -38,6 +31,19 @@ def qpsk_helstrom_trig(alpha_sq: float) -> float:
 def sql_qpsk_closed(alpha_sq: float) -> float:
     """QPSK heterodyne error: the wedge decision factorizes per quadrature."""
     return 1.0 - (1.0 - 0.5 * math.erfc(math.sqrt(alpha_sq / 2.0))) ** 2
+
+
+def sampled_heterodyne_error(alpha, M, n_th, n, seed):
+    """Wedge-decision error of sampled heterodyne outcomes, with its SE.
+
+    The outcome is the signal plus heterodyne noise (variance 1/2 per
+    quadrature) convolved with thermal noise (variance n_th/2).
+    """
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt((1.0 + n_th) / 2.0)
+    z = alpha + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    mc = 1.0 - float((np.abs(np.angle(z)) < np.pi / M).mean())
+    return mc, math.sqrt(mc * (1 - mc) / n)
 
 
 class TestHelstrom:
@@ -93,13 +99,8 @@ class TestSqlHeterodyne:
 
     @pytest.mark.parametrize("M", [3, 4, 8])
     def test_sampling_oracle(self, M):
-        alpha = 1.1
-        rng = np.random.default_rng(7)
-        n = 1_000_000
-        z = alpha + math.sqrt(0.5) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        mc = 1.0 - float((np.abs(np.angle(z)) < np.pi / M).mean())
-        se = math.sqrt(mc * (1 - mc) / n)
-        assert abs(sql_heterodyne(alpha, M) - mc) < 4 * se
+        mc, se = sampled_heterodyne_error(1.1, M, 0.0, 1_000_000, seed=7)
+        assert abs(sql_heterodyne(1.1, M) - mc) < 4 * se
 
     def test_monotone_in_power(self):
         powers = np.linspace(0.0, 4.0, 17)
@@ -114,34 +115,10 @@ class TestSqlHeterodyne:
 
 
 class TestNoisySql:
-    def test_noiseless_limit(self):
-        mc = sql_heterodyne_noisy(1.0, 4, 0.0, samples=400_000, seed=3)
-        se = math.sqrt(mc * (1 - mc) / 400_000)
-        assert abs(mc - sql_heterodyne(1.0, 4)) < 4 * se
-
-    @pytest.mark.parametrize("n_th", [0.2, 0.8])
+    @pytest.mark.parametrize("n_th", [0.0, 0.2, 0.8])
     def test_matches_power_rescaling(self, n_th):
         # convolving two circular Gaussians rescales the effective
         # amplitude: the wedge decision is cone-shaped, so the clean
-        # curve at alpha/sqrt(1+n_th) is an exact reference
-        mc = sql_heterodyne_noisy(1.0, 4, n_th, samples=400_000, seed=5)
-        se = math.sqrt(mc * (1 - mc) / 400_000)
-        ref = sql_heterodyne(1.0 / math.sqrt(1.0 + n_th), 4)
-        assert abs(mc - ref) < 4 * se
-
-    def test_noise_hurts(self):
-        clean = sql_heterodyne(1.0, 4)
-        noisy = sql_heterodyne_noisy(1.0, 4, 0.8, samples=400_000, seed=11)
-        assert noisy > clean + 0.05
-
-
-def test_benchmark_curve_invariants():
-    curves = benchmark_curve(4, [0.0, 0.3, 1.0, 2.5])
-    sql, hel = curves["sql"], curves["helstrom"]
-    assert isinstance(sql, BenchmarkCurve) and sql.kind == "sql"
-    for curve in (sql, hel):
-        errs = [e for _, e in curve.points]
-        assert all(0.0 <= e <= 0.75 + 1e-12 for e in errs)
-        assert all(b <= a for a, b in zip(errs, errs[1:]))
-    for (_, s), (_, h) in zip(sql.points, hel.points):
-        assert h <= s + 1e-12
+        # curve at alpha/sqrt(1+n_th) is the exact thermal-noise value
+        mc, se = sampled_heterodyne_error(1.0, 4, n_th, 1_000_000, seed=5)
+        assert abs(mc - sql_heterodyne(1.0 / math.sqrt(1.0 + n_th), 4)) < 4 * se

@@ -230,6 +230,13 @@ class TestOptimize:
         assert float(rows[1]["beta_opt_sq"]) < 0.1
         assert float(rows[1]["beta_opt_sq"]) < float(rows[0]["beta_opt_sq"])
 
+    def test_analytic_optimum_near_lower_edge(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "optimize", "--m", "4", "--alpha-sq", "8", "--objective", "analytic",
+        )
+        assert code == EXIT_OK
+        assert float(parse_csv(out)[0]["beta_opt_sq"]) < 1e-6
+
     def test_mc_objective(self, capsys):
         code, out, _ = run_cli(
             capsys, "optimize", "--m", "4", "--alpha-sq", "0.5", "--strategy", "bayes",

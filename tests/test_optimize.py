@@ -48,6 +48,13 @@ class TestAnalytic:
             other = optimize_beta_analytic(a, bracket=bracket)
             assert other.beta_opt == pytest.approx(base.beta_opt, abs=1e-4)
 
+    def test_optimum_near_lower_edge(self):
+        # beta_opt ~ 1.7e-5 lies within one probe step of the bracket edge;
+        # the stationarity probe must not evaluate a negative beta
+        res = optimize_beta_analytic(PskAlphabet.from_power(4, 8.0))
+        assert 0.0 <= res.beta_opt < 1e-3
+        assert res.stationarity_gap is not None and res.stationarity_gap < 1e-6
+
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             optimize_beta_analytic(PskAlphabet(4, 1.0), bracket=(1.0, 0.5))

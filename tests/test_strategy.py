@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from pskrx.core import PskAlphabet, displaced_rates
 from pskrx.strategy import (
-    CyclicState,
     Hypothesis,
     PosteriorState,
     bayes_click_update,
     bayes_finalize,
     bayes_silence_update,
     cyclic_finalize,
-    cyclic_on_click,
     initial_posterior,
     select_probe,
 )
@@ -39,18 +37,6 @@ def one_shot_first_click(rates, t1):
 
 
 class TestCyclic:
-    def test_probe_rotation(self):
-        s = CyclicState(M=4)
-        assert s.probe == 1
-        s = cyclic_on_click(s)
-        assert s.probe == 2 and s.click_count == 1
-
-    def test_wraparound(self):
-        s = CyclicState(M=4, click_count=3)
-        assert s.probe == 4
-        s = cyclic_on_click(s)
-        assert s.probe == 1
-
     @pytest.mark.parametrize(
         "count,M,state", [(0, 4, 1), (5, 4, 2), (7, 4, 4), (0, 8, 1), (9, 8, 2)]
     )
