@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pskrx
 from pskrx.analytic import (
@@ -101,13 +101,26 @@ class TestMClickProbability:
         )
 
     @given(st.lists(st.floats(0.0, 5.0), min_size=2, max_size=9))
-    @example([1.0, 1.0 + 1e-10, 2.0])  # nearly equal rates need no special case
-    @example([1.0, 1.0 + 1e-5, 1.0 + 2e-5])
     @settings(max_examples=60, deadline=None)
     def test_against_ode_oracle(self, seq):
         oracle = ode_count_probabilities(seq, len(seq) - 1)
         for m in range(len(seq)):
             assert m_click_probability(seq, m) == pytest.approx(oracle[m], abs=5e-10)
+
+    def test_near_confluent_rates(self):
+        # nearly equal rates need no special case: a 1e-10 split behaves as equal
+        near = [1.0, 1.0 + 1e-10, 2.0]
+        for m in range(3):
+            assert m_click_probability(near, m) == pytest.approx(
+                m_click_probability([1.0, 1.0, 2.0], m), abs=1e-9
+            )
+        p = m_click_probability([1.0, 1.0 + 1e-10], 1)
+        assert p == pytest.approx(poisson_pmf(1.0, 1), abs=1e-9)
+        # slightly larger splits: still accurate against the ODE oracle
+        for seq in (near, [1.0, 1.0 + 1e-5, 1.0 + 2e-5]):
+            oracle = ode_count_probabilities(seq, 2)
+            for m in range(3):
+                assert m_click_probability(seq, m) == pytest.approx(oracle[m], abs=1e-10)
 
     def test_nested_quadrature_oracle(self):
         assert m_click_probability([0.8, 2.2], 1) == pytest.approx(
