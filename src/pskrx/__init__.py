@@ -25,6 +25,7 @@ from .mc import (
     ImperfectionModel,
     TrialOutcome,
     estimate_error,
+    estimate_errors,
     sample_thermal_offset,
     simulate_outcomes,
     simulate_trial,
@@ -62,6 +63,7 @@ __all__ = [
     "cyclic_finalize",
     "displaced_rates",
     "estimate_error",
+    "estimate_errors",
     "gram_srm_oracle",
     "helstrom_mpsk",
     "initial_posterior",

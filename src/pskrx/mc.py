@@ -19,13 +19,24 @@ eta * n_k + dark_rate (the receiver is calibrated for its efficiency
 and dark counts) with exposure times that exclude blind windows (the
 receiver knows its own detector); the realized thermal offset is *not*
 known to the receiver, so excess noise acts purely as a channel
-impairment.  In the degenerate case where every nominal rate is zero a
-click carries no information and leaves the posterior unchanged.
+impairment.  A click with zero likelihood under every hypothesis the
+receiver still holds (every state of nonzero posterior has nominal
+rate 0 -- e.g. a thermal click while nulling the last surviving
+hypothesis at beta = 0, or any click when every nominal rate is zero)
+carries no usable information and leaves the posterior and the probe
+unchanged.  A posterior that still turns non-finite (a likelihood that
+underflows under every held hypothesis) raises
+:class:`~pskrx.errors.PrecisionError`; no NaN is returned.
 
 Randomness is addressed per trial through counter-based streams
-(see :mod:`pskrx._rng`), so ``estimate_error`` returns bit-identical
-results for any worker count, and the scalar :func:`simulate_trial`
-reproduces exactly the trial the vectorized engine runs.
+(see :mod:`pskrx._rng`), so :func:`estimate_errors` returns
+bit-identical results for any worker count, and the scalar
+:func:`simulate_trial` reproduces exactly the trial the vectorized
+engine runs.  :func:`estimate_errors` evaluates several surpluses in
+one pass: each block of trials draws its true states and thermal
+offsets once and runs every surplus on them (common random numbers),
+and one process pool serves all blocks; :func:`estimate_error` is its
+one-surplus case.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ import numpy as np
 
 from ._rng import TrialStream, box_muller, counter_uniform
 from .core import PskAlphabet, probe_relative_rates
+from .errors import PrecisionError
 from .strategy import (
     Hypothesis,
     PosteriorState,
@@ -159,7 +171,9 @@ def simulate_trial(
 
     while resume < 1.0:
         f = amps[true_state - 1] + eps + recv[probe - 1]
-        rate = imp.eta * (f.real**2 + f.imag**2) + imp.dark_rate
+        # products, not scalar ** 2: libm pow may round x**2 differently
+        # from the x*x the array square computes
+        rate = imp.eta * (f.real * f.real + f.imag * f.imag) + imp.dark_rate
         u = trial_rng.wait_uniform()
         with np.errstate(divide="ignore"):
             t = resume + -np.log(u) / rate
@@ -167,11 +181,8 @@ def simulate_trial(
             break
         if strategy == "bayes":
             rates = nominal[(np.arange(M) - (probe - 1)) % M]
-            if rates.max() > 0.0:
-                ps = bayes_click_update(ps, float(t), rates)
-                probe = ps.probe
-            else:  # uninformative click: posterior and probe unchanged
-                ps = PosteriorState(ps.probs, ps.probe, float(t), ps.click_count + 1)
+            ps = bayes_click_update(ps, float(t), rates)
+            probe = ps.probe
         count += 1
         if strategy == "cyclic":
             probe = 1 + count % M
@@ -200,45 +211,61 @@ def simulate_trial(
 # ---------------------------------------------------------------------------
 
 
-def _map_pick(w: np.ndarray, probe0: np.ndarray, M: int):
-    """Vectorized MAP pick with the smallest-phase-step tie-break."""
-    order = (probe0[:, None] + np.arange(M)[None, :]) % M
-    vals = np.take_along_axis(w, order, axis=1)
-    step = np.argmax(vals, axis=1)
-    pick = np.take_along_axis(order, step[:, None], axis=1)[:, 0]
-    conf = np.take_along_axis(vals, step[:, None], axis=1)[:, 0]
-    return pick, conf
+def _map_pick(w: np.ndarray, probe0: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Vectorized MAP pick with the smallest-phase-step tie-break.
+
+    ``order[p]`` lists the states by phase step from probe p, so the
+    first maximum of the posterior along it is the pick.
+    """
+    rows = np.arange(len(w))
+    cand = order[probe0]
+    step = np.argmax(w[rows[:, None], cand], axis=1)
+    return cand[rows, step]
 
 
 def _run_block(
     alphabet: PskAlphabet,
-    beta: float,
+    betas: tuple[float, ...],
     strategy: str,
     imp: ImperfectionModel,
     master_seed: int,
     lo: int,
     hi: int,
     collect: bool = False,
-):
-    """Simulate trials [lo, hi); returns (n_err, collected payload or None)."""
-    M = alphabet.M
-    n = hi - lo
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    bayes = strategy == "bayes"
+) -> list:
+    """Simulate trials [lo, hi) at every surplus in ``betas``.
 
+    The true states and thermal offsets (slots 0-2) are drawn once and
+    every surplus runs on them.  Returns one (n_err, collected payload or
+    None) per surplus.
+    """
+    M = alphabet.M
+    idx = np.arange(lo, hi, dtype=np.uint64)
     u0 = counter_uniform(master_seed, idx, 0)
     true0 = np.minimum((u0 * M).astype(np.int64), M - 1)
     z1, z2 = box_muller(
         counter_uniform(master_seed, idx, 1), counter_uniform(master_seed, idx, 2)
     )
     sigma = sqrt(imp.n_th / 2.0)
-    eps = sigma * z1 + 1j * (sigma * z2)
+    field0 = alphabet.amplitudes[true0] + (sigma * z1 + 1j * (sigma * z2))
+    step = np.arange(M)
+    # order[p, j]: the state j phase steps ahead of probe p
+    order = (step[:, None] + step[None, :]) % M
+    return [
+        _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0, order, collect)
+        for beta in betas
+    ]
 
-    amps = alphabet.amplitudes
+
+def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0, order, collect):
+    """One surplus on the block's shared draws; see :func:`_run_block`."""
+    M = alphabet.M
+    n = len(idx)
+    bayes = strategy == "bayes"
     recv = -(alphabet.alpha + beta) * np.exp(1j * alphabet.phases)
-    nominal = nominal_rate_table(alphabet, beta, imp)
-    informative = nominal.max() > 0.0
-    states = np.arange(M)[None, :]
+    # rates_by_probe[p, k]: nominal rate of state k while probing p
+    k = np.arange(M)
+    rates_by_probe = nominal_rate_table(alphabet, beta, imp)[(k[None, :] - k[:, None]) % M]
 
     probe0 = np.zeros(n, dtype=np.int64)
     count = np.zeros(n, dtype=np.int64)
@@ -257,17 +284,19 @@ def _run_block(
             return
         if bayes:
             dt = 1.0 - resume[rows]
-            rates = nominal[(states - probe0[rows][:, None]) % M]
+            rates = rates_by_probe[probe0[rows]]
             wf = w[rows] * np.exp(-rates * dt[:, None])
             wf /= wf.sum(axis=1, keepdims=True)
-            hyp0[rows], conf[rows] = _map_pick(wf, probe0[rows], M)
+            pick = _map_pick(wf, probe0[rows], order)
+            hyp0[rows] = pick
+            conf[rows] = wf[np.arange(rows.size), pick]
         else:
             hyp0[rows] = count[rows] % M
 
     act = np.arange(n)
     rnd = 0
     while act.size:
-        f = amps[true0[act]] + eps[act] + recv[probe0[act]]
+        f = field0[act] + recv[probe0[act]]
         rate = imp.eta * (f.real**2 + f.imag**2) + imp.dark_rate
         u = counter_uniform(master_seed, idx[act], 3 + rnd)
         with np.errstate(divide="ignore"):
@@ -278,13 +307,20 @@ def _run_block(
         pos = act[clicked]
         if pos.size:
             tc = t_click[clicked]
-            if bayes and informative:
-                dt = tc - resume[pos]
-                rates = nominal[(states - probe0[pos][:, None]) % M]
-                wc = w[pos] * rates * np.exp(-rates * dt[:, None])
-                wc /= wc.sum(axis=1, keepdims=True)
-                w[pos] = wc
-                probe0[pos], _ = _map_pick(wc, probe0[pos], M)
+            if bayes:
+                rates = rates_by_probe[probe0[pos]]
+                lik = w[pos] * rates
+                wc = lik * np.exp(-rates * (tc - resume[pos])[:, None])
+                total = wc.sum(axis=1, keepdims=True)
+                upd = pos
+                if not total.all():
+                    # a click impossible under every hypothesis still
+                    # held leaves the posterior and the probe unchanged
+                    held = lik.any(axis=1)
+                    upd, wc, total = pos[held], wc[held], total[held]
+                wc /= total
+                w[upd] = wc
+                probe0[upd] = _map_pick(wc, probe0[upd], order)
             count[pos] += 1
             if not bayes:
                 probe0[pos] = count[pos] % M
@@ -300,6 +336,12 @@ def _run_block(
         act = pos
         rnd += 1
 
+    bad = np.count_nonzero(~np.isfinite(conf))
+    if bad:
+        raise PrecisionError(
+            f"{bad} of {n} trials ended with a non-finite posterior "
+            f"(M={M}, beta={beta!r}): a click likelihood underflowed"
+        )
     n_err = int(np.sum(hyp0 != true0))
     if not collect:
         return n_err, None
@@ -316,10 +358,56 @@ def _run_block(
     return n_err, payload
 
 
-def _block_errors(args) -> int:
-    alphabet, beta, strategy, imp, master_seed, lo, hi = args
-    n_err, _ = _run_block(alphabet, beta, strategy, imp, master_seed, lo, hi)
-    return n_err
+def _block_errors(args) -> list[int]:
+    return [n_err for n_err, _ in _run_block(*args)]
+
+
+def estimate_errors(
+    alphabet: PskAlphabet,
+    betas,
+    strategy: str,
+    imperfections: ImperfectionModel | None,
+    trials: int,
+    master_seed: int,
+    workers: int = 1,
+) -> list[ErrorEstimate]:
+    """Average error probability over equiprobable true states, per surplus.
+
+    Every surplus runs on the same trials (common random numbers) in one
+    pass: each block of trials is one job that carries all the surpluses,
+    and one process pool serves every job.  Bit-identical for fixed
+    (master_seed, trials) whatever ``workers`` is: trials are partitioned
+    into fixed blocks and every random draw is addressed by (master_seed,
+    trial index), so scheduling cannot change any outcome and aggregation
+    is plain counting.  Each estimate equals the one
+    :func:`estimate_error` gives for its surplus alone.
+    """
+    _check_strategy(strategy)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    betas = tuple(float(b) for b in betas)
+    if not betas:
+        raise ValueError("need at least one surplus")
+    imp = imperfections if imperfections is not None else IDEAL
+    spans = [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
+    jobs = [(alphabet, betas, strategy, imp, master_seed, lo, hi) for lo, hi in spans]
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_block = list(pool.map(_block_errors, jobs, chunksize=1))
+    else:
+        per_block = [_block_errors(j) for j in jobs]
+    estimates = []
+    for n_err in map(sum, zip(*per_block)):
+        p = n_err / trials
+        estimates.append(
+            ErrorEstimate(
+                p_err=p,
+                std_err=sqrt(p * (1.0 - p) / trials),
+                trials=trials,
+                seed=master_seed,
+            )
+        )
+    return estimates
 
 
 def estimate_error(
@@ -331,31 +419,10 @@ def estimate_error(
     master_seed: int,
     workers: int = 1,
 ) -> ErrorEstimate:
-    """Average error probability over equiprobable true states.
-
-    Bit-identical for fixed (master_seed, trials) whatever ``workers``
-    is: trials are partitioned into fixed blocks and every random draw
-    is addressed by (master_seed, trial index), so scheduling cannot
-    change any outcome and aggregation is plain counting.
-    """
-    _check_strategy(strategy)
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    imp = imperfections if imperfections is not None else IDEAL
-    spans = [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
-    jobs = [(alphabet, beta, strategy, imp, master_seed, lo, hi) for lo, hi in spans]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            n_err = sum(pool.map(_block_errors, jobs, chunksize=1))
-    else:
-        n_err = sum(_block_errors(j) for j in jobs)
-    p = n_err / trials
-    return ErrorEstimate(
-        p_err=p,
-        std_err=sqrt(p * (1.0 - p) / trials),
-        trials=trials,
-        seed=master_seed,
-    )
+    """Average error probability at one surplus; see :func:`estimate_errors`."""
+    return estimate_errors(
+        alphabet, (beta,), strategy, imperfections, trials, master_seed, workers
+    )[0]
 
 
 def simulate_outcomes(
@@ -372,7 +439,9 @@ def simulate_outcomes(
     outcomes: list[TrialOutcome] = []
     for lo in range(0, trials, _BLOCK):
         hi = min(lo + _BLOCK, trials)
-        _, payload = _run_block(alphabet, beta, strategy, imp, master_seed, lo, hi, collect=True)
+        [(_, payload)] = _run_block(
+            alphabet, (beta,), strategy, imp, master_seed, lo, hi, collect=True
+        )
         order = np.lexsort((payload["clicks_round"], payload["clicks_trial"]))
         ct = payload["clicks_trial"][order]
         tt = payload["clicks_time"][order]

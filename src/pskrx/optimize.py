@@ -11,8 +11,10 @@ searches are derivative-free:
   is checked a posteriori by a central finite difference;
 * the Monte Carlo objective is evaluated on a caller-visible grid with
   common random numbers (one master seed shared by every candidate, so
-  the comparison noise is strongly correlated), followed by a single
-  parabolic refinement around the grid minimum.
+  the comparison noise is strongly correlated) in one engine pass: the
+  whole grid is a single :func:`~pskrx.mc.estimate_errors` call that
+  draws each trial once and uses one process pool.  A single parabolic
+  refinement around the grid minimum follows as one more estimate.
 
 beta is parameterized by amplitude internally; results carry the
 photon-number form beta^2 as well, since experimental conventions use
@@ -30,7 +32,7 @@ from scipy import optimize as sciopt
 from .analytic import cyclic_error_probability
 from .core import PskAlphabet
 from .errors import PrecisionError
-from .mc import ErrorEstimate, ImperfectionModel, estimate_error
+from .mc import ImperfectionModel, estimate_error, estimate_errors
 
 _MAX_BRACKET_HI = 8.0
 _SCAN_POINTS = 9
@@ -157,10 +159,12 @@ def optimize_beta_mc(
 
     Every candidate is evaluated with the same master seed (common
     random numbers), which makes the objective a deterministic function
-    of beta and cancels most of the comparison noise.  One parabolic
-    refinement is attempted around the grid minimum.  If the whole grid
-    lies within one standard error the objective is flat at this trial
-    budget; the grid minimum is returned with the ``flat`` flag set.
+    of beta and cancels most of the comparison noise.  The grid runs as
+    one batched estimate, so its trials are drawn once and one process
+    pool serves all candidates.  One parabolic refinement is attempted
+    around the grid minimum.  If the whole grid lies within one standard
+    error the objective is flat at this trial budget; the grid minimum is
+    returned with the ``flat`` flag set.
     """
     imp = imperfections if imperfections is not None else ImperfectionModel()
     if grid is None:
@@ -171,10 +175,7 @@ def optimize_beta_mc(
     if trials < 10_000:
         raise ValueError(f"need >= 10000 trials per candidate, got {trials}")
 
-    def f(b: float) -> ErrorEstimate:
-        return estimate_error(alphabet, float(b), strategy, imp, trials, master_seed, workers)
-
-    estimates = [f(b) for b in grid]
+    estimates = estimate_errors(alphabet, grid, strategy, imp, trials, master_seed, workers)
     vals = np.array([e.p_err for e in estimates])
     errs = np.array([e.std_err for e in estimates])
     evaluations = len(grid)
@@ -206,7 +207,9 @@ def optimize_beta_mc(
             )
             vertex = float(np.clip(vertex, x[0], x[2]))
             if vertex >= 0.0:
-                cand = f(vertex)
+                cand = estimate_error(
+                    alphabet, vertex, strategy, imp, trials, master_seed, workers
+                )
                 evaluations += 1
                 if cand.p_err < best.p_err:
                     best_beta, best = vertex, cand

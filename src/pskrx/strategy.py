@@ -12,7 +12,9 @@ events the posterior is reweighted by the no-click survival factors
 e^{-n_k dt}; at a click it is additionally reweighted by the click
 densities n_k, after which the receiver switches to probing the
 maximum-a-posteriori state.  The final decision (at t = 1) includes the
-trailing no-click factor since the last event.
+trailing no-click factor since the last event.  A click that is
+impossible under every hypothesis still held (all of them have nominal
+rate 0) leaves the posterior and the probe unchanged.
 
 Tie-breaking: when several hypotheses share the maximal posterior --
 an exact tie occurs between mirror-symmetric states -- the receiver
@@ -26,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .errors import PrecisionError
 
 _NORMALIZATION_TOL = 1e-12
 
@@ -98,19 +102,27 @@ def bayes_click_update(
 
     Each hypothesis is reweighted by its inter-event likelihood
     n_k e^{-n_k dt} (survival since the last event times the click
-    density), then the probe moves to the new MAP state.  A click time
-    equal to the last event (an exponential wait can round to zero) is
-    accepted as zero exposure; going backward is an error.
+    density), then the probe moves to the new MAP state.  A click with
+    zero likelihood under every hypothesis still held (every state of
+    nonzero posterior has nominal rate 0) carries no usable information:
+    the posterior and the probe stay unchanged and only the clock and the
+    click count advance.  A click time equal to the last event (an
+    exponential wait can round to zero) is accepted as zero exposure;
+    going backward is an error.
     """
     if t < ps.last_event_time:
         raise ValueError(
             f"click time {t} before last event {ps.last_event_time}"
         )
     dt = t - ps.last_event_time
-    w = ps.probs * rates * np.exp(-rates * dt)
+    lik = ps.probs * rates
+    if not lik.any():
+        # impossible under every hypothesis still held: no information
+        return replace(ps, last_event_time=t, click_count=ps.click_count + 1)
+    w = lik * np.exp(-rates * dt)
     total = w.sum()
-    if total <= 0.0:
-        raise ValueError("click impossible under all hypotheses (zero rates)")
+    if not total > 0.0:
+        raise PrecisionError(f"click likelihood underflows at t={t} under every hypothesis")
     w /= total
     return PosteriorState(
         probs=w,
@@ -126,17 +138,20 @@ def bayes_silence_update(
     """Posterior after a click-free interval ending at t_end.
 
     Reweights by the survival factors e^{-n_k dt} only; silence triggers
-    no feedback, so the probe stays put.
+    no feedback, so the probe stays put.  The posterior is renormalized
+    even for dt = 0 (a pulse that ends in a blind window), as the block
+    engine does, so both paths give the same bits.
     """
     if t_end < ps.last_event_time:
         raise ValueError(
             f"end time {t_end} before last event {ps.last_event_time}"
         )
     dt = t_end - ps.last_event_time
-    if dt == 0.0:
-        return replace(ps, last_event_time=t_end)
     w = ps.probs * np.exp(-rates * dt)
-    w /= w.sum()
+    total = w.sum()
+    if not total > 0.0:
+        raise PrecisionError(f"survival underflows by t={t_end} under every hypothesis")
+    w /= total
     return replace(ps, probs=w, last_event_time=t_end)
 
 

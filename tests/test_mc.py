@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from pskrx._rng import TrialStream, counter_uniform
 from pskrx.analytic import cyclic_error_probability, poisson_pmf
 from pskrx.core import PskAlphabet
+from pskrx.errors import PrecisionError
 from pskrx.mc import (
     IDEAL,
     ImperfectionModel,
     estimate_error,
+    estimate_errors,
     nominal_rate_table,
     sample_thermal_offset,
     simulate_outcomes,
@@ -154,6 +157,107 @@ class TestEstimateError:
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 0, 1)
+
+
+def _replay(alphabet, beta, strategy, imp, trials, seed):
+    """Block-engine records next to the scalar path's, trial by trial."""
+    outs = simulate_outcomes(alphabet, beta, strategy, imp, trials, seed)
+    for i, out in enumerate(outs):
+        u = counter_uniform(seed, i, 0)
+        true_state = min(int(u * alphabet.M), alphabet.M - 1) + 1
+        yield out, simulate_trial(true_state, alphabet, beta, strategy, imp, TrialStream(seed, i))
+
+
+def _assert_same_trial(out, ref):
+    assert out.true_state == ref.true_state
+    assert out.hypothesis == ref.hypothesis  # state and confidence, bit for bit
+    assert out.probe_sequence == ref.probe_sequence
+    assert out.click_times == ref.click_times
+
+
+_ONE_IMPERFECTION = st.one_of(
+    st.just(IDEAL),
+    st.builds(ImperfectionModel, eta=st.floats(0.05, 1.0)),
+    st.builds(ImperfectionModel, n_th=st.floats(0.0, 2.0)),
+    st.builds(ImperfectionModel, dead_time=st.floats(0.0, 0.6)),
+    st.builds(ImperfectionModel, dark_rate=st.floats(0.0, 2.0)),
+)
+
+
+class TestScalarBlockAgreement:
+    @given(
+        M=st.integers(2, 16),
+        alpha_sq=st.floats(0.0, 4.0),
+        beta=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+        strategy=st.sampled_from(["cyclic", "bayes"]),
+        imp=_ONE_IMPERFECTION,
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_trial_by_trial(self, M, alpha_sq, beta, strategy, imp, seed):
+        alphabet = PskAlphabet.from_power(M, alpha_sq)
+        for out, ref in _replay(alphabet, beta, strategy, imp, 16, seed):
+            _assert_same_trial(out, ref)
+
+
+class TestZeroLikelihoodClick:
+    # exact nulling under excess noise: a thermal click can be impossible
+    # under every hypothesis the receiver still holds
+    @pytest.mark.parametrize("M,alpha_sq", [(2, 0.5), (4, 1.0), (4, 2.0), (8, 2.0)])
+    def test_posteriors_stay_finite(self, M, alpha_sq):
+        alphabet = PskAlphabet.from_power(M, alpha_sq)
+        imp = ImperfectionModel(n_th=0.8)
+        outs = simulate_outcomes(alphabet, 0.0, "bayes", imp, 20_000, 1)
+        conf = np.array([o.hypothesis.confidence for o in outs])
+        assert np.isfinite(conf).all()
+        assert (conf > 0.0).all() and (conf <= 1.0).all()
+        for out, ref in _replay(alphabet, 0.0, "bayes", imp, 300, 1):
+            _assert_same_trial(out, ref)
+
+    def test_posterior_and_probe_unchanged(self):
+        # one hypothesis left, probed at rate 0: the click changes nothing
+        from pskrx.strategy import PosteriorState, bayes_click_update
+
+        ps = PosteriorState(np.array([0.0, 1.0, 0.0, 0.0]), probe=2, last_event_time=0.2)
+        out = bayes_click_update(ps, 0.5, np.array([2.0, 0.0, 2.0, 8.0]))
+        assert (out.probs == ps.probs).all()
+        assert out.probe == 2
+        assert out.last_event_time == 0.5
+        assert out.click_count == ps.click_count + 1
+
+    def test_underflow_raises(self):
+        # bright nulling receiver: a late thermal click on the probed state
+        # has likelihood e^{-4000 t} under the other hypothesis, which
+        # underflows; both paths refuse rather than emitting NaN
+        from pskrx.strategy import bayes_click_update, bayes_silence_update, initial_posterior
+
+        alphabet = PskAlphabet.from_power(2, 1000.0)
+        with pytest.raises(PrecisionError):
+            estimate_error(alphabet, 0.0, "bayes", ImperfectionModel(n_th=1.0), 2000, 1)
+        rates = np.array([0.0, 4000.0])
+        with pytest.raises(PrecisionError):
+            bayes_click_update(initial_posterior(2), 0.5, rates)
+        with pytest.raises(PrecisionError):
+            bayes_silence_update(initial_posterior(2), 0.5, np.array([4000.0, 4000.0]))
+
+
+class TestBatchedEstimates:
+    @pytest.mark.parametrize("strategy", ["cyclic", "bayes"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_equals_one_by_one(self, strategy, workers):
+        # 100,000 trials: three full blocks and a 1,696-trial tail
+        alphabet = PskAlphabet.from_power(4, 1.0)
+        imp = ImperfectionModel(n_th=0.3)
+        grid = [0.0, 0.3, BETA, 0.9]
+        batch = estimate_errors(alphabet, grid, strategy, imp, 100_000, 17, workers)
+        one_by_one = [
+            estimate_error(alphabet, b, strategy, imp, 100_000, 17, workers) for b in grid
+        ]
+        assert batch == one_by_one
+
+    def test_needs_a_surplus(self):
+        with pytest.raises(ValueError):
+            estimate_errors(QPSK_HALF, [], "cyclic", IDEAL, 100, 1)
 
 
 class TestImperfections:

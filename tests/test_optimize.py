@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pskrx.mc
 from pskrx.analytic import cyclic_error_probability
 from pskrx.core import PskAlphabet
 from pskrx.mc import IDEAL, estimate_error
@@ -94,6 +95,30 @@ class TestMonteCarlo:
         est = estimate_error(a, 0.0, "cyclic", IDEAL, 400_000, 9)
         ana = cyclic_error_probability(a, 0.0).p_err
         assert abs(est.p_err - ana) < 4 * est.std_err
+
+    def test_one_pool_for_the_grid(self, monkeypatch):
+        starts = []
+
+        class CountingPool:
+            def __init__(self, max_workers):
+                starts.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(pskrx.mc, "ProcessPoolExecutor", CountingPool)
+        grid = np.linspace(0.2, 1.0, 9)
+        res = optimize_beta_mc(
+            PskAlphabet.from_power(4, 0.5), "cyclic", IDEAL, 40_000, 5, grid=grid, workers=2
+        )
+        vertex_evaluations = res.evaluations - len(grid)
+        assert len(starts) == 1 + vertex_evaluations
 
     def test_grid_validation(self):
         a = PskAlphabet(4, 1.0)
