@@ -10,14 +10,12 @@ quantum limit and the Helstrom bound.
 from ._rng import TrialStream
 from .analytic import (
     CyclicError,
-    click_density,
     cyclic_error_probability,
-    kennedy_error_probability,
     m_click_probability,
     poisson_pmf,
 )
 from .bench import gram_srm_oracle, helstrom_mpsk, sql_heterodyne
-from .core import PskAlphabet, displaced_rates, noisy_rates, probe_relative_rates
+from .core import PskAlphabet, displaced_rates, probe_relative_rates
 from .errors import PrecisionError
 from .mc import (
     IDEAL,
@@ -58,7 +56,6 @@ __all__ = [
     "bayes_click_update",
     "bayes_finalize",
     "bayes_silence_update",
-    "click_density",
     "cyclic_error_probability",
     "cyclic_finalize",
     "displaced_rates",
@@ -67,9 +64,7 @@ __all__ = [
     "gram_srm_oracle",
     "helstrom_mpsk",
     "initial_posterior",
-    "kennedy_error_probability",
     "m_click_probability",
-    "noisy_rates",
     "optimize_beta_analytic",
     "optimize_beta_mc",
     "poisson_pmf",

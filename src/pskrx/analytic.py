@@ -35,7 +35,7 @@ Two chains are evaluated:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, expm1, isfinite, lgamma, log
+from math import exp, isfinite, lgamma, log
 from typing import Sequence
 
 import numpy as np
@@ -67,15 +67,6 @@ def poisson_pmf(n: float, m: int) -> float:
     if n == 0.0:
         return 1.0 if m == 0 else 0.0
     return exp(m * log(n) - n - lgamma(m + 1))
-
-
-def click_density(n: float, t: float) -> float:
-    """Temporal density n e^{-n t} of the first detection at time t."""
-    if not n >= 0.0:
-        raise ValueError(f"rate must be >= 0, got {n}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"time {t} outside the pulse interval [0, 1]")
-    return n * exp(-n * t)
 
 
 def poisson_tail(n: float, m: int) -> float:
@@ -187,18 +178,3 @@ def cyclic_error_probability(
     error, tail, terms = _uniformized(rates, start, target, tail_tol)
     return CyclicError(p_err=error + tail, tail_bound=tail, m_max=terms)
 
-
-def kennedy_error_probability(alpha: float, beta: float) -> float:
-    """Binary PSK click/no-click error with overshoot displacement.
-
-    One state is displaced to amplitude -beta (click rate beta^2), the
-    other to -(2 alpha + beta).  With equal priors the decision "click
-    => bright state" errs with probability
-    (1 - e^{-beta^2})/2 + e^{-(2 alpha + beta)^2}/2.  beta = 0 is the
-    exact-nulling receiver with error e^{-4 alpha^2}/2.
-    """
-    if not alpha >= 0.0:
-        raise ValueError(f"amplitude must be >= 0, got {alpha}")
-    if not beta >= 0.0:
-        raise ValueError(f"displacement surplus must be >= 0, got {beta}")
-    return 0.5 * (-expm1(-beta * beta) + exp(-((2 * alpha + beta) ** 2)))

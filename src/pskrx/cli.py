@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from math import sqrt
 
 from . import bench as bench_mod
@@ -118,6 +118,11 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 
 _RANDOMIZED = {"sweep", "optimize", "simulate"}
 
+# commands whose alpha_sq is a power grid rather than a single value
+_GRID_COMMANDS = {"sweep", "bench", "optimize"}
+
+_BETA_POLICIES = ("fixed", "zero", "analytic", "mc")
+
 
 def _fmt(x: float) -> str:
     """Floats are serialized with 17 significant digits (round-trip safe)."""
@@ -197,6 +202,17 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         raise ValueError(f"unknown format {resolved['format']!r}; use csv or json")
     if "strategy" in schema and resolved.get("strategy") not in (None, "cyclic", "bayes"):
         raise ValueError(f"unknown strategy {resolved['strategy']!r}")
+    if command in _GRID_COMMANDS:
+        powers = resolved["alpha_sq"]
+        if not powers:
+            raise ValueError("empty alpha_sq grid")
+        if any(b <= a for a, b in zip(powers, powers[1:])):
+            raise ValueError(f"alpha_sq grid must be strictly increasing: {powers}")
+    if command == "sweep":
+        if resolved["trials"] < 1:
+            raise ValueError(f"need at least one trial, got {resolved['trials']}")
+        if resolved["beta_policy"] not in _BETA_POLICIES:
+            raise ValueError(f"unknown beta policy {resolved['beta_policy']!r}")
     return resolved
 
 
@@ -220,14 +236,14 @@ def _write_rows(cfg: dict, header: list[str], rows: list[dict]) -> None:
     if cfg["format"] == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        buf = []
-        out = csv.writer(_ListWriter(buf), lineterminator="\n")
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
         out.writerow(header)
         for row in rows:
             out.writerow(
                 [_fmt(v) if isinstance(v, float) else v for v in (row[h] for h in header)]
             )
-        text = "".join(buf)
+        text = buf.getvalue()
     if cfg["out"] is None:
         sys.stdout.write(text)
     else:
@@ -235,124 +251,56 @@ def _write_rows(cfg: dict, header: list[str], rows: list[dict]) -> None:
             fh.write(text)
 
 
-class _ListWriter:
-    def __init__(self, buf: list[str]):
-        self.buf = buf
-
-    def write(self, text: str) -> None:
-        self.buf.append(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-_BETA_POLICIES = ("fixed", "zero", "analytic", "mc")
-
-
-def _check_power_grid(powers) -> None:
-    if not powers:
-        raise ValueError("empty alpha_sq grid")
-    if any(b <= a for a, b in zip(powers, powers[1:])):
-        raise ValueError(f"alpha_sq grid must be strictly increasing: {powers}")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One fully resolved sweep: the receiver, its grid, and the run knobs."""
-
-    M: int
-    powers: tuple[float, ...]
-    strategy: str
-    imperfections: ImperfectionModel
-    trials: int
-    seed: int
-    beta_policy: str
-    beta_sq: float
-    opt_trials: int
-    workers: int
-
-    def __post_init__(self):
-        _check_power_grid(self.powers)
-        if self.trials < 1:
-            raise ValueError(f"need at least one trial, got {self.trials}")
-        if self.beta_policy not in _BETA_POLICIES:
-            raise ValueError(f"unknown beta policy {self.beta_policy!r}")
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "SweepSpec":
-        return cls(
-            M=cfg["m"],
-            powers=tuple(cfg["alpha_sq"]),
-            strategy=cfg["strategy"],
-            imperfections=_imperfections(cfg),
-            trials=cfg["trials"],
-            seed=cfg["seed"],
-            beta_policy=cfg["beta_policy"],
-            beta_sq=cfg["beta_sq"],
-            opt_trials=cfg["opt_trials"],
-            workers=cfg["workers"],
-        )
-
-    def resolve_beta(self, alphabet: PskAlphabet) -> float:
-        if self.beta_policy == "zero":
-            return 0.0
-        if self.beta_policy == "fixed":
-            return sqrt(self.beta_sq)
-        if self.beta_policy == "analytic":
-            return optimize_beta_analytic(alphabet).beta_opt
-        return optimize_beta_mc(
-            alphabet,
-            self.strategy,
-            self.imperfections,
-            self.opt_trials,
-            self.seed + 1,  # decoupled from the final-estimate stream
-            workers=self.workers,
-        ).beta_opt
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep grid point next to its reference bounds."""
-
-    alpha_sq: float
-    beta_sq: float
-    p_err: float
-    std_err: float
-    sql: float
-    helstrom: float
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_err <= 1.0:
-            raise ValueError(f"error probability {self.p_err} outside [0, 1]")
-        if self.helstrom > self.sql + 1e-12:
-            raise ValueError("quantum bound above the classical one")
+def _sweep_beta(cfg: dict, alphabet: PskAlphabet) -> float:
+    """The displacement surplus amplitude of one sweep point, by beta policy."""
+    policy = cfg["beta_policy"]
+    if policy == "zero":
+        return 0.0
+    if policy == "fixed":
+        return sqrt(cfg["beta_sq"])
+    if policy == "analytic":
+        return optimize_beta_analytic(alphabet).beta_opt
+    return optimize_beta_mc(
+        alphabet,
+        cfg["strategy"],
+        _imperfections(cfg),
+        cfg["opt_trials"],
+        cfg["seed"] + 1,  # decoupled from the final-estimate stream
+        workers=cfg["workers"],
+    ).beta_opt
 
 
 def cmd_sweep(cfg: dict) -> None:
-    spec = SweepSpec.from_config(cfg)
+    imp = _imperfections(cfg)
     header = ["alpha_sq", "beta_sq", "p_err", "std_err", "sql", "helstrom", "trials", "seed"]
     rows = []
-    for alpha_sq in spec.powers:
-        alphabet = PskAlphabet.from_power(spec.M, alpha_sq)
-        beta = spec.resolve_beta(alphabet)
+    for alpha_sq in cfg["alpha_sq"]:
+        alphabet = PskAlphabet.from_power(cfg["m"], alpha_sq)
+        beta = _sweep_beta(cfg, alphabet)
         est = estimate_error(
-            alphabet, beta, spec.strategy, spec.imperfections,
-            spec.trials, spec.seed, spec.workers,
+            alphabet, beta, cfg["strategy"], imp, cfg["trials"], cfg["seed"], cfg["workers"]
         )
+        sql = bench_mod.sql_heterodyne(alphabet.alpha, cfg["m"])
+        helstrom = bench_mod.helstrom_mpsk(alphabet.alpha, cfg["m"])
+        if not 0.0 <= est.p_err <= 1.0:
+            raise ValueError(f"error probability {est.p_err} outside [0, 1]")
+        if helstrom > sql + 1e-12:
+            raise ValueError("quantum bound above the classical one")
         rows.append(
-            SweepRow(
-                alpha_sq=float(alpha_sq),
-                beta_sq=beta * beta,
-                p_err=est.p_err,
-                std_err=est.std_err,
-                sql=bench_mod.sql_heterodyne(alphabet.alpha, spec.M),
-                helstrom=bench_mod.helstrom_mpsk(alphabet.alpha, spec.M),
-                trials=spec.trials,
-                seed=spec.seed,
-            ).__dict__
+            {
+                "alpha_sq": float(alpha_sq),
+                "beta_sq": beta * beta,
+                "p_err": est.p_err,
+                "std_err": est.std_err,
+                "sql": sql,
+                "helstrom": helstrom,
+                "trials": cfg["trials"],
+                "seed": cfg["seed"],
+            }
         )
     _write_rows(cfg, header, rows)
 
@@ -397,7 +345,6 @@ def cmd_trace(cfg: dict) -> None:
 
 
 def cmd_bench(cfg: dict) -> None:
-    _check_power_grid(cfg["alpha_sq"])
     header = ["alpha_sq", "sql", "helstrom"]
     rows = []
     for alpha_sq in cfg["alpha_sq"]:
@@ -413,19 +360,30 @@ def cmd_bench(cfg: dict) -> None:
 
 
 def cmd_optimize(cfg: dict) -> None:
-    _check_power_grid(cfg["alpha_sq"])
     imp = _imperfections(cfg)
+    # the options the exact objective cannot model: it assumes the ideal cyclic receiver
+    non_ideal = [
+        f"--{name.replace('_', '-')} {cfg[name]}"
+        for name in ("strategy", "eta", "n_th", "dead_time", "dark_rate")
+        if cfg[name] != _SCHEMA["optimize"][name][1]
+    ]
     objective = cfg["objective"]
     if objective == "auto":
-        ideal = imp == ImperfectionModel()
-        objective = "analytic" if (cfg["strategy"] == "cyclic" and ideal) else "mc"
+        objective = "mc" if non_ideal else "analytic"
+    if objective not in ("analytic", "mc"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if objective == "analytic" and non_ideal:
+        raise ValueError(
+            "--objective analytic evaluates the ideal cyclic receiver and would ignore "
+            f"{', '.join(non_ideal)}; use --objective mc"
+        )
     header = ["alpha_sq", "beta_opt_sq", "p_err"]
     rows = []
     for alpha_sq in cfg["alpha_sq"]:
         alphabet = PskAlphabet.from_power(cfg["m"], alpha_sq)
         if objective == "analytic":
             res = optimize_beta_analytic(alphabet)
-        elif objective == "mc":
+        else:
             grid = cfg["beta_grid"] or None
             res = optimize_beta_mc(
                 alphabet,
@@ -436,8 +394,6 @@ def cmd_optimize(cfg: dict) -> None:
                 grid=grid,
                 workers=cfg["workers"],
             )
-        else:
-            raise ValueError(f"unknown objective {objective!r}")
         rows.append(
             {
                 "alpha_sq": float(alpha_sq),

@@ -82,11 +82,6 @@ class PskAlphabet:
         return self.alpha * np.exp(1j * self.phases)
 
 
-def _check_probe(alphabet: PskAlphabet, probe: int) -> None:
-    if not 1 <= probe <= alphabet.M:
-        raise ValueError(f"probe index {probe} outside 1..{alphabet.M}")
-
-
 def probe_relative_rates(alphabet: PskAlphabet, beta: float) -> np.ndarray:
     """Mean photon numbers by phase offset from the probed state.
 
@@ -109,28 +104,8 @@ def displaced_rates(alphabet: PskAlphabet, probe: int, beta: float) -> np.ndarra
 
     rates[k-1] = |alpha e^{i theta_k} - (alpha+beta) e^{i theta_probe}|^2.
     """
-    _check_probe(alphabet, probe)
+    if not 1 <= probe <= alphabet.M:
+        raise ValueError(f"probe index {probe} outside 1..{alphabet.M}")
     table = probe_relative_rates(alphabet, beta)
     return np.roll(table, probe - 1)
 
-
-def noisy_rates(
-    alphabet: PskAlphabet, probe: int, beta: float, offset: complex
-) -> np.ndarray:
-    """Mean photon numbers under a realized thermal amplitude offset.
-
-    rates[k-1] = |alpha e^{i theta_k} + offset - (alpha+beta) e^{i theta_probe}|^2.
-    A zero offset reduces exactly to :func:`displaced_rates`.
-    """
-    _check_probe(alphabet, probe)
-    if not beta >= 0.0:
-        raise ValueError(f"displacement surplus must be >= 0, got {beta}")
-    offset = complex(offset)
-    if offset == 0:
-        return displaced_rates(alphabet, probe, beta)
-    fields = (
-        alphabet.amplitudes
-        + offset
-        - (alphabet.alpha + beta) * np.exp(1j * alphabet.phases[probe - 1])
-    )
-    return fields.real**2 + fields.imag**2

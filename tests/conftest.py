@@ -16,14 +16,10 @@ import pytest
 from scipy import integrate
 
 
-def brute_rate(M: int, alpha: float, beta: float, probe: int, k: int, offset=0j) -> float:
-    """|alpha e^{i theta_k} + offset - (alpha+beta) e^{i theta_probe}|^2."""
+def brute_rate(M: int, alpha: float, beta: float, probe: int, k: int) -> float:
+    """|alpha e^{i theta_k} - (alpha+beta) e^{i theta_probe}|^2."""
     theta = lambda j: 2.0 * math.pi * (j - 1) / M
-    field = (
-        alpha * cmath.exp(1j * theta(k))
-        + offset
-        - (alpha + beta) * cmath.exp(1j * theta(probe))
-    )
+    field = alpha * cmath.exp(1j * theta(k)) - (alpha + beta) * cmath.exp(1j * theta(probe))
     return abs(field) ** 2
 
 

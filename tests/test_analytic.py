@@ -4,15 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pskrx
 from pskrx.analytic import (
-    click_density,
     cyclic_error_probability,
-    kennedy_error_probability,
     m_click_probability,
     poisson_pmf,
     poisson_tail,
@@ -46,18 +43,6 @@ class TestPoissonPmf:
             poisson_pmf(-0.1, 0)
         with pytest.raises(ValueError):
             poisson_pmf(1.0, -1)
-
-
-class TestClickDensity:
-    def test_values(self):
-        assert click_density(3.0, 0.0) == 3.0
-        assert click_density(0.0, 0.7) == 0.0
-        assert click_density(2.0, 0.5) == pytest.approx(2 * math.exp(-1), abs=1e-15)
-
-    @pytest.mark.parametrize("t", [-0.1, 1.1])
-    def test_time_outside_pulse(self, t):
-        with pytest.raises(ValueError):
-            click_density(1.0, t)
 
 
 class TestMClickProbability:
@@ -201,24 +186,6 @@ class TestCyclicErrorProbability:
         for tol in (0.0, 1e-2, -1e-6):
             with pytest.raises(ValueError):
                 cyclic_error_probability(alphabet, beta, tail_tol=tol)
-
-
-class TestKennedy:
-    def test_exact_nulling_limit(self):
-        for alpha in (0.2, 0.5, 1.0):
-            assert kennedy_error_probability(alpha, 0.0) == pytest.approx(
-                0.5 * math.exp(-4 * alpha * alpha), abs=1e-15
-            )
-
-    def test_identical_states(self):
-        assert kennedy_error_probability(0.0, 0.9) == pytest.approx(0.5, abs=1e-15)
-
-    def test_surplus_helps_weak_signals(self):
-        alpha = math.sqrt(0.1)
-        nulled = kennedy_error_probability(alpha, 0.0)
-        betas = np.linspace(0.0, 1.5, 151)
-        best = min(kennedy_error_probability(alpha, b) for b in betas)
-        assert best < nulled
 
 
 def test_import_does_not_load_mpmath():

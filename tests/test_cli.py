@@ -2,10 +2,11 @@ import csv
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from pskrx.cli import EXIT_ARGS, EXIT_IO, EXIT_OK, main, trace_rows
+from pskrx.cli import _SCHEMA, EXIT_ARGS, EXIT_IO, EXIT_OK, _read_spec, main, trace_rows
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +238,20 @@ class TestOptimize:
         assert code == EXIT_OK
         assert float(parse_csv(out)[0]["beta_opt_sq"]) < 1e-6
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--strategy", "bayes"), ("--eta", "0.5"), ("--n-th", "0.8"),
+         ("--dead-time", "0.1"), ("--dark-rate", "0.2")],
+    )
+    def test_analytic_objective_rejects_other_receivers(self, capsys, flag, value):
+        # the exact objective models the ideal cyclic receiver only
+        code, out, err = run_cli(
+            capsys, "optimize", "--m", "4", "--alpha-sq", "1", "--objective", "analytic",
+            "--seed", "1", flag, value,
+        )
+        assert code == EXIT_ARGS and out == ""
+        assert f"{flag} {value}" in err
+
     def test_mc_objective(self, capsys):
         code, out, _ = run_cli(
             capsys, "optimize", "--m", "4", "--alpha-sq", "0.5", "--strategy", "bayes",
@@ -273,3 +288,24 @@ class TestSimulate:
         )
         rows = parse_csv(out)  # csv module applies RFC 4180 parsing
         assert len(rows) == 10
+
+
+SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
+SPEC_HEADERS = {
+    "sweep": "alpha_sq,beta_sq,p_err,std_err,sql,helstrom,trials,seed",
+    "optimize": "alpha_sq,beta_opt_sq,p_err",
+}
+
+
+@pytest.mark.parametrize("path", sorted(SPEC_DIR.glob("*.spec")), ids=lambda p: p.name)
+def test_shipped_spec_file_runs(path, capsys):
+    # each experiment spec, cut to its first power and few trials
+    command = re.search(r"^command\s*=\s*(\w+)", path.read_text(), re.MULTILINE).group(1)
+    first_power = _read_spec(str(path), command)["alpha_sq"].split(",")[0]
+    argv = [command, "--spec", str(path), "--alpha-sq", first_power]
+    for name, value in (("trials", "2000"), ("opt_trials", "10000")):
+        if name in _SCHEMA[command]:
+            argv += [f"--{name.replace('_', '-')}", value]
+    code, out, _ = run_cli(capsys, *argv, "--workers", "1")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == SPEC_HEADERS[command]

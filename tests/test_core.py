@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pskrx.core import PskAlphabet, displaced_rates, noisy_rates, probe_relative_rates
+from pskrx.core import PskAlphabet, displaced_rates, probe_relative_rates
 
 from conftest import brute_rate
 
@@ -87,35 +87,6 @@ class TestDisplacedRates:
         alpha, beta = 0.9, 0.4
         rates = displaced_rates(PskAlphabet(M, alpha), 1, beta)
         assert rates[M // 2] == pytest.approx((2 * alpha + beta) ** 2, rel=1e-13)
-
-
-class TestNoisyRates:
-    def test_zero_offset_identical(self, qpsk_half):
-        alphabet, beta = qpsk_half
-        clean = displaced_rates(alphabet, 2, beta)
-        noisy = noisy_rates(alphabet, 2, beta, 0j)
-        assert (clean == noisy).all()
-
-    def test_pure_offset_power(self):
-        rates = noisy_rates(PskAlphabet(4, 0.0), 1, 0.0, 1 + 0j)
-        np.testing.assert_allclose(rates, 1.0, atol=1e-15)
-
-    def test_bpsk_offset(self):
-        # |1 + 0.1 - 1|^2 and |-1 + 0.1 - 1|^2
-        rates = noisy_rates(PskAlphabet(2, 1.0), 1, 0.0, 0.1 + 0j)
-        np.testing.assert_allclose(rates, [0.01, 3.61], atol=1e-12)
-
-    @given(
-        alpha=st.floats(0.0, 2.0),
-        beta=st.floats(0.0, 2.0),
-        re=st.floats(-1.0, 1.0),
-        im=st.floats(-1.0, 1.0),
-    )
-    def test_matches_brute_force(self, alpha, beta, re, im):
-        a = PskAlphabet(4, alpha)
-        rates = noisy_rates(a, 2, beta, complex(re, im))
-        oracle = [brute_rate(4, alpha, beta, 2, k, complex(re, im)) for k in (1, 2, 3, 4)]
-        np.testing.assert_allclose(rates, oracle, atol=1e-12)
 
 
 def test_probe_relative_rates_is_the_shared_table(qpsk_half):
