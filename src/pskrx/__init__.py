@@ -22,6 +22,7 @@ from .mc import (
     ErrorEstimate,
     ImperfectionModel,
     TrialOutcome,
+    TrialRecords,
     estimate_error,
     estimate_errors,
     sample_thermal_offset,
@@ -52,6 +53,7 @@ __all__ = [
     "PrecisionError",
     "PskAlphabet",
     "TrialOutcome",
+    "TrialRecords",
     "TrialStream",
     "bayes_click_update",
     "bayes_finalize",

@@ -34,7 +34,7 @@ from math import sqrt
 from . import bench as bench_mod
 from .core import PskAlphabet, displaced_rates
 from .errors import PrecisionError
-from .mc import ImperfectionModel, estimate_error, simulate_outcomes
+from .mc import ImperfectionModel, TrialRecords, estimate_error, simulate_outcomes
 from .optimize import optimize_beta_analytic, optimize_beta_mc
 from .strategy import (
     bayes_click_update,
@@ -123,6 +123,9 @@ _GRID_COMMANDS = {"sweep", "bench", "optimize"}
 
 _BETA_POLICIES = ("fixed", "zero", "analytic", "mc")
 
+# simulate writes its CSV this many trials at a time, to bound the text held at once
+_RECORD_CHUNK = 1 << 14
+
 
 def _fmt(x: float) -> str:
     """Floats are serialized with 17 significant digits (round-trip safe)."""
@@ -208,11 +211,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             raise ValueError("empty alpha_sq grid")
         if any(b <= a for a, b in zip(powers, powers[1:])):
             raise ValueError(f"alpha_sq grid must be strictly increasing: {powers}")
-    if command == "sweep":
-        if resolved["trials"] < 1:
-            raise ValueError(f"need at least one trial, got {resolved['trials']}")
-        if resolved["beta_policy"] not in _BETA_POLICIES:
-            raise ValueError(f"unknown beta policy {resolved['beta_policy']!r}")
+    if "trials" in schema and resolved["trials"] < 1:
+        raise ValueError(f"need at least one trial, got {resolved['trials']}")
+    if command == "sweep" and resolved["beta_policy"] not in _BETA_POLICIES:
+        raise ValueError(f"unknown beta policy {resolved['beta_policy']!r}")
     return resolved
 
 
@@ -244,11 +246,16 @@ def _write_rows(cfg: dict, header: list[str], rows: list[dict]) -> None:
                 [_fmt(v) if isinstance(v, float) else v for v in (row[h] for h in header)]
             )
         text = buf.getvalue()
+    _emit(cfg, [text])
+
+
+def _emit(cfg: dict, pieces) -> None:
+    """Write the output text, given as an iterable of pieces."""
     if cfg["out"] is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +411,44 @@ def cmd_optimize(cfg: dict) -> None:
     _write_rows(cfg, header, rows)
 
 
+def _record_columns(rec: TrialRecords, lo: int, hi: int) -> dict[str, list]:
+    """simulate's output columns for trials lo..hi-1, one list per field."""
+    offsets = rec.click_offsets[lo : hi + 1].tolist()
+    first, last = offsets[0], offsets[-1]
+    spans = [(s - first, e - first) for s, e in zip(offsets, offsets[1:])]
+    times = list(map(_fmt, rec.click_times[first:last].tolist()))
+    probes = [f";{p}" for p in rec.probes[first:last].tolist()]
+    true_state = rec.true_state[lo:hi].tolist()
+    hypothesis = rec.hypothesis[lo:hi].tolist()
+    return {
+        "trial": list(range(lo, hi)),
+        "true_state": true_state,
+        "hypothesis": hypothesis,
+        "confidence": rec.confidence[lo:hi].tolist(),
+        "correct": [int(h == t) for h, t in zip(hypothesis, true_state)],
+        "n_clicks": [e - s for s, e in spans],
+        "click_times": [";".join(times[s:e]) for s, e in spans],
+        "probes": ["1" + "".join(probes[s:e]) for s, e in spans],
+    }
+
+
+def _record_csv(rec: TrialRecords):
+    """simulate's CSV text, one piece per chunk of trials.
+
+    Fields hold digits, '.', '-', '+', 'e' and ';' only, so none needs quoting.
+    """
+    for lo in range(0, len(rec), _RECORD_CHUNK):
+        columns = _record_columns(rec, lo, min(lo + _RECORD_CHUNK, len(rec)))
+        if lo == 0:
+            yield ",".join(columns) + "\n"
+        columns["confidence"] = map(_fmt, columns["confidence"])
+        fields = zip(*(map(str, column) for column in columns.values()))
+        yield "".join(",".join(row) + "\n" for row in fields)
+
+
 def cmd_simulate(cfg: dict) -> None:
     alphabet = PskAlphabet.from_power(cfg["m"], _single_power(cfg))
-    outcomes = simulate_outcomes(
+    rec = simulate_outcomes(
         alphabet,
         sqrt(cfg["beta_sq"]),
         cfg["strategy"],
@@ -414,31 +456,12 @@ def cmd_simulate(cfg: dict) -> None:
         cfg["trials"],
         cfg["seed"],
     )
-    header = [
-        "trial",
-        "true_state",
-        "hypothesis",
-        "confidence",
-        "correct",
-        "n_clicks",
-        "click_times",
-        "probes",
-    ]
-    rows = []
-    for i, oc in enumerate(outcomes):
-        rows.append(
-            {
-                "trial": i,
-                "true_state": oc.true_state,
-                "hypothesis": oc.hypothesis.state,
-                "confidence": oc.hypothesis.confidence,
-                "correct": int(oc.correct),
-                "n_clicks": len(oc.click_times),
-                "click_times": ";".join(_fmt(t) for t in oc.click_times),
-                "probes": ";".join(str(p) for p in oc.probe_sequence),
-            }
-        )
-    _write_rows(cfg, header, rows)
+    if cfg["format"] == "csv":
+        _emit(cfg, _record_csv(rec))
+        return
+    columns = _record_columns(rec, 0, len(rec))
+    header = list(columns)
+    _write_rows(cfg, header, [dict(zip(header, row)) for row in zip(*columns.values())])
 
 
 _COMMANDS = {

@@ -36,7 +36,8 @@ engine runs.  :func:`estimate_errors` evaluates several surpluses in
 one pass: each block of trials draws its true states and thermal
 offsets once and runs every surplus on them (common random numbers),
 and one process pool serves all blocks; :func:`estimate_error` is its
-one-surplus case.
+one-surplus case.  :func:`simulate_outcomes` runs the same trials and
+keeps the engine's columns as :class:`TrialRecords`.
 """
 
 from __future__ import annotations
@@ -102,6 +103,45 @@ class TrialOutcome:
     probe_sequence: tuple[int, ...]
     hypothesis: Hypothesis
     correct: bool
+
+
+@dataclass(frozen=True, eq=False)
+class TrialRecords:
+    """Full records of trials 0..n-1, one flat array per field, in trial order.
+
+    States are 1-based.  Trial i clicked at
+    ``click_times[click_offsets[i]:click_offsets[i + 1]]`` and probed
+    ``probes`` of the same slice after those clicks; every trial starts
+    by probing state 1.  The records form a read-only sequence of
+    :class:`TrialOutcome`: ``len``, integer indexing (negative indices
+    count from the end) and iteration build one outcome at a time.
+    """
+
+    true_state: np.ndarray
+    hypothesis: np.ndarray
+    confidence: np.ndarray
+    click_offsets: np.ndarray
+    click_times: np.ndarray
+    probes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.true_state)
+
+    def __getitem__(self, i: int) -> TrialOutcome:
+        i = range(len(self))[i]  # IndexError and TypeError as for a list
+        s, e = self.click_offsets[i : i + 2].tolist()
+        true_state = int(self.true_state[i])
+        hyp = Hypothesis(int(self.hypothesis[i]), float(self.confidence[i]))
+        return TrialOutcome(
+            true_state=true_state,
+            click_times=tuple(self.click_times[s:e].tolist()),
+            probe_sequence=(1, *self.probes[s:e].tolist()),
+            hypothesis=hyp,
+            correct=hyp.state == true_state,
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -236,18 +276,23 @@ def _run_block(
     """Simulate trials [lo, hi) at every surplus in ``betas``.
 
     The true states and thermal offsets (slots 0-2) are drawn once and
-    every surplus runs on them.  Returns one (n_err, collected payload or
-    None) per surplus.
+    every surplus runs on them.  Returns one (n_err, payload) per
+    surplus; the payload is None unless ``collect``, else the block's
+    columns (true state, hypothesis, confidence, click count, click
+    times, probe after each click), states 1-based, clicks in trial order.
     """
     M = alphabet.M
     idx = np.arange(lo, hi, dtype=np.uint64)
     u0 = counter_uniform(master_seed, idx, 0)
     true0 = np.minimum((u0 * M).astype(np.int64), M - 1)
-    z1, z2 = box_muller(
-        counter_uniform(master_seed, idx, 1), counter_uniform(master_seed, idx, 2)
-    )
-    sigma = sqrt(imp.n_th / 2.0)
-    field0 = alphabet.amplitudes[true0] + (sigma * z1 + 1j * (sigma * z2))
+    field0 = alphabet.amplitudes[true0]
+    if imp.n_th > 0.0:
+        # without excess noise the offset is exactly zero: slots 1-2 go unread
+        z1, z2 = box_muller(
+            counter_uniform(master_seed, idx, 1), counter_uniform(master_seed, idx, 2)
+        )
+        sigma = sqrt(imp.n_th / 2.0)
+        field0 = field0 + (sigma * z1 + 1j * (sigma * z2))
     step = np.arange(M)
     # order[p, j]: the state j phase steps ahead of probe p
     order = (step[:, None] + step[None, :]) % M
@@ -274,10 +319,9 @@ def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0,
     hyp0 = np.empty(n, dtype=np.int64)
     conf = np.ones(n)
 
-    clicks_trial: list[np.ndarray] = []
-    clicks_time: list[np.ndarray] = []
-    clicks_probe: list[np.ndarray] = []
-    clicks_round: list[np.ndarray] = []
+    clicks_trial = [np.empty(0, dtype=np.int64)]
+    clicks_time = [np.empty(0)]
+    clicks_probe = [np.empty(0, dtype=np.int64)]
 
     def _finalize(rows):
         if not rows.size:
@@ -328,8 +372,7 @@ def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0,
             if collect:
                 clicks_trial.append(pos)
                 clicks_time.append(tc)
-                clicks_probe.append(probe0[pos].copy())
-                clicks_round.append(np.full(pos.size, rnd))
+                clicks_probe.append(probe0[pos] + 1)
             blocked = resume[pos] >= 1.0
             _finalize(pos[blocked])
             pos = pos[~blocked]
@@ -345,16 +388,17 @@ def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0,
     n_err = int(np.sum(hyp0 != true0))
     if not collect:
         return n_err, None
-    payload = {
-        "true0": true0,
-        "count": count,
-        "hyp0": hyp0,
-        "conf": conf,
-        "clicks_trial": np.concatenate(clicks_trial) if clicks_trial else np.empty(0, int),
-        "clicks_time": np.concatenate(clicks_time) if clicks_time else np.empty(0),
-        "clicks_probe": np.concatenate(clicks_probe) if clicks_probe else np.empty(0, int),
-        "clicks_round": np.concatenate(clicks_round) if clicks_round else np.empty(0, int),
-    }
+    # clicks were collected round by round and each trial clicks at most
+    # once a round, so a stable sort by trial puts each trial's in time order
+    order = np.argsort(np.concatenate(clicks_trial), kind="stable")
+    payload = (
+        true0 + 1,
+        hyp0 + 1,
+        conf,
+        count,
+        np.concatenate(clicks_time)[order],
+        np.concatenate(clicks_probe)[order],
+    )
     return n_err, payload
 
 
@@ -432,31 +476,27 @@ def simulate_outcomes(
     imperfections: ImperfectionModel | None,
     trials: int,
     master_seed: int,
-) -> list[TrialOutcome]:
-    """Full trial records for modest trial counts (tracing, tests, CLI)."""
+) -> TrialRecords:
+    """Full records of trials 0..trials-1, the ones :func:`estimate_error` counts."""
     _check_strategy(strategy)
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     imp = imperfections if imperfections is not None else IDEAL
-    outcomes: list[TrialOutcome] = []
+    blocks = []
     for lo in range(0, trials, _BLOCK):
         hi = min(lo + _BLOCK, trials)
         [(_, payload)] = _run_block(
             alphabet, (beta,), strategy, imp, master_seed, lo, hi, collect=True
         )
-        order = np.lexsort((payload["clicks_round"], payload["clicks_trial"]))
-        ct = payload["clicks_trial"][order]
-        tt = payload["clicks_time"][order]
-        pp = payload["clicks_probe"][order]
-        bounds = np.searchsorted(ct, np.arange(hi - lo + 1))
-        for i in range(hi - lo):
-            s, e = bounds[i], bounds[i + 1]
-            hyp = Hypothesis(int(payload["hyp0"][i]) + 1, float(payload["conf"][i]))
-            outcomes.append(
-                TrialOutcome(
-                    true_state=int(payload["true0"][i]) + 1,
-                    click_times=tuple(float(x) for x in tt[s:e]),
-                    probe_sequence=(1, *(int(x) + 1 for x in pp[s:e])),
-                    hypothesis=hyp,
-                    correct=bool(hyp.state == int(payload["true0"][i]) + 1),
-                )
-            )
-    return outcomes
+        blocks.append(payload)
+    true_state, hypothesis, confidence, count, click_times, probes = map(
+        np.concatenate, zip(*blocks)
+    )
+    return TrialRecords(
+        true_state=true_state,
+        hypothesis=hypothesis,
+        confidence=confidence,
+        click_offsets=np.concatenate(([0], np.cumsum(count))),
+        click_times=click_times,
+        probes=probes,
+    )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -252,6 +253,13 @@ class TestOptimize:
         assert code == EXIT_ARGS and out == ""
         assert f"{flag} {value}" in err
 
+    def test_nonpositive_trials_rejected(self, capsys):
+        # even the analytic objective, which runs no trials
+        code, out, err = run_cli(
+            capsys, "optimize", "--alpha-sq", "1", "--objective", "analytic", "--trials", "0",
+        )
+        assert code == EXIT_ARGS and out == "" and "trial" in err
+
     def test_mc_objective(self, capsys):
         code, out, _ = run_cli(
             capsys, "optimize", "--m", "4", "--alpha-sq", "0.5", "--strategy", "bayes",
@@ -261,6 +269,14 @@ class TestOptimize:
         assert code == EXIT_OK
         row = parse_csv(out)[0]
         assert 0.0 <= float(row["beta_opt_sq"]) <= 0.8**2
+
+
+IMPERFECT = ["--eta", "0.8", "--n-th", "0.1", "--dead-time", "0.02", "--dark-rate", "0.01"]
+
+
+def _small(strategy, fmt, detector):
+    return ["--alpha-sq", "0.5", "--beta-sq", "0.23", "--strategy", strategy,
+            "--trials", "400", "--seed", "21", "--format", fmt, *detector]
 
 
 class TestSimulate:
@@ -288,6 +304,83 @@ class TestSimulate:
         )
         rows = parse_csv(out)  # csv module applies RFC 4180 parsing
         assert len(rows) == 10
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_nonpositive_trials_rejected(self, capsys, trials):
+        code, out, err = run_cli(capsys, "simulate", "--trials", trials, "--seed", "1")
+        assert code == EXIT_ARGS and out == "" and "trial" in err
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                _small("cyclic", "csv", []),
+                "607ae15636ca4c5321482f16e380a8245918cb93efcffe9685c8b0f1812d54a7",
+                id="cyclic-ideal-csv",
+            ),
+            pytest.param(
+                _small("cyclic", "json", []),
+                "04548e7115e2e85922d2ac0101bf3048ef54d07c57f7b0f75d981dc158824aff",
+                id="cyclic-ideal-json",
+            ),
+            pytest.param(
+                _small("cyclic", "csv", IMPERFECT),
+                "711e1c3d088bfb1fc3f1a51b4cee7da83f9ed80e5dffe34c9bb25204ac759f7e",
+                id="cyclic-imperfect-csv",
+            ),
+            pytest.param(
+                _small("cyclic", "json", IMPERFECT),
+                "e178cff7c2a629302dde9d1870debf4f300af8b67b678db35965eac3866e3c14",
+                id="cyclic-imperfect-json",
+            ),
+            pytest.param(
+                _small("bayes", "csv", []),
+                "a01c65bc821cf21675dedabaa81c6550d3c573250bdd824915e66ff392bd24d7",
+                id="bayes-ideal-csv",
+            ),
+            pytest.param(
+                _small("bayes", "json", []),
+                "b3b791a07067397c76a8a499e89700e5717999e1b579b1dcc2af7612d755824d",
+                id="bayes-ideal-json",
+            ),
+            pytest.param(
+                _small("bayes", "csv", IMPERFECT),
+                "7834a55303ed8ab4e225963c500c32a463fb61b0140aa8da04494d2ca85660f9",
+                id="bayes-imperfect-csv",
+            ),
+            pytest.param(
+                _small("bayes", "json", IMPERFECT),
+                "b839e3e53f115c095cc5d25596e6ab5fbacaf82d99728e2e177652404fc8ec92",
+                id="bayes-imperfect-json",
+            ),
+            # 40,000 trials: two engine blocks
+            pytest.param(
+                ["--m", "8", "--alpha-sq", "2", "--beta-sq", "0.23", "--strategy", "bayes",
+                 "--trials", "40000", "--seed", "22", *IMPERFECT],
+                "941d6d9d595b26c1613ff4643cc7dc34d20b96b28dd8c01e68a24b6b188f9591",
+                id="bayes-imperfect-40000-csv",
+            ),
+            pytest.param(
+                ["--alpha-sq", "0.5", "--beta-sq", "0.23", "--strategy", "cyclic",
+                 "--trials", "20000", "--seed", "23", "--format", "json", *IMPERFECT],
+                "64d1f749492d8e457d244df3ea8c6a839fcfb8f0b693b9f578fe1f3763e38a0d",
+                id="cyclic-imperfect-20000-json",
+            ),
+            # nulling under excess noise: clicks impossible under every held hypothesis
+            pytest.param(
+                ["--alpha-sq", "1", "--beta-sq", "0", "--strategy", "bayes", "--n-th", "0.8",
+                 "--trials", "3000", "--seed", "15"],
+                "47e2b2e8e85361fdfe24d9ca2e80ed166e0c08345924eaa14c5159b3f9caccbb",
+                id="bayes-nulling-thermal-csv",
+            ),
+        ],
+    )
+    def test_golden_bytes(self, capsys, argv, digest):
+        # digests taken from the earlier writer, which formatted one row object
+        # per trial: writing from the record columns must not change a byte
+        code, out, _ = run_cli(capsys, "simulate", *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"

@@ -12,6 +12,7 @@ from pskrx.errors import PrecisionError
 from pskrx.mc import (
     IDEAL,
     ImperfectionModel,
+    TrialRecords,
     estimate_error,
     estimate_errors,
     nominal_rate_table,
@@ -157,6 +158,42 @@ class TestEstimateError:
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 0, 1)
+
+
+class TestTrialRecords:
+    def test_sequence_protocol(self):
+        rec = simulate_outcomes(QPSK_HALF, BETA, "bayes", ImperfectionModel(dead_time=0.1), 500, 7)
+        assert isinstance(rec, TrialRecords)
+        assert len(rec) == 500
+        assert rec[-1] == rec[499] and rec[-500] == rec[0]
+        assert rec[np.int64(3)] == rec[3]
+        for i in (500, -501):
+            with pytest.raises(IndexError):
+                rec[i]
+        with pytest.raises(TypeError):
+            rec[1.0]
+        assert list(rec) == [rec[i] for i in range(500)]
+
+    def test_columns_span_blocks(self):
+        # 40,000 trials: a full block and a partial one
+        imp = ImperfectionModel(0.8, 0.1, 0.02, 0.01)
+        rec = simulate_outcomes(QPSK_HALF, BETA, "bayes", imp, 40_000, 9)
+        assert len(rec) == 40_000
+        counts = np.diff(rec.click_offsets)
+        assert rec.click_offsets[0] == 0 and (counts >= 0).all()
+        assert rec.click_offsets[-1] == len(rec.click_times) == len(rec.probes)
+        assert ((rec.probes >= 1) & (rec.probes <= 4)).all()
+        assert ((rec.confidence > 0.0) & (rec.confidence <= 1.0)).all()
+        est = estimate_error(QPSK_HALF, BETA, "bayes", imp, 40_000, 9)
+        assert np.count_nonzero(rec.hypothesis != rec.true_state) / 40_000 == est.p_err
+        for i in (0, 32_767, 32_768, 39_999):
+            out = rec[i]
+            assert len(out.click_times) == counts[i]
+            assert all(b > a for a, b in zip(out.click_times, out.click_times[1:]))
+
+    def test_needs_a_trial(self):
+        with pytest.raises(ValueError):
+            simulate_outcomes(QPSK_HALF, BETA, "cyclic", IDEAL, 0, 1)
 
 
 def _replay(alphabet, beta, strategy, imp, trials, seed):
