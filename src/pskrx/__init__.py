@@ -23,6 +23,7 @@ from .mc import (
     ImperfectionModel,
     TrialOutcome,
     TrialRecords,
+    WorkerPool,
     estimate_error,
     estimate_errors,
     sample_thermal_offset,
@@ -55,6 +56,7 @@ __all__ = [
     "TrialOutcome",
     "TrialRecords",
     "TrialStream",
+    "WorkerPool",
     "bayes_click_update",
     "bayes_finalize",
     "bayes_silence_update",

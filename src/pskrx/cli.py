@@ -14,8 +14,10 @@ file (``--spec FILE``); explicit flags override file entries, and
 included) so the run can be reproduced byte for byte.  Randomized
 commands honor ``--seed``; when it is omitted a fresh seed is drawn,
 printed on stderr, and written into the outputs.  ``--workers`` caps
-the Monte Carlo parallelism (default: PSKRX_WORKERS or the CPU count);
-the output is identical for any worker count.
+the Monte Carlo parallelism (default: PSKRX_WORKERS or the CPU count):
+``sweep`` and ``optimize`` run every Monte Carlo estimate in one worker
+pool, started when first needed and stopped when the command ends.
+The output is identical for any worker count.
 
 Exit codes: 0 success, 2 argument error, 3 precision/convergence
 error, 4 I/O error.
@@ -34,7 +36,7 @@ from math import sqrt
 from . import bench as bench_mod
 from .core import PskAlphabet, displaced_rates
 from .errors import PrecisionError
-from .mc import ImperfectionModel, TrialRecords, estimate_error, simulate_outcomes
+from .mc import ImperfectionModel, TrialRecords, WorkerPool, estimate_error, simulate_outcomes
 from .optimize import optimize_beta_analytic, optimize_beta_mc
 from .strategy import (
     bayes_click_update,
@@ -262,7 +264,7 @@ def _emit(cfg: dict, pieces) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _sweep_beta(cfg: dict, alphabet: PskAlphabet) -> float:
+def _sweep_beta(cfg: dict, alphabet: PskAlphabet, pool: WorkerPool) -> float:
     """The displacement surplus amplitude of one sweep point, by beta policy."""
     policy = cfg["beta_policy"]
     if policy == "zero":
@@ -277,7 +279,7 @@ def _sweep_beta(cfg: dict, alphabet: PskAlphabet) -> float:
         _imperfections(cfg),
         cfg["opt_trials"],
         cfg["seed"] + 1,  # decoupled from the final-estimate stream
-        workers=cfg["workers"],
+        workers=pool,
     ).beta_opt
 
 
@@ -285,30 +287,31 @@ def cmd_sweep(cfg: dict) -> None:
     imp = _imperfections(cfg)
     header = ["alpha_sq", "beta_sq", "p_err", "std_err", "sql", "helstrom", "trials", "seed"]
     rows = []
-    for alpha_sq in cfg["alpha_sq"]:
-        alphabet = PskAlphabet.from_power(cfg["m"], alpha_sq)
-        beta = _sweep_beta(cfg, alphabet)
-        est = estimate_error(
-            alphabet, beta, cfg["strategy"], imp, cfg["trials"], cfg["seed"], cfg["workers"]
-        )
-        sql = bench_mod.sql_heterodyne(alphabet.alpha, cfg["m"])
-        helstrom = bench_mod.helstrom_mpsk(alphabet.alpha, cfg["m"])
-        if not 0.0 <= est.p_err <= 1.0:
-            raise ValueError(f"error probability {est.p_err} outside [0, 1]")
-        if helstrom > sql + 1e-12:
-            raise ValueError("quantum bound above the classical one")
-        rows.append(
-            {
-                "alpha_sq": float(alpha_sq),
-                "beta_sq": beta * beta,
-                "p_err": est.p_err,
-                "std_err": est.std_err,
-                "sql": sql,
-                "helstrom": helstrom,
-                "trials": cfg["trials"],
-                "seed": cfg["seed"],
-            }
-        )
+    with WorkerPool(cfg["workers"]) as pool:
+        for alpha_sq in cfg["alpha_sq"]:
+            alphabet = PskAlphabet.from_power(cfg["m"], alpha_sq)
+            beta = _sweep_beta(cfg, alphabet, pool)
+            est = estimate_error(
+                alphabet, beta, cfg["strategy"], imp, cfg["trials"], cfg["seed"], pool
+            )
+            sql = bench_mod.sql_heterodyne(alphabet.alpha, cfg["m"])
+            helstrom = bench_mod.helstrom_mpsk(alphabet.alpha, cfg["m"])
+            if not 0.0 <= est.p_err <= 1.0:
+                raise ValueError(f"error probability {est.p_err} outside [0, 1]")
+            if helstrom > sql + 1e-12:
+                raise ValueError("quantum bound above the classical one")
+            rows.append(
+                {
+                    "alpha_sq": float(alpha_sq),
+                    "beta_sq": beta * beta,
+                    "p_err": est.p_err,
+                    "std_err": est.std_err,
+                    "sql": sql,
+                    "helstrom": helstrom,
+                    "trials": cfg["trials"],
+                    "seed": cfg["seed"],
+                }
+            )
     _write_rows(cfg, header, rows)
 
 
@@ -386,28 +389,29 @@ def cmd_optimize(cfg: dict) -> None:
         )
     header = ["alpha_sq", "beta_opt_sq", "p_err"]
     rows = []
-    for alpha_sq in cfg["alpha_sq"]:
-        alphabet = PskAlphabet.from_power(cfg["m"], alpha_sq)
-        if objective == "analytic":
-            res = optimize_beta_analytic(alphabet)
-        else:
-            grid = cfg["beta_grid"] or None
-            res = optimize_beta_mc(
-                alphabet,
-                cfg["strategy"],
-                imp,
-                cfg["trials"],
-                cfg["seed"],
-                grid=grid,
-                workers=cfg["workers"],
+    with WorkerPool(cfg["workers"]) as pool:
+        for alpha_sq in cfg["alpha_sq"]:
+            alphabet = PskAlphabet.from_power(cfg["m"], alpha_sq)
+            if objective == "analytic":
+                res = optimize_beta_analytic(alphabet)
+            else:
+                grid = cfg["beta_grid"] or None
+                res = optimize_beta_mc(
+                    alphabet,
+                    cfg["strategy"],
+                    imp,
+                    cfg["trials"],
+                    cfg["seed"],
+                    grid=grid,
+                    workers=pool,
+                )
+            rows.append(
+                {
+                    "alpha_sq": float(alpha_sq),
+                    "beta_opt_sq": res.beta_opt_sq,
+                    "p_err": res.p_err_at_opt,
+                }
             )
-        rows.append(
-            {
-                "alpha_sq": float(alpha_sq),
-                "beta_opt_sq": res.beta_opt_sq,
-                "p_err": res.p_err_at_opt,
-            }
-        )
     _write_rows(cfg, header, rows)
 
 

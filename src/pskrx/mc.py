@@ -29,20 +29,24 @@ underflows under every held hypothesis) raises
 :class:`~pskrx.errors.PrecisionError`; no NaN is returned.
 
 Randomness is addressed per trial through counter-based streams
-(see :mod:`pskrx._rng`), so :func:`estimate_errors` returns
-bit-identical results for any worker count, and the scalar
+(see :mod:`pskrx._rng`): trial i's r-th wait is slot 3 + r of trial i
+whichever block of trials it runs in.  So the scalar
 :func:`simulate_trial` reproduces exactly the trial the vectorized
-engine runs.  :func:`estimate_errors` evaluates several surpluses in
-one pass: each block of trials draws its true states and thermal
-offsets once and runs every surplus on them (common random numbers),
-and one process pool serves all blocks; :func:`estimate_error` is its
-one-surplus case.  :func:`simulate_outcomes` runs the same trials and
-keeps the engine's columns as :class:`TrialRecords`.
+engine runs, and :func:`estimate_errors` may cut its trials into
+blocks sized for the worker count and hand them to any worker without
+changing a bit of its result.  :func:`estimate_errors` evaluates
+several surpluses in one pass: each block of trials draws its true
+states and thermal offsets once and runs every surplus on them (common
+random numbers); :func:`estimate_error` is its one-surplus case.  A
+:class:`WorkerPool` runs the blocks, and one pool can serve every call
+of a command.  :func:`simulate_outcomes` runs the same trials in
+process and keeps the engine's columns as :class:`TrialRecords`.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from math import sqrt
 
@@ -61,6 +65,10 @@ from .strategy import (
 )
 
 _BLOCK = 1 << 15
+# several workers get about this many blocks each, so none idles long at the end
+_BLOCKS_PER_WORKER = 4
+# ... but no block below this size: a short call stays one block, run in process
+_MIN_BLOCK = 1 << 12
 
 STRATEGIES = ("cyclic", "bayes")
 
@@ -215,7 +223,7 @@ def simulate_trial(
         # from the x*x the array square computes
         rate = imp.eta * (f.real * f.real + f.imag * f.imag) + imp.dark_rate
         u = trial_rng.wait_uniform()
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             t = resume + -np.log(u) / rate
         if not t < 1.0:
             break
@@ -343,7 +351,8 @@ def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0,
         f = field0[act] + recv[probe0[act]]
         rate = imp.eta * (f.real**2 + f.imag**2) + imp.dark_rate
         u = counter_uniform(master_seed, idx[act], 3 + rnd)
-        with np.errstate(divide="ignore"):
+        # a zero or tiny rate means a wait past the pulse's end: no click
+        with np.errstate(divide="ignore", over="ignore"):
             t_click = resume[act] + -np.log(u) / rate
         clicked = t_click < 1.0
         _finalize(act[~clicked])
@@ -362,7 +371,9 @@ def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0,
                     # held leaves the posterior and the probe unchanged
                     held = lik.any(axis=1)
                     upd, wc, total = pos[held], wc[held], total[held]
-                wc /= total
+                # a total that underflowed to 0 leaves NaN, refused below
+                with np.errstate(invalid="ignore"):
+                    wc /= total
                 w[upd] = wc
                 probe0[upd] = _map_pick(wc, probe0[upd], order)
             count[pos] += 1
@@ -406,6 +417,52 @@ def _block_errors(args) -> list[int]:
     return [n_err for n_err, _ in _run_block(*args)]
 
 
+def _trial_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous spans [lo, hi) of near-equal size that cover trials 0..trials-1.
+
+    One worker gets blocks of up to ``_BLOCK`` trials.  Several get about
+    ``_BLOCKS_PER_WORKER`` blocks each, within [``_MIN_BLOCK``, ``_BLOCK``]
+    trials, so the last blocks to finish keep every worker busy.
+    """
+    size = _BLOCK
+    if workers > 1:
+        size = min(_BLOCK, max(_MIN_BLOCK, -(-trials // (_BLOCKS_PER_WORKER * workers))))
+    n = -(-trials // size)
+    return [(i * trials // n, (i + 1) * trials // n) for i in range(n)]
+
+
+class WorkerPool:
+    """Worker processes for the trial engine, shared by every call given the pool.
+
+    A context manager.  The processes start on the first call that has
+    more than one block of trials, and only if ``workers > 1``; they stop
+    when the context exits, also on an exception.  Blocks run in any
+    worker and in any order: the result cannot depend on it.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._stack = ExitStack()
+        self._executor = None
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._executor = None
+        self._stack.close()
+
+    def map(self, fn, jobs: list) -> list:
+        """``[fn(job) for job in jobs]``, in worker processes when that can pay."""
+        if self.workers < 2 or len(jobs) < 2:
+            return [fn(job) for job in jobs]
+        if self._executor is None:
+            # the module attribute, so a tracer or test that replaces it sees every start
+            pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = self._stack.enter_context(pool)
+        return list(self._executor.map(fn, jobs, chunksize=1))
+
+
 def estimate_errors(
     alphabet: PskAlphabet,
     betas,
@@ -413,18 +470,20 @@ def estimate_errors(
     imperfections: ImperfectionModel | None,
     trials: int,
     master_seed: int,
-    workers: int = 1,
+    workers: int | WorkerPool = 1,
 ) -> list[ErrorEstimate]:
     """Average error probability over equiprobable true states, per surplus.
 
     Every surplus runs on the same trials (common random numbers) in one
-    pass: each block of trials is one job that carries all the surpluses,
-    and one process pool serves every job.  Bit-identical for fixed
-    (master_seed, trials) whatever ``workers`` is: trials are partitioned
-    into fixed blocks and every random draw is addressed by (master_seed,
-    trial index), so scheduling cannot change any outcome and aggregation
-    is plain counting.  Each estimate equals the one
-    :func:`estimate_error` gives for its surplus alone.
+    pass: each block of trials is one job that carries all the surpluses.
+    ``workers`` is a :class:`WorkerPool` to run the jobs in, or a worker
+    count for a pool of this call alone.  The blocks are derived from
+    ``trials`` and the worker count, but every random draw is addressed
+    by (master_seed, trial index, slot), so neither the partition nor the
+    scheduling can change any outcome, and aggregation is plain counting:
+    the result is bit-identical for fixed (master_seed, trials) whatever
+    ``workers`` is.  Each estimate equals the one :func:`estimate_error`
+    gives for its surplus alone.
     """
     _check_strategy(strategy)
     if trials < 1:
@@ -433,13 +492,13 @@ def estimate_errors(
     if not betas:
         raise ValueError("need at least one surplus")
     imp = imperfections if imperfections is not None else IDEAL
-    spans = [(lo, min(lo + _BLOCK, trials)) for lo in range(0, trials, _BLOCK)]
-    jobs = [(alphabet, betas, strategy, imp, master_seed, lo, hi) for lo, hi in spans]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_block = list(pool.map(_block_errors, jobs, chunksize=1))
-    else:
-        per_block = [_block_errors(j) for j in jobs]
+    shared = isinstance(workers, WorkerPool)
+    with (nullcontext(workers) if shared else WorkerPool(workers)) as pool:
+        jobs = [
+            (alphabet, betas, strategy, imp, master_seed, lo, hi)
+            for lo, hi in _trial_blocks(trials, pool.workers)
+        ]
+        per_block = pool.map(_block_errors, jobs)
     estimates = []
     for n_err in map(sum, zip(*per_block)):
         p = n_err / trials
@@ -461,7 +520,7 @@ def estimate_error(
     imperfections: ImperfectionModel | None,
     trials: int,
     master_seed: int,
-    workers: int = 1,
+    workers: int | WorkerPool = 1,
 ) -> ErrorEstimate:
     """Average error probability at one surplus; see :func:`estimate_errors`."""
     return estimate_errors(
@@ -477,7 +536,10 @@ def simulate_outcomes(
     trials: int,
     master_seed: int,
 ) -> TrialRecords:
-    """Full records of trials 0..trials-1, the ones :func:`estimate_error` counts."""
+    """Full records of trials 0..trials-1, the ones :func:`estimate_error` counts.
+
+    Runs in this process, in blocks of ``_BLOCK`` trials.
+    """
     _check_strategy(strategy)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")

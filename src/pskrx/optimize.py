@@ -13,8 +13,9 @@ searches are derivative-free:
   common random numbers (one master seed shared by every candidate, so
   the comparison noise is strongly correlated) in one engine pass: the
   whole grid is a single :func:`~pskrx.mc.estimate_errors` call that
-  draws each trial once and uses one process pool.  A single parabolic
-  refinement around the grid minimum follows as one more estimate.
+  draws each trial once.  A single parabolic refinement around the grid
+  minimum follows as one more estimate; both run in the caller's
+  :class:`~pskrx.mc.WorkerPool` when given one.
 
 beta is parameterized by amplitude internally; results carry the
 photon-number form beta^2 as well, since experimental conventions use
@@ -32,7 +33,7 @@ from scipy import optimize as sciopt
 from .analytic import cyclic_error_probability
 from .core import PskAlphabet
 from .errors import PrecisionError
-from .mc import ImperfectionModel, estimate_error, estimate_errors
+from .mc import ImperfectionModel, WorkerPool, estimate_error, estimate_errors
 
 _MAX_BRACKET_HI = 8.0
 _SCAN_POINTS = 9
@@ -153,18 +154,20 @@ def optimize_beta_mc(
     trials: int,
     master_seed: int,
     grid=None,
-    workers: int = 1,
+    workers: int | WorkerPool = 1,
 ) -> OptimizationResult:
     """Minimize a Monte Carlo error estimate over a beta grid.
 
     Every candidate is evaluated with the same master seed (common
     random numbers), which makes the objective a deterministic function
     of beta and cancels most of the comparison noise.  The grid runs as
-    one batched estimate, so its trials are drawn once and one process
-    pool serves all candidates.  One parabolic refinement is attempted
-    around the grid minimum.  If the whole grid lies within one standard
-    error the objective is flat at this trial budget; the grid minimum is
-    returned with the ``flat`` flag set.
+    one batched estimate, so its trials are drawn once for all
+    candidates.  One parabolic refinement is attempted around the grid
+    minimum.  ``workers`` is passed to both estimates: a shared
+    :class:`~pskrx.mc.WorkerPool` serves them both, while a worker count
+    gives each estimate a pool of its own.  If the whole grid lies within
+    one standard error the objective is flat at this trial budget; the
+    grid minimum is returned with the ``flat`` flag set.
     """
     imp = imperfections if imperfections is not None else ImperfectionModel()
     if grid is None:

@@ -4,7 +4,8 @@ Everything here deliberately avoids the implementation paths it checks:
 rates come from brute-force complex arithmetic, counting statistics from
 an ODE integration of the counting master equation, from literal nested
 quadrature and from a 50-digit matrix exponential, so agreement is
-meaningful.
+meaningful.  The ``pool_events`` fixture logs the trial engine's worker
+pools without starting a process.
 """
 
 import cmath
@@ -98,3 +99,32 @@ def qpsk_half():
     from pskrx.core import PskAlphabet
 
     return PskAlphabet.from_power(4, 0.5), math.sqrt(0.23)
+
+
+@pytest.fixture
+def pool_events(monkeypatch):
+    """Log ("start" / "stop") of every pool the trial engine opens.
+
+    ``pskrx.mc.ProcessPoolExecutor`` is replaced by an in-process fake
+    with the same context-manager protocol and ``map`` signature.
+    """
+    import pskrx.mc
+
+    events = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            events.append("start")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            events.append("stop")
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(pskrx.mc, "ProcessPoolExecutor", FakePool)
+    return events

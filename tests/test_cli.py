@@ -7,7 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from pskrx.cli import _SCHEMA, EXIT_ARGS, EXIT_IO, EXIT_OK, _read_spec, main, trace_rows
+import pskrx.cli
+from pskrx.cli import (
+    _SCHEMA,
+    EXIT_ARGS,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PRECISION,
+    _read_spec,
+    main,
+    trace_rows,
+)
+from pskrx.errors import PrecisionError
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +192,55 @@ class TestSweep:
         )
         assert code == EXIT_OK
         assert parse_csv(out)
+
+
+MC_SWEEP = (
+    "sweep", "--alpha-sq", "0.5,1", "--strategy", "bayes", "--beta-policy", "mc",
+    "--eta", "0.8", "--opt-trials", "10000", "--trials", "20000", "--seed", "31",
+)
+MC_OPTIMIZE = (
+    "optimize", "--alpha-sq", "0.5,1", "--strategy", "bayes", "--objective", "mc",
+    "--eta", "0.8", "--trials", "10000", "--seed", "32",
+)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("argv", [MC_SWEEP, MC_OPTIMIZE], ids=["sweep", "optimize"])
+    def test_one_pool_per_command(self, capsys, pool_events, argv):
+        code, _, _ = run_cli(capsys, *argv, "--workers", "2")
+        assert code == EXIT_OK
+        assert pool_events == ["start", "stop"]
+
+    def test_single_block_starts_no_pool(self, capsys, pool_events):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--alpha-sq", "0.5,1", "--beta-policy", "fixed",
+            "--trials", "1000", "--seed", "1", "--workers", "2",
+        )
+        assert code == EXIT_OK
+        assert pool_events == []
+
+    @pytest.mark.parametrize(
+        "error, exit_code", [(PrecisionError, EXIT_PRECISION), (ValueError, EXIT_ARGS)]
+    )
+    def test_pool_stops_on_error_exit(self, capsys, pool_events, monkeypatch, error, exit_code):
+        def failing_estimate(*args):
+            raise error("engine failure")
+
+        # the grid search starts the pool; the sweep's own estimate then fails
+        monkeypatch.setattr(pskrx.cli, "estimate_error", failing_estimate)
+        code, _, err = run_cli(capsys, *MC_SWEEP, "--workers", "2")
+        assert code == exit_code
+        assert "engine failure" in err
+        assert pool_events == ["start", "stop"]
+
+    @pytest.mark.parametrize("argv", [MC_SWEEP, MC_OPTIMIZE], ids=["sweep", "optimize"])
+    def test_output_independent_of_workers(self, capsys, argv):
+        outs = []
+        for workers in ("1", "2", "3"):
+            code, out, _ = run_cli(capsys, *argv, "--workers", workers)
+            assert code == EXIT_OK
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
 
 
 class TestSpecFiles:

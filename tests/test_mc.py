@@ -11,8 +11,11 @@ from pskrx.core import PskAlphabet
 from pskrx.errors import PrecisionError
 from pskrx.mc import (
     IDEAL,
+    STRATEGIES,
     ImperfectionModel,
     TrialRecords,
+    WorkerPool,
+    _trial_blocks,
     estimate_error,
     estimate_errors,
     nominal_rate_table,
@@ -282,7 +285,7 @@ class TestBatchedEstimates:
     @pytest.mark.parametrize("strategy", ["cyclic", "bayes"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batch_equals_one_by_one(self, strategy, workers):
-        # 100,000 trials: three full blocks and a 1,696-trial tail
+        # 100,000 trials: several blocks, whose size depends on the worker count
         alphabet = PskAlphabet.from_power(4, 1.0)
         imp = ImperfectionModel(n_th=0.3)
         grid = [0.0, 0.3, BETA, 0.9]
@@ -295,6 +298,63 @@ class TestBatchedEstimates:
     def test_needs_a_surplus(self):
         with pytest.raises(ValueError):
             estimate_errors(QPSK_HALF, [], "cyclic", IDEAL, 100, 1)
+
+
+# 1 and 7 trials: more workers than trials; 65,537: prime; 100,000: the
+# old layout of three 32,768-trial blocks plus a tail
+PARTITION_TRIALS = [1, 7, 65_537, 100_000]
+
+
+class TestTrialPartition:
+    @pytest.mark.parametrize("trials", PARTITION_TRIALS)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_blocks_cover_the_trials(self, trials, workers):
+        blocks = _trial_blocks(trials, workers)
+        assert blocks[0][0] == 0
+        assert blocks[-1][1] == trials
+        assert all(prev_hi == lo for (_, prev_hi), (lo, _) in zip(blocks, blocks[1:]))
+        assert all(0 < hi - lo <= 1 << 15 for lo, hi in blocks)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("trials", PARTITION_TRIALS)
+    def test_partition_never_changes_a_result(self, strategy, trials):
+        alphabet = PskAlphabet.from_power(4, 1.0)
+        imp = ImperfectionModel(eta=0.8, n_th=0.2, dark_rate=0.05)
+        grid = [0.3, BETA, 0.8]
+        one = estimate_errors(alphabet, grid, strategy, imp, trials, 23, workers=1)
+        for workers in (2, 3, 5):
+            assert estimate_errors(alphabet, grid, strategy, imp, trials, 23, workers) == one
+
+
+class TestWorkerPool:
+    def test_one_pool_serves_every_call(self, pool_events):
+        imp = ImperfectionModel(n_th=0.1)
+        with WorkerPool(2) as pool:
+            shared = [
+                estimate_errors(QPSK_HALF, [0.2, BETA], "bayes", imp, 20_000, 3, pool),
+                estimate_error(QPSK_HALF, BETA, "cyclic", imp, 40_000, 4, pool),
+            ]
+            assert pool_events == ["start"]
+        assert pool_events == ["start", "stop"]
+        assert shared == [
+            estimate_errors(QPSK_HALF, [0.2, BETA], "bayes", imp, 20_000, 3, 1),
+            estimate_error(QPSK_HALF, BETA, "cyclic", imp, 40_000, 4, 1),
+        ]
+
+    def test_starts_only_for_several_blocks_and_workers(self, pool_events):
+        estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 1000, 1, workers=4)
+        estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=1)
+        with WorkerPool(2) as pool:
+            estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 1000, 1, pool)
+        assert pool_events == []
+        estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=2)
+        assert pool_events == ["start", "stop"]
+
+    def test_stops_on_an_error(self, pool_events):
+        alphabet = PskAlphabet.from_power(2, 1000.0)
+        with pytest.raises(PrecisionError):
+            estimate_error(alphabet, 0.0, "bayes", ImperfectionModel(n_th=1.0), 20_000, 1, 2)
+        assert pool_events == ["start", "stop"]
 
 
 class TestImperfections:
