@@ -184,6 +184,17 @@ class TestSweep:
         )
         assert code == EXIT_ARGS and "increasing" in err
 
+    def test_golden_bytes_mc_policy(self, capsys):
+        # the beta grid of every point is one multi-surplus engine pass
+        code, out, _ = run_cli(
+            capsys, "sweep", "--m", "8", "--alpha-sq", "0.5,2", "--strategy", "bayes",
+            "--beta-policy", "mc", "--opt-trials", "20000", "--trials", "20000",
+            "--seed", "25", "--workers", "1",
+        )
+        assert code == EXIT_OK
+        digest = "c3747f596e45217736b12f3ff7010d016b2d36e31dc362659cdcda5a39730c38"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_workers_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PSKRX_WORKERS", "2")
         code, out, _ = run_cli(
@@ -432,6 +443,13 @@ class TestSimulate:
                  "--trials", "3000", "--seed", "15"],
                 "47e2b2e8e85361fdfe24d9ca2e80ed166e0c08345924eaa14c5159b3f9caccbb",
                 id="bayes-nulling-thermal-csv",
+            ),
+            # M=16 over two engine blocks: posterior row sums of 16 terms
+            pytest.param(
+                ["--m", "16", "--alpha-sq", "2", "--beta-sq", "0.23", "--strategy", "bayes",
+                 "--trials", "40000", "--seed", "24", *IMPERFECT],
+                "f5865b870072ec428103e38fde1f9949e5073c172db0c1a3984e749f1cef28b3",
+                id="bayes-m16-imperfect-40000-csv",
             ),
         ],
     )
