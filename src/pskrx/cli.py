@@ -13,10 +13,12 @@ file (``--spec FILE``); explicit flags override file entries, and
 ``--dump-spec FILE`` records the fully resolved configuration (seed
 included) so the run can be reproduced byte for byte.  Randomized
 commands honor ``--seed``; when it is omitted a fresh seed is drawn,
-printed on stderr, and written into the outputs.  ``--workers`` caps
-the Monte Carlo parallelism (default: PSKRX_WORKERS or the CPU count):
-``sweep`` and ``optimize`` run every Monte Carlo estimate in one worker
-pool, started when first needed and stopped when the command ends.
+printed on stderr, and written into the outputs; ``optimize`` with the
+exact objective uses no random numbers, so it draws no seed.
+``--workers``, at least 1, caps the Monte Carlo parallelism (default:
+PSKRX_WORKERS or the CPU count): ``sweep`` and ``optimize`` run every
+Monte Carlo estimate in one worker pool, started when first needed and
+stopped when the command ends.
 The output is identical for any worker count.
 
 Exit codes: 0 success, 2 argument error, 3 precision/convergence
@@ -198,11 +200,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if value is None:
             value = spec_values.get(name, default)
         resolved[name] = _convert(name, conv, value) if value is not None else None
-    if command in _RANDOMIZED and resolved.get("seed") is None:
-        resolved["seed"] = int.from_bytes(os.urandom(6), "big")
-        print(f"seed: {resolved['seed']}", file=sys.stderr)
-    if "workers" in schema and resolved.get("workers") is None:
-        resolved["workers"] = int(os.environ.get("PSKRX_WORKERS", os.cpu_count() or 1))
+    if "workers" in schema:
+        if resolved["workers"] is None:
+            resolved["workers"] = int(os.environ.get("PSKRX_WORKERS", os.cpu_count() or 1))
+        if resolved["workers"] < 1:
+            raise ValueError(f"need at least one worker, got {resolved['workers']}")
     if "format" in schema and resolved["format"] not in ("csv", "json"):
         raise ValueError(f"unknown format {resolved['format']!r}; use csv or json")
     if "strategy" in schema and resolved.get("strategy") not in (None, "cyclic", "bayes"):
@@ -217,6 +219,13 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         raise ValueError(f"need at least one trial, got {resolved['trials']}")
     if command == "sweep" and resolved["beta_policy"] not in _BETA_POLICIES:
         raise ValueError(f"unknown beta policy {resolved['beta_policy']!r}")
+    # the exact objective draws nothing, so it needs no seed
+    randomized = command in _RANDOMIZED and not (
+        command == "optimize" and _optimize_objective(resolved) == "analytic"
+    )
+    if randomized and resolved["seed"] is None:
+        resolved["seed"] = int.from_bytes(os.urandom(6), "big")
+        print(f"seed: {resolved['seed']}", file=sys.stderr)
     return resolved
 
 
@@ -369,8 +378,8 @@ def cmd_bench(cfg: dict) -> None:
     _write_rows(cfg, header, rows)
 
 
-def cmd_optimize(cfg: dict) -> None:
-    imp = _imperfections(cfg)
+def _optimize_objective(cfg: dict) -> str:
+    """optimize's objective, 'analytic' or 'mc', with ``auto`` resolved."""
     # the options the exact objective cannot model: it assumes the ideal cyclic receiver
     non_ideal = [
         f"--{name.replace('_', '-')} {cfg[name]}"
@@ -387,6 +396,12 @@ def cmd_optimize(cfg: dict) -> None:
             "--objective analytic evaluates the ideal cyclic receiver and would ignore "
             f"{', '.join(non_ideal)}; use --objective mc"
         )
+    return objective
+
+
+def cmd_optimize(cfg: dict) -> None:
+    imp = _imperfections(cfg)
+    objective = _optimize_objective(cfg)
     header = ["alpha_sq", "beta_opt_sq", "p_err"]
     rows = []
     with WorkerPool(cfg["workers"]) as pool:

@@ -41,6 +41,17 @@ random numbers); :func:`estimate_error` is its one-surplus case.  A
 :class:`WorkerPool` runs the blocks, and one pool can serve every call
 of a command.  :func:`simulate_outcomes` runs the same trials in
 process and keeps the engine's columns as :class:`TrialRecords`.
+
+The block engine keeps the Bayesian posterior hypothesis-major: one
+(M, n) array whose row k holds state k's weight in each of the n trials
+still running.  With M of 2 to a few dozen, every step of the click
+loop (likelihoods, normalisation, the MAP pick with its tie-break) is
+then a few operations on whole rows of n values, not a per-trial
+operation on M values.  The normaliser adds the rows in the pairwise
+order numpy uses to sum one trial's M weights (:func:`_row_sum`).  A
+plain sum over the rows would round differently for M >= 8: the
+engine's posteriors would part from the scalar path's bits, and seeded
+outputs from the bits they had with a trial-major posterior.
 """
 
 from __future__ import annotations
@@ -259,16 +270,34 @@ def simulate_trial(
 # ---------------------------------------------------------------------------
 
 
-def _map_pick(w: np.ndarray, probe0: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Vectorized MAP pick with the smallest-phase-step tie-break.
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=0)`` of an (M, n) array, bit for bit as numpy sums one row.
 
-    ``order[p]`` lists the states by phase step from probe p, so the
-    first maximum of the posterior along it is the pick.
+    numpy reduces a contiguous run of M values pairwise: in sequence for
+    M < 8, in eight interleaved accumulators up to 128 values, and by
+    halving above that.  Adding whole rows in that order gives each
+    column the bits that ``x.T.sum(axis=1)`` or a 1-D ``.sum()`` of it
+    gives, where a plain ``x.sum(axis=0)`` would add in sequence.
     """
-    rows = np.arange(len(w))
-    cand = order[probe0]
-    step = np.argmax(w[rows[:, None], cand], axis=1)
-    return cand[rows, step]
+    m = len(x)
+    if m < 8:
+        total = x[0].copy()
+        for row in x[1:]:
+            total += row
+        return total
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        return _row_sum(x[:half]) + _row_sum(x[half:])
+    tail = m - m % 8
+    acc = x[:8]
+    if tail > 8:
+        acc = acc + x[8:16]
+        for i in range(16, tail, 8):
+            acc += x[i : i + 8]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in x[tail:]:
+        total += row
+    return total
 
 
 def _run_block(
@@ -301,47 +330,63 @@ def _run_block(
         )
         sigma = sqrt(imp.n_th / 2.0)
         field0 = field0 + (sigma * z1 + 1j * (sigma * z2))
-    step = np.arange(M)
-    # order[p, j]: the state j phase steps ahead of probe p
-    order = (step[:, None] + step[None, :]) % M
     return [
-        _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0, order, collect)
+        _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0, collect)
         for beta in betas
     ]
 
 
-def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0, order, collect):
+def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0, collect):
     """One surplus on the block's shared draws; see :func:`_run_block`."""
     M = alphabet.M
     n = len(idx)
     bayes = strategy == "bayes"
     recv = -(alphabet.alpha + beta) * np.exp(1j * alphabet.phases)
-    # rates_by_probe[p, k]: nominal rate of state k while probing p
+    # steps[k, p]: phase steps from probe p ahead to state k, in the
+    # narrowest integer type that holds 2M (the MAP pick's arithmetic);
+    # rate_table[k, p]: nominal rate of state k while probing p
     k = np.arange(M)
-    rates_by_probe = nominal_rate_table(alphabet, beta, imp)[(k[None, :] - k[:, None]) % M]
+    steps = ((k[:, None] - k[None, :]) % M).astype(np.min_scalar_type(2 * M))
+    rate_table = nominal_rate_table(alphabet, beta, imp)[steps]
+    no_max = steps.dtype.type(M)
 
     probe0 = np.zeros(n, dtype=np.int64)
     count = np.zeros(n, dtype=np.int64)
     resume = np.zeros(n)
-    w = np.full((n, M), 1.0 / M) if bayes else None
     hyp0 = np.empty(n, dtype=np.int64)
     conf = np.ones(n)
-
     clicks_trial = [np.empty(0, dtype=np.int64)]
     clicks_time = [np.empty(0)]
     clicks_probe = [np.empty(0, dtype=np.int64)]
+    # the posterior of the active trials, hypothesis-major:
+    # w[k, j] is the weight of state k in trial act[j]
+    w = np.full((M, n), 1.0 / M) if bayes else None
 
-    def _finalize(rows):
+    def _cols(mask):
+        return np.compress(mask, w, axis=1) if bayes else None
+
+    def _pick(wt, probe):
+        """MAP state of each column of ``wt``, and its weight.
+
+        Of several maxima the pick is the one fewest phase steps ahead of
+        the probe.  A column holding NaN has a NaN maximum and keeps its probe.
+        """
+        top = wt.max(axis=0)
+        ahead = np.take(steps, probe, axis=1)
+        ahead += (wt != top) * no_max
+        return (probe + ahead.min(axis=0)) % M, top
+
+    def _finalize(rows, wt):
         if not rows.size:
             return
         if bayes:
-            dt = 1.0 - resume[rows]
-            rates = rates_by_probe[probe0[rows]]
-            wf = w[rows] * np.exp(-rates * dt[:, None])
-            wf /= wf.sum(axis=1, keepdims=True)
-            pick = _map_pick(wf, probe0[rows], order)
-            hyp0[rows] = pick
-            conf[rows] = wf[np.arange(rows.size), pick]
+            probe = probe0[rows]
+            wf = np.take(rate_table, probe, axis=1)
+            wf *= resume[rows] - 1.0
+            np.exp(wf, out=wf)
+            wf *= wt
+            wf /= _row_sum(wf)
+            hyp0[rows], conf[rows] = _pick(wf, probe)
         else:
             hyp0[rows] = count[rows] % M
 
@@ -355,27 +400,32 @@ def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0,
         with np.errstate(divide="ignore", over="ignore"):
             t_click = resume[act] + -np.log(u) / rate
         clicked = t_click < 1.0
-        _finalize(act[~clicked])
+        _finalize(act[~clicked], _cols(~clicked))
 
         pos = act[clicked]
         if pos.size:
             tc = t_click[clicked]
             if bayes:
-                rates = rates_by_probe[probe0[pos]]
-                lik = w[pos] * rates
-                wc = lik * np.exp(-rates * (tc - resume[pos])[:, None])
-                total = wc.sum(axis=1, keepdims=True)
-                upd = pos
+                probe = probe0[pos]
+                rates = np.take(rate_table, probe, axis=1)
+                wp = _cols(clicked)
+                lik = wp * rates
+                # rates * -dt is -rates * dt to the bit: rounding is sign-symmetric
+                w = rates
+                w *= resume[pos] - tc
+                np.exp(w, out=w)
+                w *= lik
+                total = _row_sum(w)
+                held = slice(None)
                 if not total.all():
                     # a click impossible under every hypothesis still
                     # held leaves the posterior and the probe unchanged
-                    held = lik.any(axis=1)
-                    upd, wc, total = pos[held], wc[held], total[held]
+                    held = lik.any(axis=0)
+                    w[:, ~held], total[~held] = wp[:, ~held], 1.0
                 # a total that underflowed to 0 leaves NaN, refused below
                 with np.errstate(invalid="ignore"):
-                    wc /= total
-                w[upd] = wc
-                probe0[upd] = _map_pick(wc, probe0[upd], order)
+                    w /= total
+                probe0[pos[held]] = _pick(w[:, held], probe[held])[0]
             count[pos] += 1
             if not bayes:
                 probe0[pos] = count[pos] % M
@@ -385,8 +435,9 @@ def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0,
                 clicks_time.append(tc)
                 clicks_probe.append(probe0[pos] + 1)
             blocked = resume[pos] >= 1.0
-            _finalize(pos[blocked])
-            pos = pos[~blocked]
+            if blocked.any():
+                _finalize(pos[blocked], _cols(blocked))
+                pos, w = pos[~blocked], _cols(~blocked)
         act = pos
         rnd += 1
 

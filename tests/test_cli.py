@@ -244,6 +244,16 @@ class TestWorkerPool:
         assert "engine failure" in err
         assert pool_events == ["start", "stop"]
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    @pytest.mark.parametrize("command", ["sweep", "optimize"])
+    def test_workers_below_one_rejected(self, capsys, command, workers):
+        code, out, err = run_cli(
+            capsys, command, "--alpha-sq", "0.5", "--trials", "1000", "--seed", "1",
+            "--workers", workers,
+        )
+        assert code == EXIT_ARGS and out == ""
+        assert f"need at least one worker, got {workers}" in err
+
     @pytest.mark.parametrize("argv", [MC_SWEEP, MC_OPTIMIZE], ids=["sweep", "optimize"])
     def test_output_independent_of_workers(self, capsys, argv):
         outs = []
@@ -323,6 +333,18 @@ class TestOptimize:
         )
         assert code == EXIT_ARGS and out == ""
         assert f"{flag} {value}" in err
+
+    @pytest.mark.parametrize("objective", [[], ["--objective", "analytic"]], ids=["auto", "analytic"])
+    def test_exact_objective_draws_no_seed(self, capsys, objective):
+        code, out, err = run_cli(capsys, "optimize", "--alpha-sq", "0.25,1", *objective)
+        assert code == EXIT_OK
+        assert "seed:" not in err
+        digest = "3aaf385e4f2a06460495551fbca7074b936084b98279563c610d0957a8e87bf0"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # an explicit seed is still accepted, and changes nothing
+        code, seeded, _ = run_cli(capsys, "optimize", "--alpha-sq", "0.25,1", *objective,
+                                  "--seed", "0")
+        assert code == EXIT_OK and seeded == out
 
     def test_nonpositive_trials_rejected(self, capsys):
         # even the analytic objective, which runs no trials

@@ -15,6 +15,7 @@ from pskrx.mc import (
     ImperfectionModel,
     TrialRecords,
     WorkerPool,
+    _row_sum,
     _trial_blocks,
     estimate_error,
     estimate_errors,
@@ -238,6 +239,20 @@ class TestScalarBlockAgreement:
         alphabet = PskAlphabet.from_power(M, alpha_sq)
         for out, ref in _replay(alphabet, beta, strategy, imp, 16, seed):
             _assert_same_trial(out, ref)
+
+
+class TestRowSum:
+    # the engine's posterior is (M, n); its normaliser must carry the bits of
+    # numpy's own row sum, which the scalar path and the golden digests use
+    @pytest.mark.parametrize("M", [*range(2, 41), 127, 128, 129, 300])
+    def test_bits_of_numpys_row_sum(self, M):
+        rng = np.random.default_rng(M)
+        # nonnegative like posterior weights, over 24 orders of magnitude
+        x = rng.random((M, 500)) * 10.0 ** rng.uniform(-12.0, 12.0, (M, 500))
+        total = _row_sum(x)
+        assert np.array_equal(total, np.ascontiguousarray(x.T).sum(axis=1))
+        for j in range(0, 500, 25):
+            assert total[j] == x[:, j].copy().sum()
 
 
 class TestZeroLikelihoodClick:
