@@ -334,7 +334,9 @@ class TestOptimize:
         assert code == EXIT_ARGS and out == ""
         assert f"{flag} {value}" in err
 
-    @pytest.mark.parametrize("objective", [[], ["--objective", "analytic"]], ids=["auto", "analytic"])
+    @pytest.mark.parametrize(
+        "objective", [[], ["--objective", "analytic"]], ids=["auto", "analytic"]
+    )
     def test_exact_objective_draws_no_seed(self, capsys, objective):
         code, out, err = run_cli(capsys, "optimize", "--alpha-sq", "0.25,1", *objective)
         assert code == EXIT_OK
