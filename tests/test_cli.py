@@ -195,6 +195,17 @@ class TestSweep:
         digest = "c3747f596e45217736b12f3ff7010d016b2d36e31dc362659cdcda5a39730c38"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_golden_bytes_mc_policy_inefficient(self, capsys):
+        # no excess noise but eta < 1: the click rates of the mc-optimize setting
+        code, out, _ = run_cli(
+            capsys, "sweep", "--m", "4", "--alpha-sq", "0.5,2", "--strategy", "bayes",
+            "--beta-policy", "mc", "--eta", "0.8", "--opt-trials", "20000",
+            "--trials", "20000", "--seed", "26", "--workers", "1",
+        )
+        assert code == EXIT_OK
+        digest = "5e0f4f81d54d9aeb0d0edd55c6024afdb783e02b7b9d836d4660bfad80d6afcb"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_workers_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PSKRX_WORKERS", "2")
         code, out, _ = run_cli(
@@ -348,6 +359,15 @@ class TestOptimize:
                                   "--seed", "0")
         assert code == EXIT_OK and seeded == out
 
+    def test_golden_bytes_long_series(self, capsys):
+        # M=8 up to alpha^2 = 4: uniformization series of many terms
+        code, out, _ = run_cli(
+            capsys, "optimize", "--m", "8", "--alpha-sq", "0.5,2,4", "--objective", "analytic",
+        )
+        assert code == EXIT_OK
+        digest = "8ffbbd882a85b8ea0a528167af2ed5dd0dd1d7d56f2eec12d2ad49ad83b04614"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_nonpositive_trials_rejected(self, capsys):
         # even the analytic objective, which runs no trials
         code, out, err = run_cli(
@@ -474,6 +494,14 @@ class TestSimulate:
                  "--trials", "40000", "--seed", "24", *IMPERFECT],
                 "f5865b870072ec428103e38fde1f9949e5073c172db0c1a3984e749f1cef28b3",
                 id="bayes-m16-imperfect-40000-csv",
+            ),
+            # two blocks with dead-time blocking and no thermal offset
+            pytest.param(
+                ["--alpha-sq", "1", "--beta-sq", "0.23", "--strategy", "cyclic",
+                 "--trials", "40000", "--seed", "27", "--eta", "0.8", "--dead-time", "0.05",
+                 "--dark-rate", "0.2"],
+                "49827a22c4d4211595598d0e8199724eab64b9af0c0ca2325fac83c96f62a0f8",
+                id="cyclic-dead-time-40000-csv",
             ),
         ],
     )

@@ -33,6 +33,28 @@ class TestCounterUniform:
         corr = np.corrcoef(u[:-1], u[1:])[0, 1]
         assert abs(corr) < 5e-3
 
+    @pytest.mark.parametrize(
+        "seed, trial, slot, value",
+        [
+            (0, 0, 0, 0.20310281705476102),
+            (0, 1, 3, 0.29009305164512605),
+            (2**64 - 1, 5, 1, 0.6202656373904676),
+            (-7, 12, 4, 0.8428185508695771),
+            (123, 2**40, 0, 0.7399218590816603),
+            (9, 3, 2**20, 0.8583642502517539),
+            (2**63 + 11, 2**40 + 1, 2**20 + 3, 0.9155806498183763),
+        ],
+    )
+    def test_pinned_values(self, seed, trial, slot, value):
+        # exact values of the stream: a change to the hash fails here first
+        assert counter_uniform(seed, trial, slot) == value
+
+    def test_pinned_array_values(self):
+        trials = np.array([0, 1, 2**40, 2**64 - 1], dtype=np.uint64)
+        expected = [0.677210754743081, 0.48139144801032113, 0.3643138773767555,
+                    0.16082425484321455]
+        assert counter_uniform(42, trials, 7).tolist() == expected
+
     @given(seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 2**48), slot=st.integers(0, 2**20))
     def test_always_in_open_interval(self, seed, trial, slot):
         u = counter_uniform(seed, trial, slot)
