@@ -10,7 +10,13 @@ mixing function.  Two properties follow directly:
   vectorized one without sharing generator state.
 
 The mixer is the SplitMix64 finalizer applied as a hash combine over the
-three words.  Slot layout used by the trial engine:
+three words.  The combine comes in two parts: :func:`trial_keys` mixes
+the seed and trial words into one 64-bit key per trial, and
+:func:`slot_uniform` finishes a slot from a key.  A key does not change
+between the draws of a trial, so the block engine hashes each trial's
+key once per block and pays one mixing round per draw after that;
+:func:`counter_uniform` is the composition of the two parts.  Slot
+layout used by the trial engine:
 
 ====  =======================================================
 slot  meaning
@@ -25,36 +31,59 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_WORD = 1 << 64
+_GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-# uint64 arithmetic wraps silently; keep numpy quiet about it anyway
-_ERRSTATE = {"over": "ignore"}
+_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11))
 
 
-def _mix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """SplitMix64 finalizer: bijective avalanche on 64-bit words."""
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array: bijective avalanche."""
+    s30, s27, s31, _ = _SHIFTS
+    # uint64 arithmetic wraps silently; keep numpy quiet about it anyway
+    with np.errstate(over="ignore"):
+        x ^= x >> s30
+        x *= _MIX1
+        x ^= x >> s27
+        x *= _MIX2
+        x ^= x >> s31
+    return x
+
+
+def trial_keys(seed: int, trials: np.ndarray | int) -> np.ndarray:
+    """The 64-bit key of each trial of ``seed``: a uint64 array shaped like ``trials``."""
+    h = _mix64(np.array((seed % _WORD) ^ _GOLDEN, dtype=np.uint64))
+    keys = np.array(trials, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        keys *= np.uint64(_GOLDEN)
+    keys ^= h
+    return _mix64(keys)
+
+
+def slot_uniform(keys: np.ndarray, slot: int) -> np.ndarray:
+    """Uniform draw(s) in the open interval (0, 1) for one slot of keyed trials.
+
+    Values are taken from the top 53 bits of the mixed word and offset by
+    half an ulp so that log() and division are always safe.
+    """
+    h = _mix64(keys ^ np.uint64(slot * int(_MIX1) % _WORD))
+    h >>= _SHIFTS[3]
+    # below 2**53, so exact as a signed word, whose conversion is the faster
+    u = h.view(np.int64).astype(np.float64)
+    u += 0.5
+    u *= 1.0 / 9007199254740992.0
+    return u
 
 
 def counter_uniform(seed: int, trial: np.ndarray | int, slot: int):
     """Uniform draw(s) in the open interval (0, 1) for (seed, trial, slot).
 
     ``trial`` may be a scalar or a uint64 array; the result matches its
-    shape.  Values are taken from the top 53 bits of the mixed word and
-    offset by half an ulp so that log() and division are always safe.
+    shape.
     """
-    t = np.asarray(trial, dtype=np.uint64)
-    with np.errstate(**_ERRSTATE):
-        h = _mix64(np.uint64(seed % (1 << 64)) ^ _GOLDEN)
-        h = _mix64(h ^ (t * _GOLDEN))
-        h = _mix64(h ^ (np.uint64(slot) * _MIX1))
-    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (1.0 / 9007199254740992.0)
-    if np.isscalar(trial) or np.ndim(trial) == 0:
+    u = slot_uniform(trial_keys(seed, trial), slot)
+    if u.ndim == 0:
         return float(u)
     return u
 
@@ -68,27 +97,29 @@ def box_muller(u1, u2):
 class TrialStream:
     """Per-trial random stream addressed by (master seed, trial index).
 
-    Wraps :func:`counter_uniform` with the slot layout documented in the
-    module docstring.  Wait draws are indexed by an internal cursor so a
-    scalar simulation consumes exactly the slots the vectorized engine
-    would.
+    Draws the slots of :func:`counter_uniform` with the layout documented
+    in the module docstring, from the trial's key hashed once.  Wait
+    draws are indexed by an internal cursor so a scalar simulation
+    consumes exactly the slots the vectorized engine would.
     """
 
     def __init__(self, master_seed: int, trial_index: int):
         self.master_seed = int(master_seed)
         self.trial_index = int(trial_index)
+        self._key = trial_keys(self.master_seed, self.trial_index)
         self._next_wait = 0
 
+    def _uniform(self, slot: int) -> float:
+        return float(slot_uniform(self._key, slot))
+
     def true_state_uniform(self) -> float:
-        return counter_uniform(self.master_seed, self.trial_index, 0)
+        return self._uniform(0)
 
     def offset_normals(self) -> tuple[float, float]:
-        u1 = counter_uniform(self.master_seed, self.trial_index, 1)
-        u2 = counter_uniform(self.master_seed, self.trial_index, 2)
-        z1, z2 = box_muller(u1, u2)
+        z1, z2 = box_muller(self._uniform(1), self._uniform(2))
         return float(z1), float(z2)
 
     def wait_uniform(self) -> float:
-        u = counter_uniform(self.master_seed, self.trial_index, 3 + self._next_wait)
+        u = self._uniform(3 + self._next_wait)
         self._next_wait += 1
         return u

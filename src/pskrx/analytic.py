@@ -105,7 +105,11 @@ def _uniformized(
         tail = poisson_tail(lam, n)
         if tail <= max(min(tail_tol, _RELATIVE_TOL * mass), _TAIL_FLOOR):
             return mass, tail, n + 1
-        v = v * stay + np.roll(v * leave, 1, axis=-1)
+        # v * stay plus v * leave moved one state on, cyclically
+        moved = v * leave
+        v = v * stay
+        v[..., 1:] += moved[..., :-1]
+        v[..., 0] += moved[..., -1]
         n += 1
 
 

@@ -52,6 +52,21 @@ order numpy uses to sum one trial's M weights (:func:`_row_sum`).  A
 plain sum over the rows would round differently for M >= 8: the
 engine's posteriors would part from the scalar path's bits, and seeded
 outputs from the bits they had with a trial-major posterior.
+
+The rest of a running trial's state is compacted the same way and kept
+column-aligned with the posterior.  One int64 array holds each trial's
+position in the block, its RNG key (hashed once per block; each round
+finishes one slot from it), its probe, its click count and, without
+excess noise, its true state; one float row holds its resume time.  A
+round reads them as contiguous rows and, when trials finish, shrinks
+every array with one take of the columns kept: nothing is gathered from
+or scattered back to full-length per-trial arrays.  A trial's
+hypothesis, confidence and click count are written once, when it
+finishes, so no round writes state that a later round reads back by
+index.  Without excess noise a trial's true click rate is one lookup in
+an (M, M) table of true state and probe, built with the expression the
+scalar path evaluates; with it, the trial's offset field rides along
+as two more float rows.
 """
 
 from __future__ import annotations
@@ -63,7 +78,7 @@ from math import sqrt
 
 import numpy as np
 
-from ._rng import TrialStream, box_muller, counter_uniform
+from ._rng import TrialStream, box_muller, slot_uniform, trial_keys
 from .core import PskAlphabet, probe_relative_rates
 from .errors import PrecisionError
 from .strategy import (
@@ -312,34 +327,36 @@ def _run_block(
 ) -> list:
     """Simulate trials [lo, hi) at every surplus in ``betas``.
 
-    The true states and thermal offsets (slots 0-2) are drawn once and
-    every surplus runs on them.  Returns one (n_err, payload) per
-    surplus; the payload is None unless ``collect``, else the block's
-    columns (true state, hypothesis, confidence, click count, click
-    times, probe after each click), states 1-based, clicks in trial order.
+    Each trial's key is hashed once; the true states and thermal offsets
+    (slots 0-2) are drawn once and every surplus runs on them.  Returns
+    one (n_err, payload) per surplus; the payload is None unless
+    ``collect``, else the block's columns (true state, hypothesis,
+    confidence, click count, click times, probe after each click), states
+    1-based, clicks in trial order.
     """
     M = alphabet.M
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    u0 = counter_uniform(master_seed, idx, 0)
-    true0 = np.minimum((u0 * M).astype(np.int64), M - 1)
-    field0 = alphabet.amplitudes[true0]
+    keys = trial_keys(master_seed, np.arange(lo, hi, dtype=np.uint64))
+    true0 = np.minimum((slot_uniform(keys, 0) * M).astype(np.int64), M - 1)
+    field0 = None
     if imp.n_th > 0.0:
         # without excess noise the offset is exactly zero: slots 1-2 go unread
-        z1, z2 = box_muller(
-            counter_uniform(master_seed, idx, 1), counter_uniform(master_seed, idx, 2)
-        )
+        z1, z2 = box_muller(slot_uniform(keys, 1), slot_uniform(keys, 2))
         sigma = sqrt(imp.n_th / 2.0)
-        field0 = field0 + (sigma * z1 + 1j * (sigma * z2))
+        field0 = alphabet.amplitudes[true0] + (sigma * z1 + 1j * (sigma * z2))
     return [
-        _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0, collect)
+        _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect)
         for beta in betas
     ]
 
 
-def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0, collect):
-    """One surplus on the block's shared draws; see :func:`_run_block`."""
+def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
+    """One surplus on the block's shared draws; see :func:`_run_block`.
+
+    ``field0`` is each trial's amplitude with its thermal offset, or None
+    when there is no offset.
+    """
     M = alphabet.M
-    n = len(idx)
+    n = len(keys)
     bayes = strategy == "bayes"
     recv = -(alphabet.alpha + beta) * np.exp(1j * alphabet.phases)
     # steps[k, p]: phase steps from probe p ahead to state k, in the
@@ -350,20 +367,31 @@ def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0,
     rate_table = nominal_rate_table(alphabet, beta, imp)[steps]
     no_max = steps.dtype.type(M)
 
-    probe0 = np.zeros(n, dtype=np.int64)
-    count = np.zeros(n, dtype=np.int64)
-    resume = np.zeros(n)
+    # outputs, each written once, when its trial finishes
     hyp0 = np.empty(n, dtype=np.int64)
     conf = np.ones(n)
+    count = np.zeros(n, dtype=np.int64)
     clicks_trial = [np.empty(0, dtype=np.int64)]
     clicks_time = [np.empty(0)]
     clicks_probe = [np.empty(0, dtype=np.int64)]
-    # the posterior of the active trials, hypothesis-major:
-    # w[k, j] is the weight of state k in trial act[j]
-    w = np.full((M, n), 1.0 / M) if bayes else None
 
-    def _cols(mask):
-        return np.compress(mask, w, axis=1) if bayes else None
+    # the state of the trials still running, column j for the j-th of them:
+    # ints rows trial (position in the block), key, probe, click count and,
+    # without an offset, true state * M; reals rows resume time and, with an
+    # offset, the field's real and imaginary parts; w[k, j] the posterior
+    # weight of state k
+    ints = np.zeros((4 if field0 is not None else 5, n), dtype=np.int64)
+    ints[0] = np.arange(n)
+    ints[1] = keys.view(np.int64)
+    if field0 is None:
+        # the true click rate of state k probed at p is true_rate[k * M + p]
+        f = alphabet.amplitudes[:, None] + recv
+        true_rate = (imp.eta * (f.real**2 + f.imag**2) + imp.dark_rate).ravel()
+        ints[4] = true0 * M
+        reals = np.zeros((1, n))
+    else:
+        reals = np.stack([np.zeros(n), field0.real, field0.imag])
+    w = np.full((M, n), 1.0 / M) if bayes else None
 
     def _pick(wt, probe):
         """MAP state of each column of ``wt``, and its weight.
@@ -376,69 +404,84 @@ def _run_surplus(alphabet, beta, strategy, imp, master_seed, idx, true0, field0,
         ahead += (wt != top) * no_max
         return (probe + ahead.min(axis=0)) % M, top
 
-    def _finalize(rows, wt):
-        if not rows.size:
-            return
+    def _shrink(running, ints, reals, w):
+        """Finish the trials whose column of ``running`` is False; keep the rest.
+
+        Returns the state of the trials kept and their columns.
+        """
+        cols = np.flatnonzero(~running)
+        trial, _, probe, clicks = ints[:4].take(cols, axis=1)
+        if collect:
+            count[trial] = clicks
         if bayes:
-            probe = probe0[rows]
             wf = np.take(rate_table, probe, axis=1)
-            wf *= resume[rows] - 1.0
+            wf *= reals[0].take(cols) - 1.0
             np.exp(wf, out=wf)
-            wf *= wt
+            wf *= w.take(cols, axis=1)
             wf /= _row_sum(wf)
-            hyp0[rows], conf[rows] = _pick(wf, probe)
+            hyp0[trial], conf[trial] = _pick(wf, probe)
         else:
-            hyp0[rows] = count[rows] % M
+            hyp0[trial] = probe
+        keep = np.flatnonzero(running)
+        if bayes:
+            w = w.take(keep, axis=1)
+        return ints.take(keep, axis=1), reals.take(keep, axis=1), w, keep
 
-    act = np.arange(n)
     rnd = 0
-    while act.size:
-        f = field0[act] + recv[probe0[act]]
-        rate = imp.eta * (f.real**2 + f.imag**2) + imp.dark_rate
-        u = counter_uniform(master_seed, idx[act], 3 + rnd)
-        # a zero or tiny rate means a wait past the pulse's end: no click
+    while ints.shape[1]:
+        if field0 is None:
+            rate = true_rate.take(ints[4] + ints[2])
+        else:
+            fr = reals[1] + recv.real.take(ints[2])
+            fi = reals[2] + recv.imag.take(ints[2])
+            rate = imp.eta * (fr**2 + fi**2) + imp.dark_rate
+        # resume + -log(u) / rate, in place; a zero or tiny rate means a
+        # wait past the pulse's end: no click
+        t_click = slot_uniform(ints[1].view(np.uint64), 3 + rnd)
         with np.errstate(divide="ignore", over="ignore"):
-            t_click = resume[act] + -np.log(u) / rate
+            np.log(t_click, out=t_click)
+            np.negative(t_click, out=t_click)
+            t_click /= rate
+        t_click += reals[0]
         clicked = t_click < 1.0
-        _finalize(act[~clicked], _cols(~clicked))
+        if not clicked.all():
+            ints, reals, w, keep = _shrink(clicked, ints, reals, w)
+            if not keep.size:
+                break
+            t_click = t_click[keep]
 
-        pos = act[clicked]
-        if pos.size:
-            tc = t_click[clicked]
-            if bayes:
-                probe = probe0[pos]
-                rates = np.take(rate_table, probe, axis=1)
-                wp = _cols(clicked)
-                lik = wp * rates
-                # rates * -dt is -rates * dt to the bit: rounding is sign-symmetric
-                w = rates
-                w *= resume[pos] - tc
-                np.exp(w, out=w)
-                w *= lik
-                total = _row_sum(w)
-                held = slice(None)
-                if not total.all():
-                    # a click impossible under every hypothesis still
-                    # held leaves the posterior and the probe unchanged
-                    held = lik.any(axis=0)
-                    w[:, ~held], total[~held] = wp[:, ~held], 1.0
-                # a total that underflowed to 0 leaves NaN, refused below
-                with np.errstate(invalid="ignore"):
-                    w /= total
-                probe0[pos[held]] = _pick(w[:, held], probe[held])[0]
-            count[pos] += 1
-            if not bayes:
-                probe0[pos] = count[pos] % M
-            resume[pos] = np.minimum(tc + imp.dead_time, 1.0)
-            if collect:
-                clicks_trial.append(pos)
-                clicks_time.append(tc)
-                clicks_probe.append(probe0[pos] + 1)
-            blocked = resume[pos] >= 1.0
-            if blocked.any():
-                _finalize(pos[blocked], _cols(blocked))
-                pos, w = pos[~blocked], _cols(~blocked)
-        act = pos
+        probe, resume = ints[2], reals[0]
+        if bayes:
+            rates = np.take(rate_table, probe, axis=1)
+            lik = w * rates
+            # rates * -dt is -rates * dt to the bit: rounding is sign-symmetric
+            wn = rates
+            wn *= resume - t_click
+            np.exp(wn, out=wn)
+            wn *= lik
+            total = _row_sum(wn)
+            held = slice(None)
+            if not total.all():
+                # a click impossible under every hypothesis still
+                # held leaves the posterior and the probe unchanged
+                held = lik.any(axis=0)
+                wn[:, ~held], total[~held] = w[:, ~held], 1.0
+            # a total that underflowed to 0 leaves NaN, refused below
+            with np.errstate(invalid="ignore"):
+                wn /= total
+            probe[held] = _pick(wn[:, held], probe[held])[0]
+            w = wn
+        ints[3] += 1
+        if not bayes:
+            np.remainder(ints[3], M, out=probe)
+        np.minimum(t_click + imp.dead_time, 1.0, out=resume)
+        if collect:
+            clicks_trial.append(ints[0].copy())
+            clicks_time.append(t_click)
+            clicks_probe.append(probe + 1)
+        blocked = resume >= 1.0
+        if blocked.any():
+            ints, reals, w, _ = _shrink(~blocked, ints, reals, w)
         rnd += 1
 
     bad = np.count_nonzero(~np.isfinite(conf))

@@ -222,6 +222,15 @@ _ONE_IMPERFECTION = st.one_of(
     st.builds(ImperfectionModel, n_th=st.floats(0.0, 2.0)),
     st.builds(ImperfectionModel, dead_time=st.floats(0.0, 0.6)),
     st.builds(ImperfectionModel, dark_rate=st.floats(0.0, 2.0)),
+    # efficiency, dark counts and dead time together: the true click rate
+    # comes from the engine's rate table when n_th is 0, from the field when not
+    st.builds(
+        ImperfectionModel,
+        eta=st.floats(0.05, 1.0),
+        n_th=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        dead_time=st.floats(0.0, 0.6),
+        dark_rate=st.floats(0.0, 2.0),
+    ),
 )
 
 
