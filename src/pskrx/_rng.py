@@ -35,19 +35,17 @@ _WORD = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11))
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, in place on a uint64 array: bijective avalanche."""
-    s30, s27, s31, _ = _SHIFTS
     # uint64 arithmetic wraps silently; keep numpy quiet about it anyway
     with np.errstate(over="ignore"):
-        x ^= x >> s30
+        x ^= x >> np.uint64(30)
         x *= _MIX1
-        x ^= x >> s27
+        x ^= x >> np.uint64(27)
         x *= _MIX2
-        x ^= x >> s31
+        x ^= x >> np.uint64(31)
     return x
 
 
@@ -68,7 +66,7 @@ def slot_uniform(keys: np.ndarray, slot: int) -> np.ndarray:
     half an ulp so that log() and division are always safe.
     """
     h = _mix64(keys ^ np.uint64(slot * int(_MIX1) % _WORD))
-    h >>= _SHIFTS[3]
+    h >>= np.uint64(11)
     # below 2**53, so exact as a signed word, whose conversion is the faster
     u = h.view(np.int64).astype(np.float64)
     u += 0.5
