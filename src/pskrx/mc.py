@@ -380,7 +380,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
     # without an offset, true state * M; reals rows resume time and, with an
     # offset, the field's real and imaginary parts; w[k, j] the posterior
     # weight of state k
-    ints = np.zeros((4 if field0 is not None else 5, n), dtype=np.int64)
+    ints = np.zeros((5 if field0 is None else 4, n), dtype=np.int64)
     ints[0] = np.arange(n)
     ints[1] = keys.view(np.int64)
     if field0 is None:
@@ -421,6 +421,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
             wf /= _row_sum(wf)
             hyp0[trial], conf[trial] = _pick(wf, probe)
         else:
+            # the cyclic decision is the click count mod M, which is the probe
             hyp0[trial] = probe
         keep = np.flatnonzero(running)
         if bayes:
