@@ -404,9 +404,11 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
         ahead += (wt != top) * no_max
         return (probe + ahead.min(axis=0)) % M, top
 
-    def _shrink(running, ints, reals, w):
+    def _shrink(running, ints, reals, w, alike=False):
         """Finish the trials whose column of ``running`` is False; keep the rest.
 
+        With ``alike``, the trials that finish share their state (the
+        prior at probe 0 from t = 0), so one column gives their decision.
         Returns the state of the trials kept and their columns.
         """
         cols = np.flatnonzero(~running)
@@ -414,12 +416,13 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
         if collect:
             count[trial] = clicks
         if bayes:
-            wf = np.take(rate_table, probe, axis=1)
-            wf *= reals[0].take(cols) - 1.0
+            rep = cols[:1] if alike else cols
+            wf = np.take(rate_table, probe[: len(rep)], axis=1)
+            wf *= reals[0].take(rep) - 1.0
             np.exp(wf, out=wf)
-            wf *= w.take(cols, axis=1)
+            wf *= w.take(rep, axis=1)
             wf /= _row_sum(wf)
-            hyp0[trial], conf[trial] = _pick(wf, probe)
+            hyp0[trial], conf[trial] = _pick(wf, probe[: len(rep)])
         else:
             # the cyclic decision is the click count mod M, which is the probe
             hyp0[trial] = probe
@@ -446,7 +449,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
         t_click += reals[0]
         clicked = t_click < 1.0
         if not clicked.all():
-            ints, reals, w, keep = _shrink(clicked, ints, reals, w)
+            ints, reals, w, keep = _shrink(clicked, ints, reals, w, alike=rnd == 0)
             if not keep.size:
                 break
             t_click = t_click[keep]
