@@ -50,7 +50,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def trial_keys(seed: int, trials: np.ndarray | int) -> np.ndarray:
-    """The 64-bit key of each trial of ``seed``: a uint64 array shaped like ``trials``."""
+    """The 64-bit key of each trial of ``seed``, uint64 values shaped like ``trials``."""
     h = _mix64(np.array((seed % _WORD) ^ _GOLDEN, dtype=np.uint64))
     with np.errstate(over="ignore"):
         keys = np.asarray(trials, dtype=np.uint64) * np.uint64(_GOLDEN)

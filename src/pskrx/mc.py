@@ -63,10 +63,11 @@ every array with one take of the columns kept: nothing is gathered from
 or scattered back to full-length per-trial arrays.  A trial's
 hypothesis, confidence and click count are written once, when it
 finishes, so no round writes state that a later round reads back by
-index.  Without excess noise a trial's true click rate is one lookup in
-an (M, M) table of true state and probe, built with the expression the
-scalar path evaluates; with it, the trial's offset field rides along
-as two more float rows.
+index.  The trials that never click all hold the prior at probe 0 from
+t = 0, so one column gives their decision.  Without excess noise a
+trial's true click rate is one lookup in an (M, M) table of true state
+and probe, built with the expression the scalar path evaluates; with
+it, the trial's offset field rides along as two more float rows.
 """
 
 from __future__ import annotations
