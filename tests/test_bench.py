@@ -80,6 +80,13 @@ class TestHelstrom:
         with pytest.raises(PrecisionError):
             gram_srm_oracle(2.0, 4, 10)
 
+    @pytest.mark.parametrize("alpha, smallest", [(0.5, 15), (1.0, 26), (2.0, 52), (3.0, 87)])
+    def test_gram_truncation_guard_edge(self, alpha, smallest):
+        # the guard admits dim once P(Pois((2 alpha)^2) >= dim) < 1e-12
+        gram_srm_oracle(alpha, 4, smallest)
+        with pytest.raises(PrecisionError):
+            gram_srm_oracle(alpha, 4, smallest - 1)
+
     def test_depends_only_on_power(self):
         # the bound is a function of |alpha|^2 and M alone
         assert helstrom_mpsk(0.7, 4) == helstrom_mpsk(0.7, 4)

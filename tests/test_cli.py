@@ -58,6 +58,13 @@ class TestBench:
         data = json.loads(out)
         assert list(data[0]) == ["alpha_sq", "sql", "helstrom"]
 
+    def test_golden_bytes(self, capsys):
+        # pins the SQL quadrature and the circulant Helstrom formula bit for bit
+        code, out, _ = run_cli(capsys, "bench", "--m", "8", "--alpha-sq", "0.01,0.5,2,6")
+        assert code == EXIT_OK
+        digest = "24d6384c12c17ee074301fee44d941843d9a2dbbd97d9d93436d344309f77c74"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestTrace:
     def test_reference_click_record(self, capsys):
