@@ -25,8 +25,9 @@ from __future__ import annotations
 from math import cos, erf, exp, pi, sin, sqrt
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import special
 
+from .analytic import poisson_tail
 from .errors import PrecisionError
 
 _EIGENVALUE_CLAMP = -1e-12
@@ -68,7 +69,7 @@ def gram_srm_oracle(alpha: float, M: int, dim: int) -> float:
         raise ValueError(f"need at least 2 states, got M={M}")
     # basis must carry the overlap integrals: photon distributions at
     # amplitude up to 2*alpha have to fit below the truncation
-    if stats.poisson.sf(dim - 1, (2.0 * alpha) ** 2) >= 1e-12:
+    if poisson_tail((2.0 * alpha) ** 2, dim - 1) >= 1e-12:
         raise PrecisionError(
             f"Fock truncation dim={dim} too small for amplitude {alpha}"
         )
@@ -78,9 +79,7 @@ def gram_srm_oracle(alpha: float, M: int, dim: int) -> float:
         vectors = np.zeros((M, dim), dtype=complex)
         vectors[:, 0] = 1.0
     else:
-        from scipy.special import gammaln
-
-        mag = np.exp(log_mag - 0.5 * gammaln(n + 1))
+        mag = np.exp(log_mag - 0.5 * special.gammaln(n + 1))
         phases = 2.0 * np.pi * np.arange(M) / M
         vectors = mag[None, :] * np.exp(1j * np.outer(phases, n))
     gram = vectors.conj() @ vectors.T
@@ -112,6 +111,8 @@ def sql_heterodyne(alpha: float, M: int) -> float:
     contains z.  Evaluated as an adaptive quadrature of the polar-form
     correct-decision integral over the wedge.
     """
+    from scipy import integrate
+
     if not alpha >= 0.0:
         raise ValueError(f"amplitude must be >= 0, got {alpha}")
     if M < 2:

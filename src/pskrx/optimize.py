@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .analytic import cyclic_error_probability
 from .core import PskAlphabet
@@ -76,6 +75,8 @@ def optimize_beta_analytic(
     looser than the evaluator's default: it biases every objective value
     by less than 1e-9, far below the scale the optimum is quoted at.
     """
+    from scipy import optimize as sciopt
+
     lo, hi = bracket
     if not 0.0 <= lo < hi:
         raise ValueError(f"invalid bracket {bracket}")

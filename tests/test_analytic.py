@@ -194,3 +194,17 @@ def test_import_does_not_load_mpmath():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, pskrx.cli; assert 'mpmath' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_loads_no_heavy_scipy_module():
+    # the CLI starts on numpy and scipy.special; quadrature, Brent and
+    # scipy.stats load only in the functions that use them
+    src = str(Path(pskrx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, pskrx.cli; "
+        "loaded = [m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+        "if m in sys.modules]; "
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
