@@ -28,8 +28,8 @@ def ode_count_probabilities(seq, m_max: int) -> np.ndarray:
     """P_0..P_m_max via the counting master equation.
 
     p_j(t) = P(exactly j clicks by t); dp_j/dt = lam_{j-1} p_{j-1} - lam_j p_j.
-    A stiff-safe high-order integrator at tight tolerance; completely
-    independent of the exponential-polynomial calculus.
+    The implicit Radau integrator at tight tolerance, safe for stiff and
+    for vanishing rates; independent of the uniformized series.
     """
     lam = np.asarray(seq[: m_max + 1], dtype=float)
     p0 = np.zeros(m_max + 1)
@@ -41,7 +41,7 @@ def ode_count_probabilities(seq, m_max: int) -> np.ndarray:
         return dp
 
     sol = integrate.solve_ivp(
-        rhs, (0.0, 1.0), p0, method="DOP853", rtol=1e-12, atol=1e-14
+        rhs, (0.0, 1.0), p0, method="Radau", rtol=1e-12, atol=1e-14
     )
     return sol.y[:, -1]
 

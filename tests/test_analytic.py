@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pskrx
 from pskrx.analytic import (
@@ -86,6 +86,7 @@ class TestMClickProbability:
         )
 
     @given(st.lists(st.floats(0.0, 5.0), min_size=2, max_size=9))
+    @example([2.7905954264601184e-169, 3.0])  # a subnormal-scale rate
     @settings(max_examples=60, deadline=None)
     def test_against_ode_oracle(self, seq):
         oracle = ode_count_probabilities(seq, len(seq) - 1)
