@@ -20,6 +20,10 @@ PSKRX_WORKERS or the CPU count): ``sweep`` and ``optimize`` run every
 Monte Carlo estimate in one worker pool, started when first needed and
 stopped when the command ends.
 The output is identical for any worker count.
+An option that the chosen mode would ignore is an argument error:
+``sweep``'s ``beta_sq`` outside ``--beta-policy fixed`` and
+``opt_trials`` outside ``mc``, each compared with its default, and a
+non-ideal receiver under ``optimize --objective analytic``.
 
 Exit codes: 0 success, 2 argument error, 3 precision/convergence
 error, 4 I/O error.
@@ -127,6 +131,9 @@ _GRID_COMMANDS = {"sweep", "bench", "optimize"}
 
 _BETA_POLICIES = ("fixed", "zero", "analytic", "mc")
 
+# sweep options that one beta policy alone reads
+_POLICY_OPTIONS = {"beta_sq": "fixed", "opt_trials": "mc"}
+
 # simulate writes its CSV this many trials at a time, to bound the text held at once
 _RECORD_CHUNK = 1 << 14
 
@@ -217,8 +224,16 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             raise ValueError(f"alpha_sq grid must be strictly increasing: {powers}")
     if "trials" in schema and resolved["trials"] < 1:
         raise ValueError(f"need at least one trial, got {resolved['trials']}")
-    if command == "sweep" and resolved["beta_policy"] not in _BETA_POLICIES:
-        raise ValueError(f"unknown beta policy {resolved['beta_policy']!r}")
+    if command == "sweep":
+        policy = resolved["beta_policy"]
+        if policy not in _BETA_POLICIES:
+            raise ValueError(f"unknown beta policy {policy!r}")
+        for name, reader in _POLICY_OPTIONS.items():
+            if resolved[name] != schema[name][1] and policy != reader:
+                raise ValueError(
+                    f"--beta-policy {policy} would ignore --{name.replace('_', '-')} "
+                    f"{resolved[name]}; it is read by --beta-policy {reader} only"
+                )
     # the exact objective draws nothing, so it needs no seed
     randomized = command in _RANDOMIZED and not (
         command == "optimize" and _optimize_objective(resolved) == "analytic"

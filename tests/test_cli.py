@@ -213,6 +213,31 @@ class TestSweep:
         digest = "5e0f4f81d54d9aeb0d0edd55c6024afdb783e02b7b9d836d4660bfad80d6afcb"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "option, value, policies",
+        [
+            ("beta_sq", "0.23", ["zero", "analytic", "mc"]),
+            ("opt_trials", "20000", ["fixed", "zero", "analytic"]),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "spec"])
+    def test_option_unread_by_policy_rejected(
+        self, tmp_path, capsys, option, value, policies, source
+    ):
+        flag = f"--{option.replace('_', '-')}"
+        for policy in policies:
+            argv = ["sweep", "--alpha-sq", "0.5", "--beta-policy", policy,
+                    "--trials", "1000", "--seed", "1", "--workers", "1"]
+            if source == "flag":
+                argv += [flag, value]
+            else:
+                spec = tmp_path / "run.spec"
+                spec.write_text(f"command = sweep\n{option} = {value}\n")
+                argv += ["--spec", str(spec)]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_ARGS and out == ""
+            assert f"--beta-policy {policy} would ignore {flag} " in err
+
     def test_workers_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PSKRX_WORKERS", "2")
         code, out, _ = run_cli(
@@ -294,6 +319,20 @@ class TestSpecFiles:
         text = spec.read_text()
         assert text.startswith("command = sweep")
         assert "seed = 77" in text
+        code, out2, _ = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == EXIT_OK
+        assert out1 == out2
+
+    def test_dump_and_rerun_analytic_policy(self, tmp_path, capsys):
+        # the record lists beta_sq and opt_trials at their defaults, which
+        # the analytic policy accepts
+        spec = tmp_path / "run.spec"
+        args = ("sweep", "--alpha-sq", "0.5", "--trials", "2000", "--seed", "78")
+        code, out1, _ = run_cli(capsys, *args, "--workers", "1", "--dump-spec", str(spec))
+        assert code == EXIT_OK
+        text = spec.read_text()
+        assert "beta_policy = analytic" in text
+        assert "beta_sq = 0" in text and "opt_trials = 100000" in text
         code, out2, _ = run_cli(capsys, "sweep", "--spec", str(spec))
         assert code == EXIT_OK
         assert out1 == out2
@@ -531,11 +570,12 @@ SPEC_HEADERS = {
 def test_shipped_spec_file_runs(path, capsys):
     # each experiment spec, cut to its first power and few trials
     command = re.search(r"^command\s*=\s*(\w+)", path.read_text(), re.MULTILINE).group(1)
-    first_power = _read_spec(str(path), command)["alpha_sq"].split(",")[0]
-    argv = [command, "--spec", str(path), "--alpha-sq", first_power]
-    for name, value in (("trials", "2000"), ("opt_trials", "10000")):
-        if name in _SCHEMA[command]:
-            argv += [f"--{name.replace('_', '-')}", value]
+    spec = _read_spec(str(path), command)
+    argv = [command, "--spec", str(path), "--alpha-sq", spec["alpha_sq"].split(",")[0]]
+    if "trials" in _SCHEMA[command]:
+        argv += ["--trials", "2000"]
+    if spec.get("beta_policy") == "mc":
+        argv += ["--opt-trials", "10000"]
     code, out, _ = run_cli(capsys, *argv, "--workers", "1")
     assert code == EXIT_OK
     assert out.splitlines()[0] == SPEC_HEADERS[command]
