@@ -471,6 +471,27 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--trials", trials, "--seed", "1")
         assert code == EXIT_ARGS and out == "" and "trial" in err
 
+    def test_csv_and_json_agree(self, capsys):
+        # the two formats come from separate writers; every field must match,
+        # numbers as floats (JSON writes confidence with repr, CSV with .17g)
+        argv = ["simulate", "--m", "8", "--alpha-sq", "2", "--beta-sq", "0.23",
+                "--strategy", "bayes", "--trials", "3000", "--seed", "28", *IMPERFECT]
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        code, js, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == EXIT_OK
+        rows, objects = parse_csv(text), json.loads(js)
+        assert len(rows) == len(objects) == 3000
+        for row, obj in zip(rows, objects):
+            assert list(row) == list(obj)
+            for key, value in obj.items():
+                if isinstance(value, str):
+                    assert row[key] == value
+                else:
+                    assert float(row[key]) == float(value)
+            times = [float(t) for t in row["click_times"].split(";") if t]
+            assert len(times) == int(row["n_clicks"])
+
     @pytest.mark.parametrize(
         "argv, digest",
         [
