@@ -39,6 +39,8 @@ import os
 import sys
 from math import sqrt
 
+import numpy as np
+
 from . import bench as bench_mod
 from .core import PskAlphabet, displaced_rates
 from .errors import PrecisionError
@@ -133,6 +135,12 @@ _BETA_POLICIES = ("fixed", "zero", "analytic", "mc")
 
 # sweep options that one beta policy alone reads
 _POLICY_OPTIONS = {"beta_sq": "fixed", "opt_trials": "mc"}
+
+# simulate's output fields, in column order
+_RECORD_FIELDS = (
+    "trial", "true_state", "hypothesis", "confidence",
+    "correct", "n_clicks", "click_times", "probes",
+)
 
 # simulate writes its CSV this many trials at a time, to bound the text held at once
 _RECORD_CHUNK = 1 << 14
@@ -445,39 +453,65 @@ def cmd_optimize(cfg: dict) -> None:
     _write_rows(cfg, header, rows)
 
 
-def _record_columns(rec: TrialRecords, lo: int, hi: int) -> dict[str, list]:
-    """simulate's output columns for trials lo..hi-1, one list per field."""
-    offsets = rec.click_offsets[lo : hi + 1].tolist()
-    first, last = offsets[0], offsets[-1]
-    spans = [(s - first, e - first) for s, e in zip(offsets, offsets[1:])]
-    times = list(map(_fmt, rec.click_times[first:last].tolist()))
-    probes = [f";{p}" for p in rec.probes[first:last].tolist()]
-    true_state = rec.true_state[lo:hi].tolist()
-    hypothesis = rec.hypothesis[lo:hi].tolist()
-    return {
-        "trial": list(range(lo, hi)),
-        "true_state": true_state,
-        "hypothesis": hypothesis,
-        "confidence": rec.confidence[lo:hi].tolist(),
-        "correct": [int(h == t) for h, t in zip(hypothesis, true_state)],
-        "n_clicks": [e - s for s, e in spans],
-        "click_times": [";".join(times[s:e]) for s, e in spans],
-        "probes": ["1" + "".join(probes[s:e]) for s, e in spans],
-    }
+def _record_columns(rec: TrialRecords) -> tuple[list, ...]:
+    """simulate's JSON columns, one list per field of ``_RECORD_FIELDS``."""
+    offsets = rec.click_offsets.tolist()
+    spans = list(zip(offsets, offsets[1:]))
+    times = list(map(_fmt, rec.click_times.tolist()))
+    probes = [f";{p}" for p in rec.probes.tolist()]
+    true_state = rec.true_state.tolist()
+    hypothesis = rec.hypothesis.tolist()
+    return (
+        list(range(len(rec))),
+        true_state,
+        hypothesis,
+        rec.confidence.tolist(),
+        [int(h == t) for h, t in zip(hypothesis, true_state)],
+        [e - s for s, e in spans],
+        [";".join(times[s:e]) for s, e in spans],
+        ["1" + "".join(probes[s:e]) for s, e in spans],
+    )
 
 
 def _record_csv(rec: TrialRecords):
-    """simulate's CSV text, one piece per chunk of trials.
+    """simulate's CSV text: the header, then one piece per chunk of trials.
 
-    Fields hold digits, '.', '-', '+', 'e' and ';' only, so none needs quoting.
+    A chunk is one ``%``-format: the row templates of its trials, chosen by
+    click count, joined, and applied to all of the chunk's values in row
+    order (six leading fields, the click times, the probes after each
+    click).  ``%.17g`` is ``_fmt``'s formatting, and the integer fields stay
+    Python ints.  Fields hold digits, '.', '-', '+', 'e' and ';' only, so
+    none needs quoting.
     """
+    yield ",".join(_RECORD_FIELDS) + "\n"
+    templates: dict[int, str] = {}
     for lo in range(0, len(rec), _RECORD_CHUNK):
-        columns = _record_columns(rec, lo, min(lo + _RECORD_CHUNK, len(rec)))
-        if lo == 0:
-            yield ",".join(columns) + "\n"
-        columns["confidence"] = map(_fmt, columns["confidence"])
-        fields = zip(*(map(str, column) for column in columns.values()))
-        yield "".join(",".join(row) + "\n" for row in fields)
+        hi = min(lo + _RECORD_CHUNK, len(rec))
+        offsets = rec.click_offsets[lo : hi + 1]
+        first, last = int(offsets[0]), int(offsets[-1])
+        n_clicks = np.diff(offsets)
+        widths = 6 + 2 * n_clicks
+        starts = np.cumsum(widths) - widths
+        values = np.empty(int(widths.sum()), dtype=object)
+        true_state, hypothesis = rec.true_state[lo:hi], rec.hypothesis[lo:hi]
+        for field, column in enumerate((
+            np.arange(lo, hi),
+            true_state,
+            hypothesis,
+            rec.confidence[lo:hi],
+            (true_state == hypothesis).astype(np.int64),
+            n_clicks,
+        )):
+            values[starts + field] = column
+        # click j of a trial with n clicks goes 6 + j past its row start, its probe n later
+        at = np.arange(last - first) + np.repeat(starts + 6 - (offsets[:-1] - first), n_clicks)
+        values[at] = rec.click_times[first:last]
+        values[at + np.repeat(n_clicks, n_clicks)] = rec.probes[first:last]
+        counts = n_clicks.tolist()
+        for n in set(counts) - templates.keys():
+            clicks = ";".join(["%.17g"] * n)
+            templates[n] = f"%d,%d,%d,%.17g,%d,%d,{clicks},1" + ";%d" * n + "\n"
+        yield "".join([templates[n] for n in counts]) % tuple(values.tolist())
 
 
 def cmd_simulate(cfg: dict) -> None:
@@ -493,9 +527,8 @@ def cmd_simulate(cfg: dict) -> None:
     if cfg["format"] == "csv":
         _emit(cfg, _record_csv(rec))
         return
-    columns = _record_columns(rec, 0, len(rec))
-    header = list(columns)
-    _write_rows(cfg, header, [dict(zip(header, row)) for row in zip(*columns.values())])
+    rows = [dict(zip(_RECORD_FIELDS, row)) for row in zip(*_record_columns(rec))]
+    _write_rows(cfg, list(_RECORD_FIELDS), rows)
 
 
 _COMMANDS = {
