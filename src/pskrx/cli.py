@@ -23,7 +23,9 @@ The output is identical for any worker count.
 An option that the chosen mode would ignore is an argument error:
 ``sweep``'s ``beta_sq`` outside ``--beta-policy fixed`` and
 ``opt_trials`` outside ``mc``, each compared with its default, and a
-non-ideal receiver under ``optimize --objective analytic``.
+non-ideal receiver, ``trials`` or ``beta_grid`` under ``optimize``'s
+exact objective (``--seed`` and ``--workers`` are accepted there and
+change nothing).
 
 Exit codes: 0 success, 2 argument error, 3 precision/convergence
 error, 4 I/O error.
@@ -401,14 +403,20 @@ def cmd_bench(cfg: dict) -> None:
     _write_rows(cfg, header, rows)
 
 
+def _set_options(cfg: dict, names) -> list[str]:
+    """optimize's options among ``names`` that differ from their defaults, as flags."""
+    schema = _SCHEMA["optimize"]
+    return [
+        f"--{name.replace('_', '-')} {cfg[name]}"
+        for name in names
+        if cfg[name] != _convert(name, schema[name][0], schema[name][1])
+    ]
+
+
 def _optimize_objective(cfg: dict) -> str:
     """optimize's objective, 'analytic' or 'mc', with ``auto`` resolved."""
     # the options the exact objective cannot model: it assumes the ideal cyclic receiver
-    non_ideal = [
-        f"--{name.replace('_', '-')} {cfg[name]}"
-        for name in ("strategy", "eta", "n_th", "dead_time", "dark_rate")
-        if cfg[name] != _SCHEMA["optimize"][name][1]
-    ]
+    non_ideal = _set_options(cfg, ("strategy", "eta", "n_th", "dead_time", "dark_rate"))
     objective = cfg["objective"]
     if objective == "auto":
         objective = "mc" if non_ideal else "analytic"
@@ -418,6 +426,14 @@ def _optimize_objective(cfg: dict) -> str:
         raise ValueError(
             "--objective analytic evaluates the ideal cyclic receiver and would ignore "
             f"{', '.join(non_ideal)}; use --objective mc"
+        )
+    # --seed and --workers, which every randomized command takes, stay accepted
+    # and change nothing
+    trial_options = _set_options(cfg, ("trials", "beta_grid"))
+    if objective == "analytic" and trial_options:
+        raise ValueError(
+            f"the exact objective (--objective {cfg['objective']}) runs no trials and "
+            f"would ignore {', '.join(trial_options)}; use --objective mc"
         )
     return objective
 

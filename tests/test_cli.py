@@ -421,6 +421,40 @@ class TestOptimize:
         )
         assert code == EXIT_ARGS and out == "" and "trial" in err
 
+    @pytest.mark.parametrize("option, value", [("trials", "5000"), ("beta_grid", "1,2")])
+    @pytest.mark.parametrize("source", ["flag", "spec"])
+    @pytest.mark.parametrize("objective", ["analytic", "auto"])
+    def test_exact_objective_rejects_trial_options(
+        self, tmp_path, capsys, option, value, source, objective
+    ):
+        # the exact objective runs no trials; --seed and --workers stay accepted
+        flag = f"--{option.replace('_', '-')}"
+        argv = ["optimize", "--alpha-sq", "0.5", "--objective", objective,
+                "--seed", "3", "--workers", "1"]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            spec = tmp_path / "run.spec"
+            spec.write_text(f"command = optimize\n{option} = {value}\n")
+            argv += ["--spec", str(spec)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ARGS and out == ""
+        assert f"(--objective {objective}) runs no trials and would ignore {flag} " in err
+
+    def test_dump_and_rerun_exact_objective(self, tmp_path, capsys):
+        # the record lists trials and beta_grid at their defaults, which the
+        # exact objective accepts
+        spec = tmp_path / "run.spec"
+        args = ("optimize", "--alpha-sq", "0.25,1", "--objective", "analytic",
+                "--seed", "0", "--workers", "1")
+        code, out1, _ = run_cli(capsys, *args, "--dump-spec", str(spec))
+        assert code == EXIT_OK
+        text = spec.read_text()
+        assert "trials = 100000" in text and "beta_grid = \n" in text
+        code, out2, _ = run_cli(capsys, "optimize", "--spec", str(spec))
+        assert code == EXIT_OK
+        assert out1 == out2
+
     def test_mc_objective(self, capsys):
         code, out, _ = run_cli(
             capsys, "optimize", "--m", "4", "--alpha-sq", "0.5", "--strategy", "bayes",
@@ -593,7 +627,8 @@ def test_shipped_spec_file_runs(path, capsys):
     command = re.search(r"^command\s*=\s*(\w+)", path.read_text(), re.MULTILINE).group(1)
     spec = _read_spec(str(path), command)
     argv = [command, "--spec", str(path), "--alpha-sq", spec["alpha_sq"].split(",")[0]]
-    if "trials" in _SCHEMA[command]:
+    # optimize's exact objective runs no trials and rejects --trials
+    if "trials" in _SCHEMA[command] and spec.get("objective") != "analytic":
         argv += ["--trials", "2000"]
     if spec.get("beta_policy") == "mc":
         argv += ["--opt-trials", "10000"]
