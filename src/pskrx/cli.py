@@ -403,7 +403,7 @@ def cmd_bench(cfg: dict) -> None:
     _write_rows(cfg, header, rows)
 
 
-def _set_options(cfg: dict, names) -> list[str]:
+def _changed_options(cfg: dict, names) -> list[str]:
     """optimize's options among ``names`` that differ from their defaults, as flags."""
     schema = _SCHEMA["optimize"]
     return [
@@ -416,7 +416,7 @@ def _set_options(cfg: dict, names) -> list[str]:
 def _optimize_objective(cfg: dict) -> str:
     """optimize's objective, 'analytic' or 'mc', with ``auto`` resolved."""
     # the options the exact objective cannot model: it assumes the ideal cyclic receiver
-    non_ideal = _set_options(cfg, ("strategy", "eta", "n_th", "dead_time", "dark_rate"))
+    non_ideal = _changed_options(cfg, ("strategy", "eta", "n_th", "dead_time", "dark_rate"))
     objective = cfg["objective"]
     if objective == "auto":
         objective = "mc" if non_ideal else "analytic"
@@ -429,7 +429,7 @@ def _optimize_objective(cfg: dict) -> str:
         )
     # --seed and --workers, which every randomized command takes, stay accepted
     # and change nothing
-    trial_options = _set_options(cfg, ("trials", "beta_grid"))
+    trial_options = _changed_options(cfg, ("trials", "beta_grid"))
     if objective == "analytic" and trial_options:
         raise ValueError(
             f"the exact objective (--objective {cfg['objective']}) runs no trials and "
