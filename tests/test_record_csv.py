@@ -1,8 +1,8 @@
 """simulate's CSV writer against a reference writer, byte for byte.
 
-The reference below is the per-trial writer that the golden digests of
-``TestSimulate::test_golden_bytes`` were taken from: it joins the click
-times and probes of every trial and each row's fields as strings.  The
+The reference below is the earlier per-trial writer, which also matches
+the golden digests of ``TestSimulate::test_golden_bytes``: it joins the
+click times and probes of every trial and each row's fields as strings.  The
 writer in ``pskrx.cli`` must produce the same text for any records and
 any chunk size, so the tests shrink the chunk to put its edges
 everywhere.
