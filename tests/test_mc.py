@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -198,6 +199,37 @@ class TestTrialRecords:
     def test_needs_a_trial(self):
         with pytest.raises(ValueError):
             simulate_outcomes(QPSK_HALF, BETA, "cyclic", IDEAL, 0, 1)
+
+    @pytest.mark.parametrize(
+        "strategy, M, alpha_sq, beta_sq, n_th, dark_rate, digest",
+        [
+            ("cyclic", 4, 1.0, 0.23, 0.0, 0.2,
+             "501d151895bbf343266ad2cea2b3ec1a8eab01834b9ce45fead9c1907040a9e8"),
+            ("bayes", 4, 1.0, 0.23, 0.0, 0.2,
+             "1802b3e982cdb0eca40481c8642c208157beef73202e44c632756006907df841"),
+            ("bayes", 8, 2.0, 0.23, 0.1, 0.01,
+             "469fc32f840d67d2a4b95754a727e576b7ac31673eff2e25732fa97b28769b8b"),
+            ("cyclic", 8, 2.0, 0.23, 0.1, 0.01,
+             "79cac6c397596e9811f73a9af97186925037df52a782225345d8320c132a2d2d"),
+            # nulling under excess noise: zero-likelihood clicks as well
+            ("bayes", 4, 1.0, 0.0, 0.8, 0.0,
+             "edd3f0a7b0fda7571a501ae9ce00de07c19bfd0a2ccf7dba17ed4a398b0b5a9d"),
+        ],
+    )
+    def test_golden_columns_long_dead_time(
+        self, strategy, M, alpha_sq, beta_sq, n_th, dark_rate, digest
+    ):
+        # dead time 0.3 blocks many trials up to the pulse's end; two
+        # engine blocks, every column hashed bit for bit
+        imp = ImperfectionModel(eta=0.8, n_th=n_th, dead_time=0.3, dark_rate=dark_rate)
+        rec = simulate_outcomes(
+            PskAlphabet.from_power(M, alpha_sq), math.sqrt(beta_sq), strategy, imp, 40_000, 29
+        )
+        h = hashlib.sha256()
+        for col in (rec.true_state, rec.hypothesis, rec.confidence, rec.click_offsets,
+                    rec.click_times, rec.probes):
+            h.update(np.ascontiguousarray(col).tobytes())
+        assert h.hexdigest() == digest
 
 
 def _replay(alphabet, beta, strategy, imp, trials, seed):
