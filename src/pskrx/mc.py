@@ -479,14 +479,13 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
         ints[3] += 1
         if not bayes:
             np.remainder(ints[3], M, out=probe)
+        # a trial blocked up to the pulse's end (resume 1.0) waits past it
+        # next round and finishes in that round's shrink, with no exposure
         np.minimum(t_click + imp.dead_time, 1.0, out=resume)
         if collect:
             clicks_trial.append(ints[0].copy())
             clicks_time.append(t_click)
             clicks_probe.append(probe + 1)
-        blocked = resume >= 1.0
-        if blocked.any():
-            ints, reals, w, _ = _shrink(~blocked, ints, reals, w)
         rnd += 1
 
     bad = np.count_nonzero(~np.isfinite(conf))

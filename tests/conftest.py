@@ -2,10 +2,10 @@
 
 Everything here deliberately avoids the implementation paths it checks:
 rates come from brute-force complex arithmetic, counting statistics from
-an ODE integration of the counting master equation, from literal nested
-quadrature and from a 50-digit matrix exponential, so agreement is
-meaningful.  The ``pool_events`` fixture logs the trial engine's worker
-pools without starting a process.
+30- and 50-digit matrix exponentials of the counting master equation and
+from literal nested quadrature, and the SQL from a 40-digit integral, so
+agreement is meaningful.  The ``pool_events`` fixture logs the trial
+engine's worker pools without starting a process.
 """
 
 import cmath
@@ -28,22 +28,41 @@ def ode_count_probabilities(seq, m_max: int) -> np.ndarray:
     """P_0..P_m_max via the counting master equation.
 
     p_j(t) = P(exactly j clicks by t); dp_j/dt = lam_{j-1} p_{j-1} - lam_j p_j.
-    The implicit Radau integrator at tight tolerance, safe for stiff and
-    for vanishing rates; independent of the uniformized series.
+    The ODE is linear, so p(1) = e_0 exp(Q) for its pure-birth generator
+    Q, taken here as a 30-digit matrix exponential: exact for stiff and
+    for vanishing rates alike, and independent of the uniformized series.
     """
-    lam = np.asarray(seq[: m_max + 1], dtype=float)
-    p0 = np.zeros(m_max + 1)
-    p0[0] = 1.0
+    n = m_max + 1
+    with mpmath.workdps(30):
+        q = mpmath.zeros(n, n)
+        for j in range(n):
+            q[j, j] = -seq[j]
+            if j + 1 < n:
+                q[j, j + 1] = seq[j]
+        e = mpmath.expm(q)
+        return np.array([float(e[0, j]) for j in range(n)])
 
-    def rhs(_, p):
-        dp = -lam * p
-        dp[1:] += lam[:-1] * p[:-1]
-        return dp
 
-    sol = integrate.solve_ivp(
-        rhs, (0.0, 1.0), p0, method="Radau", rtol=1e-12, atol=1e-14
-    )
-    return sol.y[:, -1]
+def sql_wedge_oracle(M: int, alpha_sq: float) -> float:
+    """Heterodyne ML-wedge error from a 40-digit tanh-sinh integral.
+
+    The same polar form as the package (the radial integral in closed
+    form), integrated by mpmath over [0, pi/M] with nodes of its own
+    choosing; the integrand is even in phi.
+    """
+    with mpmath.workdps(40):
+        alpha = mpmath.sqrt(mpmath.mpf(alpha_sq))
+
+        def density(phi):
+            c = alpha * mpmath.cos(phi)
+            s = alpha * mpmath.sin(phi)
+            radial = (
+                mpmath.exp(-c * c) / 2
+                + c * mpmath.sqrt(mpmath.pi) / 2 * (1 + mpmath.erf(c))
+            )
+            return mpmath.exp(-s * s) * radial / mpmath.pi
+
+        return float(1 - 2 * mpmath.quad(density, [0, mpmath.pi / M]))
 
 
 def expm_error_oracle(M: int, alpha_sq: float, beta_sq: float) -> float:

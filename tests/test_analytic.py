@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pskrx
 from pskrx.analytic import (
+    _poisson_tails,
     cyclic_error_probability,
     m_click_probability,
     poisson_pmf,
@@ -43,6 +45,49 @@ class TestPoissonPmf:
             poisson_pmf(-0.1, 0)
         with pytest.raises(ValueError):
             poisson_pmf(1.0, -1)
+
+
+class TestPoissonTail:
+    @pytest.mark.parametrize(
+        "lam", [1e-8, 1e-4, 0.01, 0.3, 1.0, 2.5, 7.3, 20.0, 60.0, 200.0]
+    )
+    def test_against_incomplete_gamma(self, lam):
+        # P(X > m) is the regularized lower incomplete gamma P(m + 1, lam);
+        # tails below float64's normal range only need to be as small.  At
+        # lam 2.5, m 5 a remainder bound placed right after m is 0.6% high
+        with mpmath.workdps(30):
+            for m in range(301):
+                exact = mpmath.gammainc(m + 1, 0, lam, regularized=True)
+                got = poisson_tail(lam, m)
+                if exact < 1e-290:
+                    assert 0.0 <= got <= 1e-290
+                else:
+                    assert abs(got - exact) <= 1e-12 * exact, (lam, m)
+
+    @pytest.mark.parametrize("m", [0, 1, 7])
+    def test_zero_mean(self, m):
+        assert poisson_tail(0.0, m) == 0.0
+
+    @pytest.mark.parametrize("lam, m", [(-0.1, 1), (math.nan, 1), (math.inf, 1), (1.0, -1)])
+    def test_invalid(self, lam, m):
+        with pytest.raises(ValueError):
+            poisson_tail(lam, m)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.7, 4.0, 36.0])
+    @pytest.mark.parametrize("floor", [1e-13, 1e-40, 1e-300])
+    def test_table_down_to_its_floor(self, lam, floor):
+        # the series' table: tails[n] = P(X > n), accurate wherever it is at
+        # or above the floor, and ending below it
+        tails = _poisson_tails(lam, 1, floor)
+        with mpmath.workdps(30):
+            for n, got in enumerate(tails):
+                exact = mpmath.gammainc(n + 1, 0, lam, regularized=True)
+                if got >= floor:
+                    assert abs(got - exact) <= 1e-12 * exact, n
+                elif exact >= 1e-290:
+                    # below the floor still a bound, if a looser one
+                    assert got >= exact * (1 - 1e-12), n
+        assert tails[-1] <= lam * 2.0**-53 * floor
 
 
 class TestMClickProbability:
@@ -198,14 +243,37 @@ def test_import_does_not_load_mpmath():
 
 
 def test_import_loads_no_heavy_scipy_module():
-    # the CLI starts on numpy and scipy.special; quadrature, Brent and
-    # scipy.stats load only in the functions that use them
+    # the CLI starts on numpy alone; only the optimizers' Brent loads scipy
     src = str(Path(pskrx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, pskrx.cli; "
-        "loaded = [m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
-        "if m in sys.modules]; "
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]; "
         "assert not loaded, loaded"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # with scipy made unimportable, every command that does not optimize runs
+    src = str(Path(pskrx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "records.csv"
+    commands = [
+        ["simulate", "--alpha-sq", "0.5", "--beta-sq", "0.23", "--strategy", "bayes",
+         "--trials", "2000", "--seed", "1", "--dead-time", "0.1", "--out", str(out)],
+        ["trace", "--alpha-sq", "0.5", "--beta-sq", "0.23", "--clicks", "0.1,0.4"],
+        ["bench", "--m", "8", "--alpha-sq", "0.01,2,300"],
+        ["sweep", "--alpha-sq", "0.5,1", "--beta-policy", "fixed", "--beta-sq", "0.23",
+         "--trials", "2000", "--seed", "1", "--workers", "1"],
+    ]
+    for argv in commands:
+        code = (
+            "import sys; sys.modules['scipy'] = None; "
+            "from pskrx.cli import main; "
+            f"sys.exit(main({argv!r}))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, (argv[0], done.stderr)

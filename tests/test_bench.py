@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import pskrx.bench
 from pskrx.bench import gram_srm_oracle, helstrom_mpsk, sql_heterodyne
 from pskrx.errors import PrecisionError
+
+from conftest import sql_wedge_oracle
 
 
 def binary_helstrom(alpha_sq: float) -> float:
@@ -119,6 +122,34 @@ class TestSqlHeterodyne:
             for alpha_sq in (0.1, 0.5, 1.0, 2.0):
                 a = math.sqrt(alpha_sq)
                 assert helstrom_mpsk(a, M) < sql_heterodyne(a, M)
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 8, 16, 64])
+    def test_against_mpmath_wedge_integral(self, M):
+        # no PrecisionError anywhere on the grid, and 1e-14 of the oracle
+        for alpha_sq in (1e-4, 1e-2, 0.5, 2.0, 10.0, 100.0, 1000.0):
+            got = sql_heterodyne(math.sqrt(alpha_sq), M)
+            assert abs(got - sql_wedge_oracle(M, alpha_sq)) <= 1e-14, alpha_sq
+
+    @pytest.mark.parametrize("alpha_sq", [1e8, 1e12, 1e20])
+    def test_bright_pulse_is_resolved(self, alpha_sq):
+        # the peak at the wedge's centre narrows as 1/alpha: the panels follow
+        # it, so the error does not jump to 1 where a fixed rule misses it
+        assert sql_heterodyne(math.sqrt(alpha_sq), 4) == 0.0
+        assert 0.0 <= sql_heterodyne(math.sqrt(alpha_sq), 1000) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [-0.1, math.nan, math.inf])
+    def test_invalid_amplitude(self, alpha):
+        with pytest.raises(ValueError):
+            sql_heterodyne(alpha, 4)
+
+    def test_order_cap_raises(self, monkeypatch):
+        # an integrand with a jump: Gauss-Legendre orders never agree, so the
+        # doubling runs into its cap and refuses the value
+        monkeypatch.setattr(
+            pskrx.bench, "_wedge_integrand", lambda phi, alpha: float(phi < 0.3)
+        )
+        with pytest.raises(PrecisionError, match="orders 256 and 512"):
+            sql_heterodyne(1.0, 4)
 
 
 class TestNoisySql:

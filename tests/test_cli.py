@@ -59,10 +59,11 @@ class TestBench:
         assert list(data[0]) == ["alpha_sq", "sql", "helstrom"]
 
     def test_golden_bytes(self, capsys):
-        # pins the SQL quadrature and the circulant Helstrom formula bit for bit
+        # pins the SQL's Gauss-Legendre wedge rule and the circulant Helstrom
+        # formula bit for bit
         code, out, _ = run_cli(capsys, "bench", "--m", "8", "--alpha-sq", "0.01,0.5,2,6")
         assert code == EXIT_OK
-        digest = "24d6384c12c17ee074301fee44d941843d9a2dbbd97d9d93436d344309f77c74"
+        digest = "6097f29a7685196222ca0e4e2a4e6acb603c5f5a1cbc6d5aa192edb8e0b1b0df"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -199,7 +200,7 @@ class TestSweep:
             "--seed", "25", "--workers", "1",
         )
         assert code == EXIT_OK
-        digest = "c3747f596e45217736b12f3ff7010d016b2d36e31dc362659cdcda5a39730c38"
+        digest = "f05e4375320f9843d38688208e05899f575ca2a7dc2bc3fe5537226a22e289d0"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_golden_bytes_mc_policy_inefficient(self, capsys):
@@ -210,7 +211,7 @@ class TestSweep:
             "--trials", "20000", "--seed", "26", "--workers", "1",
         )
         assert code == EXIT_OK
-        digest = "5e0f4f81d54d9aeb0d0edd55c6024afdb783e02b7b9d836d4660bfad80d6afcb"
+        digest = "103388e12e63a9b1bd49fbdc3a061fea33e0962c76c98e2012ab7e19602a7ccb"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
