@@ -17,6 +17,7 @@ from pskrx.mc import (
     TrialRecords,
     WorkerPool,
     _row_sum,
+    _run_block,
     _trial_blocks,
     estimate_error,
     estimate_errors,
@@ -230,6 +231,70 @@ class TestTrialRecords:
                     rec.click_times, rec.probes):
             h.update(np.ascontiguousarray(col).tobytes())
         assert h.hexdigest() == digest
+
+
+def _payload_digest(payload) -> str:
+    h = hashlib.sha256()
+    for col in payload:
+        h.update(np.ascontiguousarray(col).tobytes())
+    return h.hexdigest()
+
+
+# blocks run back to back in one process, in an order that grows and shrinks
+# every per-round array: M=16 on a full block, M=2 on 7 trials, M=8 with
+# excess noise and long dead time, then the first block again
+_BLOCK_SEQUENCE = [
+    (16, 6.0, ImperfectionModel(eta=0.8, dark_rate=0.05), 0, 32_768),
+    (2, 1.0, IDEAL, 100, 107),
+    (8, 2.0, ImperfectionModel(eta=0.8, n_th=0.1, dead_time=0.3, dark_rate=0.01), 5_000, 25_000),
+    (16, 6.0, ImperfectionModel(eta=0.8, dark_rate=0.05), 0, 32_768),
+]
+
+
+class TestBlockSequence:
+    # (n_err, payload digest) of each block at beta 0 and 0.48, in the order
+    # of _BLOCK_SEQUENCE; no block may see what an earlier one left behind
+    @pytest.mark.parametrize(
+        "strategy, expected",
+        [
+            ("cyclic", [
+                (25224, "64822b8109db0d10a85c6a410170705594d2055ac5662e1b5946f27263d7a71d"),
+                (22763, "9286a3b877084b97dedf5d98059a300fb0eb985c39127c8acd4cd36078203e12"),
+                (0, "c4ab543c439e4914ea594e77686e9c9172b236cf769341a0c312c989b07d4bc7"),
+                (0, "f0b724256e3c14f4bb61296ff434bc5f9115e6c33a82909f32edd9e693015f1b"),
+                (15066, "a5d797cff084ad51b1c3e57473a7a56e8e4b9c32d6bfbe707659456d2ab89f97"),
+                (14624, "b03074cab611b598d72ff3881d204040c35ba18eed4fe7f32bc93c51c2a637f4"),
+            ]),
+            ("bayes", [
+                (16551, "b427edefa88bdf2198a5e6dfad748a628390ad57283095eb8e0a069eb374552c"),
+                (15779, "c9586fc681108d702aab2ddd2aa17d6a46d8f0d750c89609bbb5571cc47c316e"),
+                (0, "bc940dcc0d266d5c5fee84ab04f46b10d93170bfef96441e2d2a5a3cb31dc942"),
+                (0, "e649ccd16a359dba4661de79f638bcc399c469334868e40c0549af2757b54c34"),
+                (12252, "52160b93b6192d262fed769067ec7c90d1f48cd30c6314cdd9bf58884b61e8df"),
+                (11832, "c820eb28e54c7bfc072bf7b560139ca258c5979d41659bdfee11ed2254aaefd8"),
+            ]),
+        ],
+    )
+    def test_golden_payloads_in_one_process(self, strategy, expected):
+        got = []
+        for M, alpha_sq, imp, lo, hi in _BLOCK_SEQUENCE:
+            blocks = _run_block(
+                PskAlphabet.from_power(M, alpha_sq), (0.0, 0.48), strategy, imp, 41, lo, hi,
+                collect=True,
+            )
+            got += [(n_err, _payload_digest(payload)) for n_err, payload in blocks]
+        assert got == expected + expected[:2]
+
+    @pytest.mark.parametrize(
+        "strategy, p_errs",
+        [("cyclic", [0.7804, 0.73907, 0.71491]), ("bayes", [0.65947, 0.62162, 0.61009])],
+    )
+    def test_golden_estimates_any_workers(self, strategy, p_errs):
+        alphabet = PskAlphabet.from_power(8, 1.0)
+        imp = ImperfectionModel(eta=0.8, n_th=0.1, dead_time=0.02, dark_rate=0.01)
+        for workers in (1, 2):
+            est = estimate_errors(alphabet, [0.0, 0.3, 0.48], strategy, imp, 100_000, 43, workers)
+            assert [e.p_err for e in est] == p_errs
 
 
 def _replay(alphabet, beta, strategy, imp, trials, seed):
