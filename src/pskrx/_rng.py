@@ -49,28 +49,38 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def trial_keys(seed: int, trials: np.ndarray | int) -> np.ndarray:
-    """The 64-bit key of each trial of ``seed``, uint64 values shaped like ``trials``."""
+def trial_keys(seed: int, trials: np.ndarray | int, out: np.ndarray | None = None) -> np.ndarray:
+    """The 64-bit key of each trial of ``seed``, uint64 values shaped like ``trials``.
+
+    ``out`` is a uint64 array to write the keys into (``trials`` itself
+    will do), or None for a new one.
+    """
     h = _mix64(np.array((seed % _WORD) ^ _GOLDEN, dtype=np.uint64))
     with np.errstate(over="ignore"):
-        keys = np.asarray(trials, dtype=np.uint64) * np.uint64(_GOLDEN)
+        keys = np.multiply(np.asarray(trials, dtype=np.uint64), np.uint64(_GOLDEN), out=out)
     keys ^= h
     return _mix64(keys)
 
 
-def slot_uniform(keys: np.ndarray, slot: int) -> np.ndarray:
+def slot_uniform(keys: np.ndarray, slot: int, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform draw(s) in the open interval (0, 1) for one slot of keyed trials.
 
     Values are taken from the top 53 bits of the mixed word and offset by
-    half an ulp so that log() and division are always safe.
+    half an ulp so that log() and division are always safe.  ``out`` is a
+    float64 array shaped like ``keys`` to write them into, or None for a
+    new one; the words are mixed in its memory.
     """
-    h = _mix64(keys ^ np.uint64(slot * int(_MIX1) % _WORD))
+    if out is None:
+        out = np.empty(np.shape(keys))
+    h = np.bitwise_xor(keys, np.uint64(slot * int(_MIX1) % _WORD), out=out.view(np.uint64))
+    _mix64(h)
     h >>= np.uint64(11)
-    # below 2**53, so exact as a signed word, whose conversion is the faster
-    u = h.view(np.int64).astype(np.float64)
-    u += 0.5
-    u *= 1.0 / 9007199254740992.0
-    return u
+    # below 2**53, so exact as a signed word, whose conversion is the
+    # faster; each word is read before its float is written over it
+    out[...] = h.view(np.int64)
+    out += 0.5
+    out *= 1.0 / 9007199254740992.0
+    return out
 
 
 def counter_uniform(seed: int, trial: np.ndarray | int, slot: int):
@@ -85,10 +95,28 @@ def counter_uniform(seed: int, trial: np.ndarray | int, slot: int):
     return u
 
 
-def box_muller(u1, u2):
-    """Two independent standard normals from two (0,1) uniforms."""
-    r = np.sqrt(-2.0 * np.log(u1))
-    return r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)
+def box_muller(u1, u2, out=None):
+    """Two independent standard normals from two (0,1) uniforms.
+
+    ``out`` is a pair of float64 arrays to write the normals into, the
+    first of which may be ``u1`` itself; ``u2`` is then overwritten.
+    Without ``out`` the normals are new arrays and the inputs stay as
+    they are.
+    """
+    if out is None:
+        u2 = np.array(u2, dtype=np.float64)
+        out = (np.empty(np.shape(u1)), np.empty(u2.shape))
+    z1, z2 = out
+    np.multiply(2.0 * np.pi, u2, out=z2)
+    np.cos(z2, out=u2)
+    np.sin(z2, out=z2)
+    # z1 = r = sqrt(-2 log u1), then r * sin and r * cos of the angle
+    np.log(u1, out=z1)
+    z1 *= -2.0
+    np.sqrt(z1, out=z1)
+    z2 *= z1
+    z1 *= u2
+    return z1, z2
 
 
 class TrialStream:

@@ -16,9 +16,9 @@ commands honor ``--seed``; when it is omitted a fresh seed is drawn,
 printed on stderr, and written into the outputs; ``optimize`` with the
 exact objective uses no random numbers, so it draws no seed.
 ``--workers``, at least 1, caps the Monte Carlo parallelism (default:
-PSKRX_WORKERS or the CPU count): ``sweep`` and ``optimize`` run every
-Monte Carlo estimate in one worker pool, started when first needed and
-stopped when the command ends.
+PSKRX_WORKERS or the CPUs this process may run on): ``sweep`` and
+``optimize`` run every Monte Carlo estimate in one worker pool, started
+when first needed and stopped when the command ends.
 The output is identical for any worker count.
 An option that the chosen mode would ignore is an argument error:
 ``sweep``'s ``beta_sq`` outside ``--beta-policy fixed`` and
@@ -207,6 +207,13 @@ def _dump_spec(path: str, command: str, resolved: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults, spec file, and explicit flags (flags win)."""
     schema = _SCHEMA[command]
@@ -219,7 +226,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         resolved[name] = _convert(name, conv, value) if value is not None else None
     if "workers" in schema:
         if resolved["workers"] is None:
-            resolved["workers"] = int(os.environ.get("PSKRX_WORKERS", os.cpu_count() or 1))
+            resolved["workers"] = int(os.environ.get("PSKRX_WORKERS", _usable_cpus()))
         if resolved["workers"] < 1:
             raise ValueError(f"need at least one worker, got {resolved['workers']}")
     if "format" in schema and resolved["format"] not in ("csv", "json"):

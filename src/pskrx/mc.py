@@ -68,6 +68,19 @@ t = 0, so one column gives their decision.  Without excess noise a
 trial's true click rate is one lookup in an (M, M) table of true state
 and probe, built with the expression the scalar path evaluates; with
 it, the trial's offset field rides along as two more float rows.
+
+The engine owns its working memory.  Every array of block size (the
+state above and its spare for compaction, the rates, the click times,
+the scratch of the MAP pick and of the normaliser) is a view into a
+:class:`_Workspace` of preallocated buffers, written with ``out=``
+arguments, so after a process's first block its rounds and blocks
+allocate and free no array of block size.  Without it each block gave
+its working set back to the allocator and faulted it in again: about
+2,000 minor page faults a 32,768-trial block, kernel time that a
+profile of the Python process does not show.  A worker process keeps
+one workspace for its life; a run in this process (one worker, a
+single block, :func:`simulate_outcomes`) holds one for the call and
+drops it when the call returns, so none outlives a command.
 """
 
 from __future__ import annotations
@@ -75,7 +88,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -286,34 +299,95 @@ def simulate_trial(
 # ---------------------------------------------------------------------------
 
 
-def _row_sum(x: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Block-size arrays that every round, surplus and block run in it reuse.
+
+    ``ws(name, *shape, dtype=...)`` hands out the first elements of the
+    flat buffer kept under ``(name, dtype)``, shaped as asked.  The last
+    axis counts trials.  A buffer that must grow is sized for as many
+    trials as the largest block run so far (:meth:`reserve`), whatever
+    the round asked for, and no buffer shrinks.  So once a workspace has
+    run a block, blocks of that size or smaller allocate no array of
+    block size.  A buffer holds whatever its last user left: every user
+    writes it before reading it.
+    """
+
+    def __init__(self):
+        self._buffers: dict = {}
+        self._trials = 0
+
+    def reserve(self, trials: int) -> None:
+        """Size every buffer that grows from now on for blocks of ``trials``."""
+        self._trials = max(self._trials, trials)
+
+    def __call__(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
+        size = prod(shape)
+        key = (name, np.dtype(dtype))
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            size_for_block = prod(shape[:-1]) * self._trials
+            buf = self._buffers[key] = np.empty(max(size, size_for_block), dtype)
+        return buf[:size].reshape(shape)
+
+    def iota(self, n: int) -> np.ndarray:
+        """0, 1, ..., n - 1 as a read-only uint64 array."""
+        buf = self._buffers.get("iota")
+        if buf is None or buf.size < n:
+            buf = self._buffers["iota"] = np.arange(n, dtype=np.uint64)
+            buf.flags.writeable = False
+        return buf[:n]
+
+
+# a worker process's workspace, kept for the process's life
+_process_workspace: _Workspace | None = None
+
+
+def _row_sum(
+    x: np.ndarray, out: np.ndarray | None = None, acc: np.ndarray | None = None
+) -> np.ndarray:
     """``x.sum(axis=0)`` of an (M, n) array, bit for bit as numpy sums one row.
 
     numpy reduces a contiguous run of M values pairwise: in sequence for
     M < 8, in eight interleaved accumulators up to 128 values, and by
     halving above that.  Adding whole rows in that order gives each
     column the bits that ``x.T.sum(axis=1)`` or a 1-D ``.sum()`` of it
-    gives, where a plain ``x.sum(axis=0)`` would add in sequence.
+    gives, where a plain ``x.sum(axis=0)`` would add in sequence.  The
+    sum goes to ``out``; for M >= 8 the accumulators are ``acc``, an
+    (8, n) scratch array.  Either is new when not given.
     """
     m = len(x)
+    if out is None:
+        out = np.empty(x.shape[1:])
     if m < 8:
-        total = x[0].copy()
+        np.copyto(out, x[0])
         for row in x[1:]:
-            total += row
-        return total
+            out += row
+        return out
+    if acc is None:
+        acc = np.empty((8, *x.shape[1:]))
     if m > 128:
         half = m // 2 - (m // 2) % 8
-        return _row_sum(x[:half]) + _row_sum(x[half:])
+        _row_sum(x[:half], out, acc)
+        out += _row_sum(x[half:], None, acc)
+        return out
     tail = m - m % 8
-    acc = x[:8]
+    a = x[:8]
     if tail > 8:
-        acc = acc + x[8:16]
+        a = np.add(x[:8], x[8:16], out=acc)
         for i in range(16, tail, 8):
-            acc += x[i : i + 8]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+            a += x[i : i + 8]
+    # ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), the pairs through
+    # acc[0] and acc[1] once a no longer needs them
+    np.add(a[0], a[1], out=out)
+    np.add(a[2], a[3], out=acc[0])
+    out += acc[0]
+    np.add(a[4], a[5], out=acc[0])
+    np.add(a[6], a[7], out=acc[1])
+    acc[0] += acc[1]
+    out += acc[0]
     for row in x[tail:]:
-        total += row
-    return total
+        out += row
+    return out
 
 
 def _run_block(
@@ -325,6 +399,7 @@ def _run_block(
     lo: int,
     hi: int,
     collect: bool = False,
+    workspace: _Workspace | None = None,
 ) -> list:
     """Simulate trials [lo, hi) at every surplus in ``betas``.
 
@@ -333,33 +408,53 @@ def _run_block(
     one (n_err, payload) per surplus; the payload is None unless
     ``collect``, else the block's columns (true state, hypothesis,
     confidence, click count, click times, probe after each click), states
-    1-based, clicks in trial order.
+    1-based, clicks in trial order.  The block's arrays live in
+    ``workspace``, by default the one this process keeps for its life.
     """
+    global _process_workspace
+    if workspace is None:
+        if _process_workspace is None:
+            _process_workspace = _Workspace()
+        workspace = _process_workspace
+    ws = workspace
     M = alphabet.M
-    keys = trial_keys(master_seed, np.arange(lo, hi, dtype=np.uint64))
-    true0 = np.minimum((slot_uniform(keys, 0) * M).astype(np.int64), M - 1)
+    n = hi - lo
+    ws.reserve(n)
+    keys = np.add(ws.iota(n), np.uint64(lo), out=ws("keys", n, dtype=np.uint64))
+    trial_keys(master_seed, keys, out=keys)
+    u = slot_uniform(keys, 0, out=ws("u", n))
+    u *= M
+    true0 = ws("true0", n, dtype=np.int64)
+    true0[:] = u  # truncated, as astype truncates
+    np.minimum(true0, M - 1, out=true0)
     field0 = None
     if imp.n_th > 0.0:
         # without excess noise the offset is exactly zero: slots 1-2 go unread
-        z1, z2 = box_muller(slot_uniform(keys, 1), slot_uniform(keys, 2))
+        field0 = ws("field_re", n), ws("field_im", n)
+        box_muller(slot_uniform(keys, 1, out=field0[0]), slot_uniform(keys, 2, out=u), out=field0)
         sigma = sqrt(imp.n_th / 2.0)
-        field0 = alphabet.amplitudes[true0] + (sigma * z1 + 1j * (sigma * z2))
+        # each trial's amplitude plus its offset, one quadrature at a time
+        for z, part in zip(field0, (alphabet.amplitudes.real, alphabet.amplitudes.imag)):
+            z *= sigma
+            z += np.take(part, true0, out=u, mode="clip")
     return [
-        _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect)
+        _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws)
         for beta in betas
     ]
 
 
-def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
+def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws):
     """One surplus on the block's shared draws; see :func:`_run_block`.
 
-    ``field0`` is each trial's amplitude with its thermal offset, or None
-    when there is no offset.
+    ``field0`` is each trial's amplitude with its thermal offset, as its
+    real and imaginary parts, or None when there is no offset.  Every
+    array of block size is a view into the workspace ``ws``.
     """
     M = alphabet.M
     n = len(keys)
     bayes = strategy == "bayes"
     recv = -(alphabet.alpha + beta) * np.exp(1j * alphabet.phases)
+    recv_parts = np.ascontiguousarray(recv.real), np.ascontiguousarray(recv.imag)
     # steps[k, p]: phase steps from probe p ahead to state k, in the
     # narrowest integer type that holds 2M (the MAP pick's arithmetic);
     # rate_table[k, p]: nominal rate of state k while probing p
@@ -369,9 +464,10 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
     no_max = steps.dtype.type(M)
 
     # outputs, each written once, when its trial finishes
-    hyp0 = np.empty(n, dtype=np.int64)
-    conf = np.ones(n)
-    count = np.zeros(n, dtype=np.int64)
+    hyp0 = ws("hyp0", n, dtype=np.int64)
+    conf = ws("conf", n)
+    conf.fill(1.0)
+    count = ws("count", n, dtype=np.int64) if collect else None
     clicks_trial = [np.empty(0, dtype=np.int64)]
     clicks_time = [np.empty(0)]
     clicks_probe = [np.empty(0, dtype=np.int64)]
@@ -380,93 +476,138 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
     # ints rows trial (position in the block), key, probe, click count and,
     # without an offset, true state * M; reals rows resume time and, with an
     # offset, the field's real and imaginary parts; w[k, j] the posterior
-    # weight of state k
-    ints = np.zeros((5 if field0 is None else 4, n), dtype=np.int64)
-    ints[0] = np.arange(n)
+    # weight of state k.  Compaction takes the columns kept into the spare
+    # of each pair of buffers and swaps the pair (for w, a trio: the click
+    # update writes the next posterior over the rates)
+    pair = ["0", "1"]
+    w_names = ["w0", "w1", "w2"]
+    ints = ws("ints0", 5 if field0 is None else 4, n, dtype=np.int64)
+    ints[0] = ws.iota(n)
     ints[1] = keys.view(np.int64)
+    ints[2:4] = 0
+    reals = ws("reals0", 1 if field0 is None else 3, n)
+    reals[0] = 0.0
     if field0 is None:
         # the true click rate of state k probed at p is true_rate[k * M + p]
         f = alphabet.amplitudes[:, None] + recv
         true_rate = (imp.eta * (f.real**2 + f.imag**2) + imp.dark_rate).ravel()
-        ints[4] = true0 * M
-        reals = np.zeros((1, n))
+        np.multiply(true0, M, out=ints[4])
     else:
-        reals = np.stack([np.zeros(n), field0.real, field0.imag])
-    w = np.full((M, n), 1.0 / M) if bayes else None
+        reals[1:] = field0
+    w = None
+    if bayes:
+        w = ws("w0", M, n)
+        w.fill(1.0 / M)
 
-    def _pick(wt, probe):
-        """MAP state of each column of ``wt``, and its weight.
+    def row_sum(x):
+        m = x.shape[1]
+        return _row_sum(x, ws("total", m), ws("acc", 8, m) if M >= 8 else None)
+
+    def pick(wt, probe):
+        """Move each column's ``probe`` to the MAP state of ``wt``; return its weight.
 
         Of several maxima the pick is the one fewest phase steps ahead of
         the probe.  A column holding NaN has a NaN maximum and keeps its probe.
         """
-        top = wt.max(axis=0)
-        ahead = np.take(steps, probe, axis=1)
-        ahead += (wt != top) * no_max
-        return (probe + ahead.min(axis=0)) % M, top
+        m = len(probe)
+        top = np.max(wt, axis=0, out=ws("top", m))
+        small = steps.dtype
+        ahead = np.take(steps, probe, axis=1, out=ws("ahead", M, m, dtype=small), mode="clip")
+        off = np.not_equal(wt, top, out=ws("off", M, m, dtype=small))
+        off *= no_max
+        ahead += off
+        probe += np.min(ahead, axis=0, out=ws("ahead_min", m, dtype=small))
+        probe %= M
+        return top
 
-    def _shrink(running, ints, reals, w, alike=False):
+    def compact(x, keep, name):
+        """Columns ``keep`` of ``x``, taken into the buffer ``name``."""
+        out = ws(name, *x.shape[:-1], len(keep), dtype=x.dtype)
+        return np.take(x, keep, axis=x.ndim - 1, out=out, mode="clip")
+
+    def shrink(running, alike):
         """Finish the trials whose column of ``running`` is False; keep the rest.
 
         With ``alike``, the trials that finish share their state (the
         prior at probe 0 from t = 0), so one column gives their decision.
-        Returns the state of the trials kept and their columns.
+        Returns the positions of the columns kept.
         """
-        cols = np.flatnonzero(~running)
-        trial, _, probe, clicks = ints[:4].take(cols, axis=1)
+        nonlocal ints, reals, w
+        cols = np.flatnonzero(np.logical_not(running, out=ws("done", len(running), dtype=bool)))
+        trial, _, probe, clicks = compact(ints[:4], cols, "finished")
         if collect:
             count[trial] = clicks
         if bayes:
             rep = cols[:1] if alike else cols
-            wf = np.take(rate_table, probe[: len(rep)], axis=1)
-            wf *= reals[0].take(rep) - 1.0
+            probe = probe[: len(rep)]
+            wf = np.take(rate_table, probe, axis=1, out=ws(w_names[1], M, len(rep)), mode="clip")
+            exposure = compact(reals[0], rep, "exposure")
+            exposure -= 1.0
+            wf *= exposure
             np.exp(wf, out=wf)
-            wf *= w.take(rep, axis=1)
-            wf /= _row_sum(wf)
-            hyp0[trial], conf[trial] = _pick(wf, probe[: len(rep)])
-        else:
-            # the cyclic decision is the click count mod M, which is the probe
-            hyp0[trial] = probe
+            wf *= compact(w, rep, w_names[2])
+            wf /= row_sum(wf)
+            conf[trial] = pick(wf, probe)
+        # the decision is the probe: the MAP state that pick moved it to,
+        # or for cyclic probing the click count mod M
+        hyp0[trial] = probe
         keep = np.flatnonzero(running)
+        pair.reverse()
+        ints = compact(ints, keep, "ints" + pair[0])
+        reals = compact(reals, keep, "reals" + pair[0])
         if bayes:
-            w = w.take(keep, axis=1)
-        return ints.take(keep, axis=1), reals.take(keep, axis=1), w, keep
+            w = compact(w, keep, w_names[1])
+            w_names[:2] = w_names[1], w_names[0]
+        return keep
 
     rnd = 0
     while ints.shape[1]:
+        m = ints.shape[1]
+        probe = ints[2]
+        rate = ws("rate", m)
         if field0 is None:
-            rate = true_rate.take(ints[4] + ints[2])
+            np.take(true_rate, np.add(ints[4], probe, out=ws("index", m, dtype=np.int64)),
+                    out=rate, mode="clip")
         else:
-            fr = reals[1] + recv.real.take(ints[2])
-            fi = reals[2] + recv.imag.take(ints[2])
-            rate = imp.eta * (fr**2 + fi**2) + imp.dark_rate
+            # eta * (fr**2 + fi**2) + dark_rate, fr and fi the field's parts
+            # at this probe, fi in the spare row of the click times
+            fi = ws("t" + pair[1], m)
+            for out, part, recv_part in zip((rate, fi), reals[1:], recv_parts):
+                np.take(recv_part, probe, out=out, mode="clip")
+                out += part
+                np.square(out, out=out)
+            rate += fi
+            rate *= imp.eta
+            rate += imp.dark_rate
         # resume + -log(u) / rate, in place; a zero or tiny rate means a
         # wait past the pulse's end: no click
-        t_click = slot_uniform(ints[1].view(np.uint64), 3 + rnd)
+        t_click = slot_uniform(ints[1].view(np.uint64), 3 + rnd, out=ws("t" + pair[0], m))
         with np.errstate(divide="ignore", over="ignore"):
             np.log(t_click, out=t_click)
             np.negative(t_click, out=t_click)
             t_click /= rate
         t_click += reals[0]
-        clicked = t_click < 1.0
+        clicked = np.less(t_click, 1.0, out=ws("clicked", m, dtype=bool))
         if not clicked.all():
-            ints, reals, w, keep = _shrink(clicked, ints, reals, w, alike=rnd == 0)
+            keep = shrink(clicked, alike=rnd == 0)
             if not keep.size:
                 break
-            t_click = t_click[keep]
+            t_click = compact(t_click, keep, "t" + pair[0])
+            m = len(keep)
 
         probe, resume = ints[2], reals[0]
         if bayes:
-            rates = np.take(rate_table, probe, axis=1)
-            lik = w * rates
+            rates = np.take(rate_table, probe, axis=1, out=ws(w_names[1], M, m), mode="clip")
+            lik = np.multiply(w, rates, out=ws(w_names[2], M, m))
             # rates * -dt is -rates * dt to the bit: rounding is sign-symmetric
             wn = rates
-            wn *= resume - t_click
+            wn *= np.subtract(resume, t_click, out=ws("rate", m))
             np.exp(wn, out=wn)
             wn *= lik
-            total = _row_sum(wn)
-            held = slice(None)
-            if not total.all():
+            total = row_sum(wn)
+            if total.all():
+                held = None
+            else:
                 # a click impossible under every hypothesis still
                 # held leaves the posterior and the probe unchanged
                 held = lik.any(axis=0)
@@ -474,27 +615,34 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
             # a total that underflowed to 0 leaves NaN, refused below
             with np.errstate(invalid="ignore"):
                 wn /= total
-            probe[held] = _pick(wn[:, held], probe[held])[0]
+            if held is None:
+                pick(wn, probe)
+            else:
+                moved = probe[held]
+                pick(wn[:, held], moved)
+                probe[held] = moved
             w = wn
+            w_names[:2] = w_names[1], w_names[0]
         ints[3] += 1
         if not bayes:
             np.remainder(ints[3], M, out=probe)
         # a trial blocked up to the pulse's end (resume 1.0) waits past it
         # next round and finishes in that round's shrink, with no exposure
-        np.minimum(t_click + imp.dead_time, 1.0, out=resume)
+        np.add(t_click, imp.dead_time, out=resume)
+        np.minimum(resume, 1.0, out=resume)
         if collect:
             clicks_trial.append(ints[0].copy())
-            clicks_time.append(t_click)
+            clicks_time.append(t_click.copy())
             clicks_probe.append(probe + 1)
         rnd += 1
 
-    bad = np.count_nonzero(~np.isfinite(conf))
+    bad = n - np.count_nonzero(np.isfinite(conf, out=ws("done", n, dtype=bool)))
     if bad:
         raise PrecisionError(
             f"{bad} of {n} trials ended with a non-finite posterior "
             f"(M={M}, beta={beta!r}): a click likelihood underflowed"
         )
-    n_err = int(np.sum(hyp0 != true0))
+    n_err = int(np.count_nonzero(np.not_equal(hyp0, true0, out=ws("done", n, dtype=bool))))
     if not collect:
         return n_err, None
     # clicks were collected round by round and each trial clicks at most
@@ -503,16 +651,16 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect):
     payload = (
         true0 + 1,
         hyp0 + 1,
-        conf,
-        count,
+        conf.copy(),
+        count.copy(),
         np.concatenate(clicks_time)[order],
         np.concatenate(clicks_probe)[order],
     )
     return n_err, payload
 
 
-def _block_errors(args) -> list[int]:
-    return [n_err for n_err, _ in _run_block(*args)]
+def _block_errors(job, workspace: _Workspace | None = None) -> list[int]:
+    return [n_err for n_err, _ in _run_block(*job, workspace=workspace)]
 
 
 def _trial_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
@@ -551,9 +699,15 @@ class WorkerPool:
         self._stack.close()
 
     def map(self, fn, jobs: list) -> list:
-        """``[fn(job) for job in jobs]``, in worker processes when that can pay."""
+        """``[fn(job) for job in jobs]``, in worker processes when that can pay.
+
+        A worker process runs ``fn(job)`` on the workspace it keeps for its
+        life; in this process every job runs as ``fn(job, workspace)`` on
+        one workspace, dropped when the call returns.
+        """
         if self.workers < 2 or len(jobs) < 2:
-            return [fn(job) for job in jobs]
+            workspace = _Workspace()
+            return [fn(job, workspace) for job in jobs]
         if self._executor is None:
             # the module attribute, so a tracer or test that replaces it sees every start
             pool = ProcessPoolExecutor(max_workers=self.workers)
@@ -642,13 +796,15 @@ def simulate_outcomes(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     imp = imperfections if imperfections is not None else IDEAL
+    workspace = _Workspace()
     blocks = []
     for lo in range(0, trials, _BLOCK):
         hi = min(lo + _BLOCK, trials)
         [(_, payload)] = _run_block(
-            alphabet, (beta,), strategy, imp, master_seed, lo, hi, collect=True
+            alphabet, (beta,), strategy, imp, master_seed, lo, hi, True, workspace
         )
         blocks.append(payload)
+    del workspace  # freed before the columns are joined
     true_state, hypothesis, confidence, count, click_times, probes = map(
         np.concatenate, zip(*blocks)
     )

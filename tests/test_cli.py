@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 from pathlib import Path
 
@@ -247,6 +248,27 @@ class TestSweep:
         )
         assert code == EXIT_OK
         assert parse_csv(out)
+
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, expected", [({0}, 8, 1), ({0, 3, 5}, 8, 3), (None, 6, 6)]
+    )
+    def test_default_workers_are_the_usable_cpus(
+        self, tmp_path, capsys, monkeypatch, affinity, cpu_count, expected
+    ):
+        # the CPU affinity mask where the OS has one, else the CPU count
+        monkeypatch.delenv("PSKRX_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+        spec = tmp_path / "run.spec"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--alpha-sq", "0.25", "--beta-policy", "zero",
+            "--trials", "1000", "--seed", "1", "--dump-spec", str(spec),
+        )
+        assert code == EXIT_OK
+        assert f"workers = {expected}" in spec.read_text().splitlines()
 
 
 MC_SWEEP = (

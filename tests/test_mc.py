@@ -1,12 +1,13 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from pskrx._rng import TrialStream, counter_uniform
+from pskrx._rng import TrialStream, box_muller, counter_uniform, slot_uniform, trial_keys
 from pskrx.analytic import cyclic_error_probability, poisson_pmf
 from pskrx.core import PskAlphabet
 from pskrx.errors import PrecisionError
@@ -16,6 +17,7 @@ from pskrx.mc import (
     ImperfectionModel,
     TrialRecords,
     WorkerPool,
+    _Workspace,
     _row_sum,
     _run_block,
     _trial_blocks,
@@ -63,12 +65,21 @@ class TestSampleThermalOffset:
         assert sample_thermal_offset(0.0, TrialStream(1, 2)) == 0j
 
     def test_statistics(self):
+        # the offsets the block engine draws: Box-Muller on slots 1 and 2 of
+        # each trial's key, each quadrature of variance n_th / 2
         n = 200_000
-        vals = np.array([sample_thermal_offset(0.8, TrialStream(5, i)) for i in range(n)])
+        keys = trial_keys(5, np.arange(n, dtype=np.uint64))
+        z1, z2 = box_muller(slot_uniform(keys, 1), slot_uniform(keys, 2))
+        sigma = math.sqrt(0.8 / 2.0)
+        vals = sigma * z1 + 1j * (sigma * z2)
         power = np.mean(np.abs(vals) ** 2)
         assert power == pytest.approx(0.8, rel=5e-3)
         assert np.var(vals.real) == pytest.approx(0.4, rel=1e-2)
         assert np.var(vals.imag) == pytest.approx(0.4, rel=1e-2)
+        # the scalar path draws the same offsets, bit for bit
+        for i in range(1000):
+            offset = sample_thermal_offset(0.8, TrialStream(5, i))
+            assert (offset.real, offset.imag) == (sigma * z1[i], sigma * z2[i])
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -295,6 +306,49 @@ class TestBlockSequence:
         for workers in (1, 2):
             est = estimate_errors(alphabet, [0.0, 0.3, 0.48], strategy, imp, 100_000, 43, workers)
             assert [e.p_err for e in est] == p_errs
+
+
+class TestWorkspace:
+    def test_blocks_share_the_buffers(self):
+        # a block of the size run before, then a smaller one, run in the
+        # buffers the first block left: none is added, grown or replaced
+        ws = _Workspace()
+        alphabet = PskAlphabet.from_power(8, 2.0)
+        imp = ImperfectionModel(eta=0.8, n_th=0.1, dead_time=0.02, dark_rate=0.01)
+
+        def addresses():
+            return {key: buf.__array_interface__["data"][0] for key, buf in ws._buffers.items()}
+
+        _run_block(alphabet, (0.0, BETA), "bayes", imp, 3, 0, 32_768, workspace=ws)
+        first = addresses()
+        for lo, hi in ((32_768, 65_536), (65_536, 65_600)):
+            _run_block(alphabet, (0.0, BETA), "bayes", imp, 3, lo, hi, workspace=ws)
+            assert addresses() == first
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads Linux's minor page-fault count"
+    )
+    def test_blocks_after_the_first_fault_in_no_memory(self, monkeypatch):
+        # a block that allocated its working set afresh would fault it in
+        # again, ~2,000 minor faults; blocks 2-4 of one call run in the first's
+        import resource
+
+        import pskrx.mc
+
+        faults = []
+        run_block = pskrx.mc._run_block
+
+        def counted(*args, **kwargs):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            result = run_block(*args, **kwargs)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            return result
+
+        monkeypatch.setattr(pskrx.mc, "_run_block", counted)
+        imp = ImperfectionModel(eta=0.8, n_th=0.1, dead_time=0.02, dark_rate=0.01)
+        estimate_error(QPSK_HALF, BETA, "bayes", imp, 4 * 32_768, 7, workers=1)
+        assert len(faults) == 4
+        assert max(faults[1:]) < 500, faults
 
 
 def _replay(alphabet, beta, strategy, imp, trials, seed):
