@@ -88,7 +88,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from math import prod, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -302,32 +302,24 @@ def simulate_trial(
 class _Workspace:
     """Block-size arrays that every round, surplus and block run in it reuse.
 
-    ``ws(name, *shape, dtype=...)`` hands out the first elements of the
-    flat buffer kept under ``(name, dtype)``, shaped as asked.  The last
-    axis counts trials.  A buffer that must grow is sized for as many
-    trials as the largest block run so far (:meth:`reserve`), whatever
-    the round asked for, and no buffer shrinks.  So once a workspace has
-    run a block, blocks of that size or smaller allocate no array of
-    block size.  A buffer holds whatever its last user left: every user
-    writes it before reading it.
+    ``ws(name, size, dtype)`` hands out the first ``size`` elements of the
+    flat buffer kept under ``(name, dtype)``.  A buffer grows to the
+    largest size asked of it and never shrinks.  The engine asks for each
+    buffer at the size of its block, whatever part of it a round uses, so
+    once a workspace has run a block, blocks of that size or smaller
+    allocate no array of block size.  A buffer holds whatever its last
+    user left: every user writes it before reading it.
     """
 
     def __init__(self):
         self._buffers: dict = {}
-        self._trials = 0
 
-    def reserve(self, trials: int) -> None:
-        """Size every buffer that grows from now on for blocks of ``trials``."""
-        self._trials = max(self._trials, trials)
-
-    def __call__(self, name: str, *shape: int, dtype=np.float64) -> np.ndarray:
-        size = prod(shape)
+    def __call__(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
         key = (name, np.dtype(dtype))
         buf = self._buffers.get(key)
         if buf is None or buf.size < size:
-            size_for_block = prod(shape[:-1]) * self._trials
-            buf = self._buffers[key] = np.empty(max(size, size_for_block), dtype)
-        return buf[:size].reshape(shape)
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size]
 
     def iota(self, n: int) -> np.ndarray:
         """0, 1, ..., n - 1 as a read-only uint64 array."""
@@ -419,12 +411,11 @@ def _run_block(
     ws = workspace
     M = alphabet.M
     n = hi - lo
-    ws.reserve(n)
-    keys = np.add(ws.iota(n), np.uint64(lo), out=ws("keys", n, dtype=np.uint64))
+    keys = np.add(ws.iota(n), np.uint64(lo), out=ws("keys", n, np.uint64))
     trial_keys(master_seed, keys, out=keys)
     u = slot_uniform(keys, 0, out=ws("u", n))
     u *= M
-    true0 = ws("true0", n, dtype=np.int64)
+    true0 = ws("true0", n, np.int64)
     true0[:] = u  # truncated, as astype truncates
     np.minimum(true0, M - 1, out=true0)
     field0 = None
@@ -448,7 +439,9 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
 
     ``field0`` is each trial's amplitude with its thermal offset, as its
     real and imaginary parts, or None when there is no offset.  Every
-    array of block size is a view into the workspace ``ws``.
+    array of block size is a view into a flat buffer of the workspace
+    ``ws``, asked for at the block's size: a round with m trials still
+    running uses its first m (or rows * m) elements.
     """
     M = alphabet.M
     n = len(keys)
@@ -464,10 +457,10 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     no_max = steps.dtype.type(M)
 
     # outputs, each written once, when its trial finishes
-    hyp0 = ws("hyp0", n, dtype=np.int64)
+    hyp0 = ws("hyp0", n, np.int64)
     conf = ws("conf", n)
     conf.fill(1.0)
-    count = ws("count", n, dtype=np.int64) if collect else None
+    count = ws("count", n, np.int64) if collect else None
     clicks_trial = [np.empty(0, dtype=np.int64)]
     clicks_time = [np.empty(0)]
     clicks_probe = [np.empty(0, dtype=np.int64)]
@@ -476,16 +469,20 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     # ints rows trial (position in the block), key, probe, click count and,
     # without an offset, true state * M; reals rows resume time and, with an
     # offset, the field's real and imaginary parts; w[k, j] the posterior
-    # weight of state k.  Compaction takes the columns kept into the spare
-    # of each pair of buffers and swaps the pair (for w, a trio: the click
-    # update writes the next posterior over the rates)
-    pair = ["0", "1"]
-    w_names = ["w0", "w1", "w2"]
-    ints = ws("ints0", 5 if field0 is None else 4, n, dtype=np.int64)
+    # weight of state k.  The state lives in the first buffer of its pair;
+    # compaction takes the columns kept into the second and swaps the two.
+    # The posterior has a trio: the click update writes the next posterior
+    # over the rates, with the likelihoods in the third
+    ints_rows = 5 if field0 is None else 4
+    reals_rows = 1 if field0 is None else 3
+    ints_pair = [ws("ints0", ints_rows * n, np.int64), ws("ints1", ints_rows * n, np.int64)]
+    reals_pair = [ws("reals0", reals_rows * n), ws("reals1", reals_rows * n)]
+    t_pair = [ws("t0", n), ws("t1", n)]
+    ints = ints_pair[0].reshape(ints_rows, n)
     ints[0] = ws.iota(n)
     ints[1] = keys.view(np.int64)
     ints[2:4] = 0
-    reals = ws("reals0", 1 if field0 is None else 3, n)
+    reals = reals_pair[0].reshape(reals_rows, n)
     reals[0] = 0.0
     if field0 is None:
         # the true click rate of state k probed at p is true_rate[k * M + p]
@@ -494,14 +491,26 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
         np.multiply(true0, M, out=ints[4])
     else:
         reals[1:] = field0
-    w = None
+    w = w_trio = None
     if bayes:
-        w = ws("w0", M, n)
+        w_trio = [ws("w0", M * n), ws("w1", M * n), ws("w2", M * n)]
+        w = w_trio[0].reshape(M, n)
         w.fill(1.0 / M)
+
+    # scratch of a round
+    rate_buf, index_buf = ws("rate", n), ws("index", n, np.int64)
+    clicked_buf, done_buf = ws("clicked", n, bool), ws("done", n, bool)
+    finished_buf, exposure_buf = ws("finished", 4 * n, np.int64), ws("exposure", n)
+    total_buf, acc_buf = ws("total", n), ws("acc", 8 * n) if M >= 8 else None
+    top_buf, ahead_min_buf = ws("top", n), ws("ahead_min", n, steps.dtype)
+    ahead_buf, off_buf = ws("ahead", M * n, steps.dtype), ws("off", M * n, steps.dtype)
+
+    def view(buf, rows, m):
+        return buf[: rows * m].reshape(rows, m)
 
     def row_sum(x):
         m = x.shape[1]
-        return _row_sum(x, ws("total", m), ws("acc", 8, m) if M >= 8 else None)
+        return _row_sum(x, total_buf[:m], None if acc_buf is None else view(acc_buf, 8, m))
 
     def pick(wt, probe):
         """Move each column's ``probe`` to the MAP state of ``wt``; return its weight.
@@ -510,20 +519,14 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
         the probe.  A column holding NaN has a NaN maximum and keeps its probe.
         """
         m = len(probe)
-        top = np.max(wt, axis=0, out=ws("top", m))
-        small = steps.dtype
-        ahead = np.take(steps, probe, axis=1, out=ws("ahead", M, m, dtype=small), mode="clip")
-        off = np.not_equal(wt, top, out=ws("off", M, m, dtype=small))
+        top = wt.max(axis=0, out=top_buf[:m])
+        ahead = steps.take(probe, axis=1, out=view(ahead_buf, M, m), mode="clip")
+        off = np.not_equal(wt, top, out=view(off_buf, M, m))
         off *= no_max
         ahead += off
-        probe += np.min(ahead, axis=0, out=ws("ahead_min", m, dtype=small))
+        probe += ahead.min(axis=0, out=ahead_min_buf[:m])
         probe %= M
         return top
-
-    def compact(x, keep, name):
-        """Columns ``keep`` of ``x``, taken into the buffer ``name``."""
-        out = ws(name, *x.shape[:-1], len(keep), dtype=x.dtype)
-        return np.take(x, keep, axis=x.ndim - 1, out=out, mode="clip")
 
     def shrink(running, alike):
         """Finish the trials whose column of ``running`` is False; keep the rest.
@@ -533,47 +536,50 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
         Returns the positions of the columns kept.
         """
         nonlocal ints, reals, w
-        cols = np.flatnonzero(np.logical_not(running, out=ws("done", len(running), dtype=bool)))
-        trial, _, probe, clicks = compact(ints[:4], cols, "finished")
+        cols = np.flatnonzero(np.logical_not(running, out=done_buf[: len(running)]))
+        finished = view(finished_buf, 4, len(cols))
+        trial, _, probe, clicks = ints[:4].take(cols, axis=1, out=finished, mode="clip")
         if collect:
             count[trial] = clicks
         if bayes:
             rep = cols[:1] if alike else cols
-            probe = probe[: len(rep)]
-            wf = np.take(rate_table, probe, axis=1, out=ws(w_names[1], M, len(rep)), mode="clip")
-            exposure = compact(reals[0], rep, "exposure")
+            r = len(rep)
+            probe = probe[:r]
+            wf = rate_table.take(probe, axis=1, out=view(w_trio[1], M, r), mode="clip")
+            exposure = reals[0].take(rep, out=exposure_buf[:r], mode="clip")
             exposure -= 1.0
             wf *= exposure
             np.exp(wf, out=wf)
-            wf *= compact(w, rep, w_names[2])
+            wf *= w.take(rep, axis=1, out=view(w_trio[2], M, r), mode="clip")
             wf /= row_sum(wf)
             conf[trial] = pick(wf, probe)
         # the decision is the probe: the MAP state that pick moved it to,
         # or for cyclic probing the click count mod M
         hyp0[trial] = probe
         keep = np.flatnonzero(running)
-        pair.reverse()
-        ints = compact(ints, keep, "ints" + pair[0])
-        reals = compact(reals, keep, "reals" + pair[0])
+        m = len(keep)
+        ints = ints.take(keep, axis=1, out=view(ints_pair[1], ints_rows, m), mode="clip")
+        reals = reals.take(keep, axis=1, out=view(reals_pair[1], reals_rows, m), mode="clip")
+        ints_pair.reverse()
+        reals_pair.reverse()
         if bayes:
-            w = compact(w, keep, w_names[1])
-            w_names[:2] = w_names[1], w_names[0]
+            w = w.take(keep, axis=1, out=view(w_trio[1], M, m), mode="clip")
+            w_trio[:2] = w_trio[1], w_trio[0]
         return keep
 
     rnd = 0
     while ints.shape[1]:
         m = ints.shape[1]
         probe = ints[2]
-        rate = ws("rate", m)
+        rate = rate_buf[:m]
         if field0 is None:
-            np.take(true_rate, np.add(ints[4], probe, out=ws("index", m, dtype=np.int64)),
-                    out=rate, mode="clip")
+            true_rate.take(np.add(ints[4], probe, out=index_buf[:m]), out=rate, mode="clip")
         else:
             # eta * (fr**2 + fi**2) + dark_rate, fr and fi the field's parts
-            # at this probe, fi in the spare row of the click times
-            fi = ws("t" + pair[1], m)
+            # at this probe, fi in the spare buffer of the click times
+            fi = t_pair[1][:m]
             for out, part, recv_part in zip((rate, fi), reals[1:], recv_parts):
-                np.take(recv_part, probe, out=out, mode="clip")
+                recv_part.take(probe, out=out, mode="clip")
                 out += part
                 np.square(out, out=out)
             rate += fi
@@ -581,27 +587,28 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
             rate += imp.dark_rate
         # resume + -log(u) / rate, in place; a zero or tiny rate means a
         # wait past the pulse's end: no click
-        t_click = slot_uniform(ints[1].view(np.uint64), 3 + rnd, out=ws("t" + pair[0], m))
+        t_click = slot_uniform(ints[1].view(np.uint64), 3 + rnd, out=t_pair[0][:m])
         with np.errstate(divide="ignore", over="ignore"):
             np.log(t_click, out=t_click)
             np.negative(t_click, out=t_click)
             t_click /= rate
         t_click += reals[0]
-        clicked = np.less(t_click, 1.0, out=ws("clicked", m, dtype=bool))
+        clicked = np.less(t_click, 1.0, out=clicked_buf[:m])
         if not clicked.all():
             keep = shrink(clicked, alike=rnd == 0)
-            if not keep.size:
-                break
-            t_click = compact(t_click, keep, "t" + pair[0])
             m = len(keep)
+            if not m:
+                break
+            t_click = t_click.take(keep, out=t_pair[1][:m], mode="clip")
+            t_pair.reverse()
 
         probe, resume = ints[2], reals[0]
         if bayes:
-            rates = np.take(rate_table, probe, axis=1, out=ws(w_names[1], M, m), mode="clip")
-            lik = np.multiply(w, rates, out=ws(w_names[2], M, m))
+            rates = rate_table.take(probe, axis=1, out=view(w_trio[1], M, m), mode="clip")
+            lik = np.multiply(w, rates, out=view(w_trio[2], M, m))
             # rates * -dt is -rates * dt to the bit: rounding is sign-symmetric
             wn = rates
-            wn *= np.subtract(resume, t_click, out=ws("rate", m))
+            wn *= np.subtract(resume, t_click, out=rate_buf[:m])
             np.exp(wn, out=wn)
             wn *= lik
             total = row_sum(wn)
@@ -622,7 +629,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
                 pick(wn[:, held], moved)
                 probe[held] = moved
             w = wn
-            w_names[:2] = w_names[1], w_names[0]
+            w_trio[:2] = w_trio[1], w_trio[0]
         ints[3] += 1
         if not bayes:
             np.remainder(ints[3], M, out=probe)
@@ -636,13 +643,13 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
             clicks_probe.append(probe + 1)
         rnd += 1
 
-    bad = n - np.count_nonzero(np.isfinite(conf, out=ws("done", n, dtype=bool)))
+    bad = n - np.count_nonzero(np.isfinite(conf, out=done_buf))
     if bad:
         raise PrecisionError(
             f"{bad} of {n} trials ended with a non-finite posterior "
             f"(M={M}, beta={beta!r}): a click likelihood underflowed"
         )
-    n_err = int(np.count_nonzero(np.not_equal(hyp0, true0, out=ws("done", n, dtype=bool))))
+    n_err = int(np.count_nonzero(np.not_equal(hyp0, true0, out=done_buf)))
     if not collect:
         return n_err, None
     # clicks were collected round by round and each trial clicks at most
