@@ -437,6 +437,40 @@ class TestOptimize:
         digest = "8ffbbd882a85b8ea0a528167af2ed5dd0dd1d7d56f2eec12d2ad49ad83b04614"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv, pinned",
+        [
+            (("--m", "4", "--alpha-sq", "0.0001,0.01,1,4,8", "--objective", "analytic"),
+             [(1.2244802367278256, 0.74590631375142402),
+              (1.0420501099447472, 0.70672883588441671),
+              (0.092350405261697618, 0.18522389995314409),
+              (8.3128135591277837e-05, 0.0015675034067159795),
+              (2.8224799000056959e-10, 9.8463864915167986e-07)]),
+            (("--m", "8", "--alpha-sq", "0.0001", "--objective", "analytic"),
+             [(2.8899135139444119, 0.87323306413749147)]),
+            (("--alpha-sq", "0.25,1"),
+             [(0.44218249327644554, 0.48514062785611112),
+              (0.092350405261697618, 0.18522389995314409)]),
+            (("--m", "8", "--alpha-sq", "0.5,2,4", "--objective", "analytic"),
+             [(1.250610056597522, 0.70294728013490959),
+              (0.32407102237483021, 0.43296217497801398),
+              (0.05475257905191773, 0.19624592852449527)]),
+        ],
+        ids=["m4", "m8", "auto", "m8-long-series"],
+    )
+    def test_exact_optimum_values(self, capsys, argv, pinned):
+        # (beta_opt_sq, p_err) as Brent found them: any optimizer of the
+        # exact objective must land within its amplitude tolerance of the
+        # same surplus, and so within 1e-12 of the same error
+        code, out, _ = run_cli(capsys, "optimize", *argv)
+        assert code == EXIT_OK
+        rows = parse_csv(out)
+        assert len(rows) == len(pinned)
+        for row, (beta_sq, p_err) in zip(rows, pinned):
+            beta = float(row["beta_opt_sq"]) ** 0.5
+            assert abs(beta - beta_sq**0.5) <= 1e-6, row
+            assert abs(float(row["p_err"]) - p_err) <= 1e-12, row
+
     def test_nonpositive_trials_rejected(self, capsys):
         # even the analytic objective, which runs no trials
         code, out, err = run_cli(
