@@ -21,34 +21,57 @@ in [0, 1], stopping after the terms n <= N leaves out at most the
 Poisson tail P(Pois(lam) > N) of any entry: the truncation error has a
 known sign and a rigorous bound.
 
-The Poisson tails are computed here, with ``math`` alone, by summing the
-upper terms from the far end (``_poisson_tails``): the terms run until
-they fall below 2**-53 of the tails asked for, and a geometric series
-bounds the rest, so no part of a tail is dropped and each lies within a
-few ulps of the exact value.  One table of tails serves all terms of a
-series.
+The series is summed by doubling, not term by term: with the rows
+W[n] = start P^n known for n < h, the next h rows are W[:h] P^h, and
+P^h is squared for the round after.  So N + 1 terms cost about log2(N)
+matrix products, each over all the rows of a round at once.  The
+Poisson weights and tails of every term come from one table
+(``_poisson_table``), built with ``math`` alone: the terms run outward
+from the mode until they fall below 2**-53 of the tails asked for, a
+geometric series bounds the rest, and each tail is summed from the far
+end, so it lies within a few ulps of the exact value.  The term at the
+mode is Loader's saddle-point form (``stirlerr`` and ``bd0``, as in R's
+``dpois_raw``), accurate to a few ulps at any mean.
 
 Two chains are evaluated:
 
 * ``m_click_probability``: the (m+2)-state pure-birth chain whose last
   state (more than m clicks) absorbs;
 * ``cyclic_error_probability``: with probe rotation 1 -> 2 -> ... -> M
-  -> 1 on each click, the decision is fixed by the count mod M, a chain
-  on M phases.  Phase j of true state k leaves at rate
-  table[(k-1-j) mod M] and the decision is correct in phase k-1, so the
-  error is the mass outside that phase, averaged over the M states.
+  -> 1 on each click, the decision is fixed by the count mod M, and the
+  rate depends only on the offset u = (true - probed) mod M.  Offset u
+  clicks at rate n_u (the probe-relative rate table, mirror-symmetric,
+  so n_{-u} = n_u) and moves on to u + 1; true state k starts at offset
+  -k, and the decision is correct at offset 0.  By this rotation
+  symmetry all M states are one M-phase chain started uniformly, and
+  the error is its mass outside phase 0.
+
+The cyclic error's derivative in the surplus beta rides along.  Hold lam
+fixed (exp(Q) = sum_n Pois(n; lam) P^n holds for any lam > 0) and
+d/dbeta of term n is start D_n target, with D_n = d(P^n)/dbeta the
+upper-right block of the n-th power of the augmented chain
+[[P, dP], [0, P]], dP = dQ/lam.  dQ has -dn_u/dbeta on the diagonal and
++dn_u/dbeta beside it, with dn_u/dbeta = 2(alpha + beta) -
+2 alpha cos(2 pi u / M) (and 2 beta at u = 0).  Each row of dP sums to
+at most c/lam in absolute value, c = 2 max_u |dn_u/dbeta|, so
+|start D_n target| <= n c / lam, and the terms n > N leave out at most
+
+    sum_{n > N} Pois(n; lam) n c / lam = c P(Pois(lam) >= N)
+
+of the derivative: ``CyclicError.slope_bound``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
-from math import exp, inf, isfinite, lgamma, log, prod
+from math import exp, inf, isfinite, lgamma, log, pi, prod, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .core import PskAlphabet, probe_relative_rates
+from .core import PskAlphabet, probe_relative_rates, probe_relative_slopes
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -79,8 +102,30 @@ def poisson_pmf(n: float, m: int) -> float:
     return exp(m * log(n) - n - lgamma(m + 1))
 
 
-def _poisson_tails(lam: float, first: int, floor: float) -> list[float]:
-    """[P(X >= first), P(X >= first + 1), ...] for X ~ Poisson(lam > 0).
+def _stirlerr(k: int) -> float:
+    """log(k!) - log(sqrt(2 pi k) (k/e)^k) for k > 15, by its asymptotic series."""
+    kk = float(k) * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk) / k
+
+
+def _bd0(k: int, lam: float) -> float:
+    """k log(k / lam) + lam - k for |k - lam| < 1 <= lam, as a series (Loader 2000)."""
+    v = (k - lam) / (k + lam)
+    s = (k - lam) * v
+    ej = 2.0 * k * v
+    v *= v
+    j = 3
+    while True:
+        ej *= v
+        s1 = s + ej / j
+        if s1 == s:
+            return s
+        s = s1
+        j += 2
+
+
+def _poisson_table(lam: float, first: int, floor: float) -> tuple[list[float], list[float]]:
+    """([Pois(first), Pois(first + 1), ...], [P(X >= first), ...]), X ~ Poisson(lam > 0).
 
     The terms Pois(k; lam), k >= first, are generated outward from
     max(first, mode) and run past the mode until a term falls to 2**-53
@@ -90,17 +135,22 @@ def _poisson_tails(lam: float, first: int, floor: float) -> list[float]:
     summed from the far end, smallest term first, starting from that
     bound, so every tail at or above ``floor`` is the exact tail up to
     the float rounding of its terms and sums (within 4e-15 relative of a
-    30-digit value for lam <= 200 and first <= 301).  Below ``floor``
-    the tails are looser upper bounds; the list ends with the bound
-    alone, at most lam * 2**-53 * floor.
+    30-digit value for lam <= 200 and first <= 301, and within 2e-14
+    for lam up to 5000).  Below ``floor`` the tails are looser upper
+    bounds; the tails list is one longer than the terms and ends with
+    the bound alone, at most lam * 2**-53 * floor.
     """
     anchor = max(first, int(lam))  # floor(lam) is a mode: terms fall from it on
     if lam < 700.0:
         # e^-lam and lam^k / k! are both in range: 2 * anchor ulps at most
         top = exp(-lam) * prod(lam / j for j in range(1, anchor + 1))
     else:
-        # log space, where e^-lam would underflow; less accurate
-        top = exp(anchor * log(lam) - lam - lgamma(anchor + 1))
+        # e^-lam would underflow: Loader's saddle-point form at the mode,
+        # a few ulps, then one ratio a term up to the anchor
+        mode = int(lam)
+        top = exp(-_stirlerr(mode) - _bd0(mode, lam)) / sqrt(2.0 * pi * mode)
+        for k in range(mode + 1, anchor + 1):
+            top *= lam / k
     terms = [top]
     t = top
     for k in range(anchor, first, -1):  # Pois(k - 1) = Pois(k) * k / lam
@@ -114,17 +164,16 @@ def _poisson_tails(lam: float, first: int, floor: float) -> list[float]:
         t *= lam / k
         terms.append(t)
     r = lam / (k + 1)
-    terms.append(t * r / (1.0 - r))
-    tails = list(accumulate(reversed(terms)))
+    tails = list(accumulate(reversed(terms), initial=t * r / (1.0 - r)))
     tails.reverse()
-    return tails
+    return terms, tails
 
 
 def poisson_tail(n: float, m: int) -> float:
     """P(X > m) for X ~ Poisson(n); the series-truncation bound.
 
     Summed from the far end with a geometric bound on the terms left
-    out, so it is exact up to float rounding (see ``_poisson_tails``);
+    out, so it is exact up to float rounding (see ``_poisson_table``);
     exactly 0 at n = 0.
     """
     if not 0.0 <= n < inf:
@@ -133,52 +182,61 @@ def poisson_tail(n: float, m: int) -> float:
         raise ValueError(f"count must be >= 0, got {m}")
     if n == 0.0:
         return 0.0
-    return _poisson_tails(n, m + 1, inf)[0]
+    return _poisson_table(n, m + 1, inf)[1][0]
 
 
-def _uniformized(
-    rates: np.ndarray, start: np.ndarray, target: np.ndarray, tail_tol: float
-) -> tuple[float, float, int]:
-    """sum_n Pois(n; lam) <start P^n, target> for a chain of forward steps.
-
-    State j (last axis) moves to state j+1, cyclically, at rate
-    ``rates[..., j]``; leading axes are independent chains.  ``target``
-    weights the states, each weight in [0, 1] summed over one chain, so
-    every term is at most Pois(n; lam).  The series stops at the first N
-    whose tail P(Pois(lam) > N) is at most ``tail_tol`` and at most
-    _RELATIVE_TOL times the mass summed so far (or below _TAIL_FLOOR).
-    The tails come from one table, built for lam once per call.
-
-    Returns (mass, tail, terms): the exact value lies in
-    [mass, mass + tail], and ``terms`` = N + 1 terms were summed.
-    """
+def _max_rate(rates: np.ndarray) -> float:
     lam = float(rates.max())
     if not isfinite(lam):
         raise ValueError(f"rates must be finite, got maximum {lam}")
+    return lam
+
+
+def _uniformized(
+    step: np.ndarray, start: np.ndarray, targets: np.ndarray, lam: float, tail_tol: float
+) -> tuple[np.ndarray, list[float], int]:
+    """sum_n Pois(n; lam) start P^n targets, for the step matrix P = ``step``.
+
+    Column 0 of ``targets`` weights the states, each weight in [0, 1]
+    and the start a probability vector, so its every term is at most
+    Pois(n; lam); the other columns ride along.  The series stops at the
+    first N whose tail P(Pois(lam) > N) is at most ``tail_tol`` and at
+    most _RELATIVE_TOL times column 0's mass summed so far (or below
+    _TAIL_FLOOR).  The rows start P^n are made by doubling.
+
+    Returns (sums, tails, terms): ``terms`` = N + 1 terms were summed,
+    tails[n] = P(Pois(lam) >= n), and column 0's exact value lies in
+    [sums[0], sums[0] + tails[terms]].
+    """
     if lam == 0.0:
-        return float(np.vdot(start, target)), 0.0, 1
-    # lam - rates is exact near lam, so P keeps full relative accuracy
-    leave = rates / lam
-    stay = (lam - rates) / lam
-    v = start
-    mass = 0.0
-    n = 0
+        return start @ targets, [1.0, 0.0], 1
+    # the bound only grows with the mass, so one table, accurate down to
+    # the first term's bound, serves the whole series, and no term past
+    # the first tail below that bound is needed
+    bound = max(min(tail_tol, _RELATIVE_TOL * exp(-lam) * float(start @ targets[:, 0])),
+                _TAIL_FLOOR)
+    pmf, tails = _poisson_table(lam, 0, bound)
+    count = next(n for n, t in enumerate(tails) if n and t <= bound)
+    rows = np.empty((count, len(start)))
+    rows[0] = start
+    power, h = step, 1
     while True:
-        mass += poisson_pmf(lam, n) * float(np.vdot(v, target))
-        bound = max(min(tail_tol, _RELATIVE_TOL * mass), _TAIL_FLOOR)
-        if n == 0:
-            # the bound only grows with the mass: one table of tails,
-            # accurate down to the first bound, serves the whole series
-            tails = _poisson_tails(lam, 1, bound)
-        tail = tails[n]
-        if tail <= bound:
-            return mass, tail, n + 1
-        # v * stay plus v * leave moved one state on, cyclically
-        moved = v * leave
-        v = v * stay
-        v[..., 1:] += moved[..., :-1]
-        v[..., 0] += moved[..., -1]
-        n += 1
+        new = min(h, count - h)
+        np.matmul(rows[:new], power, out=rows[h : h + new])
+        h += new
+        if h == count:
+            break
+        power = power @ power
+    weights = np.array(pmf[:count])
+    values = rows @ targets
+    mass = np.cumsum(weights * values[:, 0])
+    stop = np.array(tails[1 : count + 1]) <= np.maximum(
+        np.minimum(tail_tol, _RELATIVE_TOL * mass), _TAIL_FLOOR
+    )
+    n = int(stop.argmax())
+    sums = weights[: n + 1] @ values[: n + 1]
+    sums[0] = mass[n]
+    return sums, tails, n + 1
 
 
 def m_click_probability(seq: Sequence[float], m: int) -> float:
@@ -197,11 +255,14 @@ def m_click_probability(seq: Sequence[float], m: int) -> float:
             raise ValueError(f"rates must be >= 0, got {r}")
     rates = np.zeros(m + 2)
     rates[: m + 1] = seq[: m + 1]
+    lam = _max_rate(rates)
     start = np.zeros(m + 2)
     start[0] = 1.0
-    target = np.zeros(m + 2)
+    target = np.zeros((m + 2, 1))
     target[m] = 1.0
-    return _uniformized(rates, start, target, _M_CLICK_TAIL_TOL)[0]
+    # state j moves on to j + 1 at rates[j]; the last state absorbs
+    step = (np.diag(lam - rates) + np.diag(rates[:-1], 1)) / lam if lam > 0.0 else None
+    return float(_uniformized(step, start, target, lam, _M_CLICK_TAIL_TOL)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +270,33 @@ def m_click_probability(seq: Sequence[float], m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _augmented_index(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the stay and move-on entries of P, P and dP sit in [[P, dP], [0, P]]."""
+    j = np.arange(M)
+    k = (j + 1) % M
+    rows = np.concatenate((j, j, j + M, j + M, j, j))
+    cols = np.concatenate((j, k, j + M, k + M, j + M, k + M))
+    return rows, cols
+
+
 @dataclass(frozen=True)
 class CyclicError:
-    """Cyclic-probing average error with its series-truncation bound.
+    """Cyclic-probing average error and its surplus derivative, with bounds.
 
     The exact error lies in [p_err - tail_bound, p_err]: the summed
     error mass is a lower bound and ``p_err`` adds the whole tail.
-    ``m_max`` is the number of uniformization terms summed.
+    ``slope`` is dP_err/dbeta summed over the same terms, and the terms
+    left out add at most ``slope_bound`` to it in absolute value (see
+    the module docstring).  ``m_max`` is the number of uniformization
+    terms summed.
     """
 
     p_err: float
     tail_bound: float
     m_max: int
+    slope: float
+    slope_bound: float
 
     def __float__(self) -> float:
         return self.p_err
@@ -231,22 +307,38 @@ def cyclic_error_probability(
 ) -> CyclicError:
     """Average error of the cyclic-probing receiver at surplus ``beta``.
 
-    Uniformizes the count-mod-M chain of all M true states at once and
-    sums the error mass (every phase but the correct one) directly, so
-    small errors keep their relative accuracy.  The series stops once
-    the Poisson tail at the maximum displaced rate is below ``tail_tol``
-    and below 1e-9 of the error mass; ``m_max`` of the result is the
-    number of terms summed.
+    Uniformizes the one M-phase chain that covers all M true states (see
+    the module docstring) and sums the error mass (every phase but 0)
+    directly, so small errors keep their relative accuracy.  The series
+    stops once the Poisson tail at the maximum displaced rate is below
+    ``tail_tol`` and below 1e-9 of the error mass; ``m_max`` of the
+    result is the number of terms summed.  The derivative in ``beta``
+    is summed over the same terms.
     """
     if not 0.0 < tail_tol <= 1e-3:
         raise ValueError(f"tail_tol must be in (0, 1e-3], got {tail_tol}")
-    table = probe_relative_rates(alphabet, beta)
+    rates = probe_relative_rates(alphabet, beta)
+    slopes = probe_relative_slopes(alphabet, beta)
     M = alphabet.M
-    k = np.arange(M)
-    rates = table[(k[:, None] - k[None, :]) % M]
-    start = np.zeros((M, M))
-    start[:, 0] = 1.0
-    target = (1.0 - np.eye(M)) / M
-    error, tail, terms = _uniformized(rates, start, target, tail_tol)
-    return CyclicError(p_err=error + tail, tail_bound=tail, m_max=terms)
-
+    lam = _max_rate(rates)
+    step = None
+    if lam > 0.0:
+        # [[P, dP], [0, P]]: P = I + Q / lam (lam - rates is exact near lam,
+        # so P keeps full relative accuracy) and dP = dQ / lam
+        step = np.zeros((2 * M, 2 * M))
+        step[_augmented_index(M)] = np.concatenate(
+            (lam - rates, rates, lam - rates, rates, -slopes, slopes)
+        ) / lam
+    start = np.zeros(2 * M)
+    start[:M] = 1.0 / M
+    targets = np.zeros((2 * M, 2))
+    targets[1:M, 0] = targets[M + 1 :, 1] = 1.0
+    (error, slope), tails, terms = _uniformized(step, start, targets, lam, tail_tol)
+    tail = float(tails[terms])
+    return CyclicError(
+        p_err=float(error) + tail,
+        tail_bound=tail,
+        m_max=terms,
+        slope=float(slope),
+        slope_bound=2.0 * float(np.abs(slopes).max()) * float(tails[terms - 1]),
+    )

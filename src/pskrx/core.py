@@ -99,6 +99,20 @@ def probe_relative_rates(alphabet: PskAlphabet, beta: float) -> np.ndarray:
     return rates
 
 
+def probe_relative_slopes(alphabet: PskAlphabet, beta: float) -> np.ndarray:
+    """d/dbeta of ``probe_relative_rates``, entry by entry.
+
+    Entry d is 2 (alpha + beta) - 2 alpha cos(2 pi d / M), with the
+    cosine at the mirror offset as there; entry 0 is exactly 2 beta.
+    """
+    a = alphabet.alpha
+    d = np.arange(alphabet.M)
+    d_mirror = np.minimum(d, alphabet.M - d)
+    slopes = 2.0 * (a + beta) - 2.0 * a * np.cos(2.0 * np.pi * d_mirror / alphabet.M)
+    slopes[0] = 2.0 * beta
+    return slopes
+
+
 def displaced_rates(alphabet: PskAlphabet, probe: int, beta: float) -> np.ndarray:
     """Mean photon numbers of all M states while probing state ``probe``.
 

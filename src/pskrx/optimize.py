@@ -2,20 +2,22 @@
 
 The receiver's free parameter is the real surplus amplitude beta by
 which the probed state overshoots the vacuum.  The optimum satisfies a
-stationarity condition d P_err / d beta = 0, but neither objective has
-a usable closed-form derivative (the Monte Carlo one is noisy), so both
-searches are derivative-free:
+stationarity condition d P_err / d beta = 0:
 
-* the analytic cyclic objective is scanned on a coarse grid, then
-  refined with bounded Brent minimization; the stationarity condition
-  is checked a posteriori by a central finite difference;
-* the Monte Carlo objective is evaluated on a caller-visible grid with
-  common random numbers (one master seed shared by every candidate, so
-  the comparison noise is strongly correlated) in one engine pass: the
-  whole grid is a single :func:`~pskrx.mc.estimate_errors` call that
-  draws each trial once.  A single parabolic refinement around the grid
-  minimum follows as one more estimate; both run in the caller's
-  :class:`~pskrx.mc.WorkerPool` when given one.
+* the analytic cyclic objective has an exact derivative, summed by the
+  evaluator beside the error itself (see :mod:`pskrx.analytic`).  A
+  coarse scan finds the basin, and the stationarity condition is solved
+  in the scan cell where the derivative changes sign, by safeguarded
+  secant steps; the reported stationarity gap is the exact |dP/dbeta|
+  at the optimum;
+* the Monte Carlo objective is noisy and has no usable derivative.  It
+  is evaluated on a caller-visible grid with common random numbers (one
+  master seed shared by every candidate, so the comparison noise is
+  strongly correlated) in one engine pass: the whole grid is a single
+  :func:`~pskrx.mc.estimate_errors` call that draws each trial once.  A
+  single parabolic refinement around the grid minimum follows as one
+  more estimate; both run in the caller's :class:`~pskrx.mc.WorkerPool`
+  when given one.
 
 beta is parameterized by amplitude internally; results carry the
 photon-number form beta^2 as well, since experimental conventions use
@@ -29,13 +31,14 @@ from math import sqrt
 
 import numpy as np
 
-from .analytic import cyclic_error_probability
+from .analytic import CyclicError, cyclic_error_probability
 from .core import PskAlphabet
 from .errors import PrecisionError
 from .mc import ImperfectionModel, WorkerPool, estimate_error, estimate_errors
 
 _MAX_BRACKET_HI = 8.0
 _SCAN_POINTS = 9
+_MAX_ROOT_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -63,72 +66,105 @@ def optimize_beta_analytic(
     bracket: tuple[float, float] = (0.0, 2.0),
     tol: float = 1e-6,
     tail_tol: float = 1e-9,
-    grad_tol: float = 1e-6,
 ) -> OptimizationResult:
     """Minimize the analytic cyclic error probability over beta.
 
     A coarse scan locates the global basin inside the bracket (the
-    objective is not assumed unimodal), Brent refines to amplitude
-    tolerance ``tol``, and the bracket's upper edge is doubled while the
-    minimum keeps landing on it (up to a hard cap, beyond which the
-    boundary flag is set).  The count-series truncation ``tail_tol`` is
-    looser than the evaluator's default: it biases every objective value
-    by less than 1e-9, far below the scale the optimum is quoted at.
+    objective is not assumed unimodal), and the bracket's upper edge is
+    doubled while the minimum keeps landing on it (up to a hard cap,
+    beyond which the boundary flag is set).  The exact derivative then
+    picks the scan cell where dP/dbeta changes sign beside the scan
+    minimum, and ``_stationary_point`` solves dP/dbeta = 0 in it to
+    amplitude tolerance ``tol``.  The optimum sits at the bracket's low
+    edge when dP/dbeta >= 0 there.  The count-series truncation
+    ``tail_tol`` is looser than the evaluator's default: it biases every
+    objective value by less than 1e-9, far below the scale the optimum
+    is quoted at.
     """
-    from scipy import optimize as sciopt
-
     lo, hi = bracket
     if not 0.0 <= lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
-    evaluations = 0
-    cache: dict[float, float] = {}
+    cache: dict[float, CyclicError] = {}
 
-    def f(b: float) -> float:
-        nonlocal evaluations
+    def f(b: float) -> CyclicError:
         b = float(b)
         if b not in cache:
-            evaluations += 1
-            cache[b] = cyclic_error_probability(alphabet, b, tail_tol).p_err
+            cache[b] = cyclic_error_probability(alphabet, b, tail_tol)
         return cache[b]
 
     while True:
         grid = np.linspace(lo, hi, _SCAN_POINTS)
-        vals = [f(b) for b in grid]
-        i = int(np.argmin(vals))
+        scan = [f(b) for b in grid]
+        i = int(np.argmin([e.p_err for e in scan]))
         if i == _SCAN_POINTS - 1 and hi < _MAX_BRACKET_HI:
             hi = min(2.0 * hi, _MAX_BRACKET_HI)
             continue
-        sub_lo = grid[max(i - 1, 0)]
-        sub_hi = grid[min(i + 1, _SCAN_POINTS - 1)]
-        res = sciopt.minimize_scalar(
-            f, bounds=(sub_lo, sub_hi), method="bounded", options={"xatol": tol}
-        )
-        beta_opt = float(res.x)
         break
 
+    slope = scan[i].slope
+    if slope > 0.0 and i > 0:
+        cell = i - 1
+    elif slope < 0.0 and i < _SCAN_POINTS - 1:
+        cell = i
+    else:
+        cell = None  # stationary on the grid, or at an edge of the bracket
+    if cell is None:
+        beta_opt = float(grid[i])
+    elif scan[cell].slope < 0.0 < scan[cell + 1].slope:
+        beta_opt = _stationary_point(f, float(grid[cell]), float(grid[cell + 1]), tol)
+    else:
+        raise PrecisionError(
+            f"dP/dbeta keeps its sign across the scan cell next to beta={grid[i]:.6g}, "
+            "where the scan has its least error"
+        )
     at_low = beta_opt <= lo + 10 * tol
     at_high = beta_opt >= hi - 10 * tol and hi >= _MAX_BRACKET_HI
-    gap = None
-    if not (at_low or at_high):
-        # the probe must stay inside the bracket: beta_opt - h >= lo
-        h = min(max(1e-4, 4 * tol), beta_opt - lo)
-        gap = abs(f(beta_opt + h) - f(beta_opt - h)) / (2 * h)
-        if gap > grad_tol:
-            raise PrecisionError(
-                f"stationarity check failed at beta={beta_opt:.6g}: "
-                f"|dP/dbeta| = {gap:.3g} > {grad_tol:g}"
-            )
-    if at_low:
-        beta_opt = lo if f(lo) <= f(beta_opt) else beta_opt
+    if at_low and f(lo).p_err <= f(beta_opt).p_err:
+        beta_opt = lo
+    best = f(beta_opt)
     return OptimizationResult(
         beta_opt=beta_opt,
-        p_err_at_opt=f(beta_opt),
+        p_err_at_opt=best.p_err,
         objective_kind="analytic-cyclic",
-        evaluations=evaluations,
+        evaluations=len(cache),
         bracket=(lo, hi),
         at_boundary=at_low or at_high,
-        stationarity_gap=gap,
+        stationarity_gap=None if at_low or at_high else abs(best.slope),
     )
+
+
+def _stationary_point(f, a: float, b: float, tol: float) -> float:
+    """A root of f(beta).slope in [a, b], where it rises through 0.
+
+    Secant steps from the last two iterates, safeguarded as in Brent's
+    zeroin: a step that leaves the bracket, or that is not half as long
+    as the step before last, is replaced by bisection, and a step
+    shorter than tol / 2 is lengthened to tol / 2 toward the root, so
+    once the root is pinned the next step crosses it and the bracket
+    closes.  Stops when the bracket is narrower than ``tol`` and returns
+    its end with the smaller |slope|.
+    """
+    sa, sb = f(a).slope, f(b).slope
+    x0, s0, x1, s1 = (b, sb, a, sa) if -sa < sb else (a, sa, b, sb)
+    before_last = last = b - a
+    for _ in range(_MAX_ROOT_STEPS):
+        if b - a < tol:
+            return a if -sa <= sb else b
+        c = x1 - s1 * (x1 - x0) / (s1 - s0) if s1 != s0 else x1
+        if not (a < c < b and abs(c - x1) <= 0.5 * before_last):
+            c = 0.5 * (a + b)
+        elif abs(c - x1) < 0.5 * tol:
+            c = x1 - 0.5 * tol if s1 > 0.0 else x1 + 0.5 * tol
+        before_last, last = last, abs(c - x1)
+        sc = f(c).slope
+        if sc == 0.0:
+            return c
+        if sc < 0.0:
+            a, sa = c, sc
+        else:
+            b, sb = c, sc
+        x0, s0, x1, s1 = x1, s1, c, sc
+    raise PrecisionError(f"dP/dbeta = 0 not solved to {tol:g} in [{a:.9g}, {b:.9g}]")
 
 
 def default_beta_grid(

@@ -65,6 +65,18 @@ def sql_wedge_oracle(M: int, alpha_sq: float) -> float:
         return float(1 - 2 * mpmath.quad(density, [0, mpmath.pi / M]))
 
 
+def _mp_cyclic_error(M: int, alpha, beta):
+    """The cyclic-probing error of ``expm_error_oracle`` at mp amplitudes."""
+    q = mpmath.zeros(M, M)
+    for i in range(M):
+        field = alpha * mpmath.expj(2 * mpmath.pi * i / M) - (alpha + beta)
+        rate = abs(field) ** 2
+        q[i, i] -= rate
+        q[i, (i - 1) % M] += rate
+    e = mpmath.expm(q)
+    return mpmath.fsum(e[i, j] for i in range(M) for j in range(1, M)) / M
+
+
 def expm_error_oracle(M: int, alpha_sq: float, beta_sq: float) -> float:
     """Cyclic-probing error from a 50-digit matrix exponential.
 
@@ -78,14 +90,21 @@ def expm_error_oracle(M: int, alpha_sq: float, beta_sq: float) -> float:
     with mpmath.workdps(50):
         alpha = mpmath.mpf(math.sqrt(alpha_sq))
         beta = mpmath.mpf(math.sqrt(beta_sq))
-        q = mpmath.zeros(M, M)
-        for i in range(M):
-            field = alpha * mpmath.expj(2 * mpmath.pi * i / M) - (alpha + beta)
-            rate = abs(field) ** 2
-            q[i, i] -= rate
-            q[i, (i - 1) % M] += rate
-        e = mpmath.expm(q)
-        return float(mpmath.fsum(e[i, j] for i in range(M) for j in range(1, M)) / M)
+        return float(_mp_cyclic_error(M, alpha, beta))
+
+
+def expm_error_slope_oracle(M: int, alpha: float, beta: float) -> tuple[float, float]:
+    """(P_err, dP_err/dbeta) at amplitudes ``alpha`` and ``beta``, 50 digits.
+
+    The value is ``expm_error_oracle``'s; the derivative is mpmath's
+    numerical derivative of that 50-digit function, which is analytic in
+    beta (negative beta included), so beta = 0 needs no one-sided rule.
+    """
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        value = _mp_cyclic_error(M, a, mpmath.mpf(beta))
+        slope = mpmath.diff(lambda b: _mp_cyclic_error(M, a, b), mpmath.mpf(beta))
+        return float(value), float(slope)
 
 
 def quad_one_click(l0: float, l1: float) -> float:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pskrx
 from pskrx.analytic import (
-    _poisson_tails,
+    _poisson_table,
     cyclic_error_probability,
     m_click_probability,
     poisson_pmf,
@@ -21,6 +21,7 @@ from pskrx.core import PskAlphabet
 
 from conftest import (
     expm_error_oracle,
+    expm_error_slope_oracle,
     ode_count_probabilities,
     quad_one_click,
     quad_two_clicks,
@@ -64,6 +65,22 @@ class TestPoissonTail:
                 else:
                     assert abs(got - exact) <= 1e-12 * exact, (lam, m)
 
+    @pytest.mark.parametrize("lam", [700.0, 1000.0, 5000.0])
+    def test_large_mean_against_incomplete_gamma(self, lam):
+        # past lam 700, where e^-lam underflows, the mode's term comes from
+        # Loader's saddle-point form: counts from far below to far above lam
+        sd = math.sqrt(lam)
+        counts = {0, 300, int(lam) - 1, int(lam), int(lam) + 1}
+        counts |= {int(lam + k * sd) for k in range(-12, 16)}
+        with mpmath.workdps(30):
+            for m in sorted(counts):
+                exact = mpmath.gammainc(m + 1, 0, lam, regularized=True)
+                got = poisson_tail(lam, m)
+                if exact < 1e-290:
+                    assert 0.0 <= got <= 1e-290
+                else:
+                    assert abs(got - exact) <= 2e-14 * exact, (lam, m)
+
     @pytest.mark.parametrize("m", [0, 1, 7])
     def test_zero_mean(self, m):
         assert poisson_tail(0.0, m) == 0.0
@@ -78,7 +95,7 @@ class TestPoissonTail:
     def test_table_down_to_its_floor(self, lam, floor):
         # the series' table: tails[n] = P(X > n), accurate wherever it is at
         # or above the floor, and ending below it
-        tails = _poisson_tails(lam, 1, floor)
+        tails = _poisson_table(lam, 1, floor)[1]
         with mpmath.workdps(30):
             for n, got in enumerate(tails):
                 exact = mpmath.gammainc(n + 1, 0, lam, regularized=True)
@@ -222,6 +239,38 @@ class TestCyclicErrorProbability:
         slack = 1e-12 * exact
         assert res.p_err - res.tail_bound - slack <= exact <= res.p_err + slack
 
+    @given(
+        M=st.integers(2, 16),
+        alpha_sq=st.floats(0.0, 8.0),
+        beta=st.floats(0.0, 1.5),
+    )
+    @example(M=16, alpha_sq=8.0, beta=1.5)  # the longest series drawn
+    @example(M=2, alpha_sq=0.0, beta=0.0)  # no rate at all
+    @example(M=4, alpha_sq=8.0, beta=0.0)  # exact nulling, a rate of zero
+    @settings(max_examples=10, deadline=None)
+    def test_value_and_slope_against_expm_oracle(self, M, alpha_sq, beta):
+        # the doubled series against the 50-digit matrix exponential and
+        # mpmath's derivative of it.  Rounding allowances: the value sums
+        # nonnegative terms only, so it keeps 1e-13 relative accuracy; the
+        # slope's terms cancel, each at most max|dn/dbeta| <= 2(2 alpha +
+        # beta) < 16 in size, over at most 2^7 doubled rows: 2^7 * 16 *
+        # 2^-53 < 1e-12 absolute
+        alphabet = PskAlphabet.from_power(M, alpha_sq)
+        res = cyclic_error_probability(alphabet, beta)
+        value, slope = expm_error_slope_oracle(M, alphabet.alpha, beta)
+        slack = 1e-13 * value
+        assert res.p_err - res.tail_bound - slack <= value <= res.p_err + slack
+        assert abs(res.slope - slope) <= res.slope_bound + 1e-12
+
+    def test_slope_bound_is_rigorous(self, qpsk_half):
+        # a loose series leaves out more of the derivative, never more
+        # than its bound says
+        alphabet, beta = qpsk_half
+        tight = cyclic_error_probability(alphabet, beta, tail_tol=1e-12)
+        loose = cyclic_error_probability(alphabet, beta, tail_tol=1e-4)
+        assert loose.m_max < tight.m_max
+        assert abs(loose.slope - tight.slope) <= loose.slope_bound + tight.slope_bound
+
     def test_small_error_keeps_relative_accuracy(self):
         # P_err ~ 1.9e-11 here: the error mass is summed, not 1 - correct
         res = cyclic_error_probability(PskAlphabet.from_power(2, 6.0), 0.0)
@@ -243,7 +292,7 @@ def test_import_does_not_load_mpmath():
 
 
 def test_import_loads_no_heavy_scipy_module():
-    # the CLI starts on numpy alone; only the optimizers' Brent loads scipy
+    # the CLI starts on numpy alone
     src = str(Path(pskrx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -255,7 +304,8 @@ def test_import_loads_no_heavy_scipy_module():
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # with scipy made unimportable, every command that does not optimize runs
+    # with scipy made unimportable, every command runs: the optimizers
+    # included, since the exact one root-solves its own derivative
     src = str(Path(pskrx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = tmp_path / "records.csv"
@@ -265,6 +315,13 @@ def test_commands_run_without_scipy(tmp_path):
         ["trace", "--alpha-sq", "0.5", "--beta-sq", "0.23", "--clicks", "0.1,0.4"],
         ["bench", "--m", "8", "--alpha-sq", "0.01,2,300"],
         ["sweep", "--alpha-sq", "0.5,1", "--beta-policy", "fixed", "--beta-sq", "0.23",
+         "--trials", "2000", "--seed", "1", "--workers", "1"],
+        ["optimize", "--alpha-sq", "0.5,1", "--objective", "analytic"],
+        ["optimize", "--alpha-sq", "0.5", "--objective", "mc", "--strategy", "bayes",
+         "--trials", "10000", "--seed", "1", "--workers", "1"],
+        ["sweep", "--alpha-sq", "0.5,1", "--beta-policy", "analytic",
+         "--trials", "2000", "--seed", "1", "--workers", "1"],
+        ["sweep", "--alpha-sq", "0.5", "--beta-policy", "mc", "--opt-trials", "10000",
          "--trials", "2000", "--seed", "1", "--workers", "1"],
     ]
     for argv in commands:

@@ -201,7 +201,7 @@ class TestSweep:
             "--seed", "25", "--workers", "1",
         )
         assert code == EXIT_OK
-        digest = "f05e4375320f9843d38688208e05899f575ca2a7dc2bc3fe5537226a22e289d0"
+        digest = "55bd727b11193378d2ac463c9c0b230f1f768475d8d880b46b49091f8097a641"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_golden_bytes_mc_policy_inefficient(self, capsys):
@@ -212,7 +212,7 @@ class TestSweep:
             "--trials", "20000", "--seed", "26", "--workers", "1",
         )
         assert code == EXIT_OK
-        digest = "103388e12e63a9b1bd49fbdc3a061fea33e0962c76c98e2012ab7e19602a7ccb"
+        digest = "ccb44d42ab0dcad4a43249de07ab0fea61a92f936962bddfba633f5c5aba6bec"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -421,7 +421,7 @@ class TestOptimize:
         code, out, err = run_cli(capsys, "optimize", "--alpha-sq", "0.25,1", *objective)
         assert code == EXIT_OK
         assert "seed:" not in err
-        digest = "3aaf385e4f2a06460495551fbca7074b936084b98279563c610d0957a8e87bf0"
+        digest = "587c2e2b6abb63bee23f5b5b6da1489ced19d250fb0d125052ef353047ae6f3a"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         # an explicit seed is still accepted, and changes nothing
         code, seeded, _ = run_cli(capsys, "optimize", "--alpha-sq", "0.25,1", *objective,
@@ -434,7 +434,7 @@ class TestOptimize:
             capsys, "optimize", "--m", "8", "--alpha-sq", "0.5,2,4", "--objective", "analytic",
         )
         assert code == EXIT_OK
-        digest = "8ffbbd882a85b8ea0a528167af2ed5dd0dd1d7d56f2eec12d2ad49ad83b04614"
+        digest = "87225dbb043a34499a87258b3891bad6b2fcb3ce6059ca58d6389fbe370ccd75"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(

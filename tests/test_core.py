@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pskrx.core import PskAlphabet, displaced_rates, probe_relative_rates
+from pskrx.core import (
+    PskAlphabet,
+    displaced_rates,
+    probe_relative_rates,
+    probe_relative_slopes,
+)
 
 from conftest import brute_rate
 
@@ -94,3 +99,13 @@ def test_probe_relative_rates_is_the_shared_table(qpsk_half):
     table = probe_relative_rates(alphabet, beta)
     for p in range(1, 5):
         np.testing.assert_array_equal(displaced_rates(alphabet, p, beta), np.roll(table, p - 1))
+
+
+@given(M=st.integers(2, 16), alpha=st.floats(0.0, 3.0), beta=st.floats(0.01, 1.5))
+def test_probe_relative_slopes_differentiate_the_table(M, alpha, beta):
+    # the rates are quadratic in beta, so a central difference is exact
+    # up to rounding
+    a, h = PskAlphabet(M, alpha), 1e-3
+    central = (probe_relative_rates(a, beta + h) - probe_relative_rates(a, beta - h)) / (2 * h)
+    np.testing.assert_allclose(probe_relative_slopes(a, beta), central, rtol=0, atol=1e-9)
+    assert probe_relative_slopes(a, beta)[0] == 2.0 * beta

@@ -50,11 +50,34 @@ class TestAnalytic:
             assert other.beta_opt == pytest.approx(base.beta_opt, abs=1e-4)
 
     def test_optimum_near_lower_edge(self):
-        # beta_opt ~ 1.7e-5 lies within one probe step of the bracket edge;
-        # the stationarity probe must not evaluate a negative beta
+        # beta_opt ~ 1.7e-5 lies in the first scan cell, close to the edge
         res = optimize_beta_analytic(PskAlphabet.from_power(4, 8.0))
         assert 0.0 <= res.beta_opt < 1e-3
         assert res.stationarity_gap is not None and res.stationarity_gap < 1e-6
+
+    @pytest.mark.parametrize(
+        "M, alpha_sq", [(2, 0.3), (4, 1e-4), (4, 0.25), (4, 4.0), (8, 2.0), (16, 1.0)]
+    )
+    def test_interior_optimum_is_stationary(self, M, alpha_sq):
+        # the gap is the exact |dP/dbeta| where the root solve stopped
+        alphabet = PskAlphabet.from_power(M, alpha_sq)
+        res = optimize_beta_analytic(alphabet)
+        assert not res.at_boundary
+        assert res.stationarity_gap <= 1e-6
+        exact = cyclic_error_probability(alphabet, res.beta_opt, 1e-9)
+        assert res.stationarity_gap == abs(exact.slope)
+        assert res.p_err_at_opt == exact.p_err
+
+    def test_optimum_at_the_edge_is_flagged(self):
+        # at alpha^2 = 10 dP/dbeta vanishes within 10 tol of beta = 0
+        res = optimize_beta_analytic(PskAlphabet.from_power(4, 10.0))
+        assert res.at_boundary and res.beta_opt < 1e-5
+        assert res.stationarity_gap is None
+
+    def test_root_solve_evaluations(self):
+        # the 9-point scan plus a few root-solve steps, not ~20 of Brent's
+        res = optimize_beta_analytic(PskAlphabet.from_power(4, 1.0))
+        assert 9 < res.evaluations <= 16
 
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
