@@ -76,7 +76,9 @@ def optimize_beta_analytic(
     picks the scan cell where dP/dbeta changes sign beside the scan
     minimum, and ``_stationary_point`` solves dP/dbeta = 0 in it to
     amplitude tolerance ``tol``.  The optimum sits at the bracket's low
-    edge when dP/dbeta >= 0 there.  The count-series truncation
+    edge when dP/dbeta >= 0 there; a root within 10 tol of the edge is
+    flagged as a boundary optimum too, and gives way to the edge if the
+    edge's error is no larger.  The count-series truncation
     ``tail_tol`` is looser than the evaluator's default: it biases every
     objective value by less than 1e-9, far below the scale the optimum
     is quoted at.

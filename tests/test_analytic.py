@@ -252,9 +252,9 @@ class TestCyclicErrorProbability:
         # the doubled series against the 50-digit matrix exponential and
         # mpmath's derivative of it.  Rounding allowances: the value sums
         # nonnegative terms only, so it keeps 1e-13 relative accuracy; the
-        # slope's terms cancel, each at most max|dn/dbeta| <= 2(2 alpha +
-        # beta) < 16 in size, over at most 2^7 doubled rows: 2^7 * 16 *
-        # 2^-53 < 1e-12 absolute
+        # slope's terms cancel, and their sizes add up to at most
+        # c = 2 max|dn/dbeta| < 32 (the sum that bounds its tail), so a
+        # few hundred ulps of c stay below 1e-12 absolute
         alphabet = PskAlphabet.from_power(M, alpha_sq)
         res = cyclic_error_probability(alphabet, beta)
         value, slope = expm_error_slope_oracle(M, alphabet.alpha, beta)
