@@ -108,6 +108,42 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace_rows(4, 0.5, 0.23, [1.5])
 
+    @pytest.mark.parametrize(
+        "m, alpha_sq, beta_sq, clicks, digest",
+        [
+            # the reference record
+            ("4", "0.5", "0.23", "0.15,0.35,0.54,0.71",
+             "e4428749fb852966a6358026eb29f5303a46a2f40bf24eaeeb5d848fdcab762f"),
+            # nulling: the second click is impossible under the one state still held
+            ("2", "0.5", "0", "0.3,0.6",
+             "839bded991ffe696a837fe7327e28a715d2af8a7d9cfbaddd1b48af8e1907a62"),
+            # mirror ties, and the normaliser's eight-accumulator order
+            ("8", "2", "0.1", "0.1,0.2,0.45,0.9",
+             "719cf6f0dbe2b2fe0bc77888e688420034231a5044a3c3235268a8df3e39a85c"),
+            ("16", "3", "0", "0.05,0.2,0.3,0.6,0.61,0.9",
+             "8cc87d856be616db4f9e1bd26c9c10d360202e6745d844e84b426e83548a1334"),
+            ("4", "0.5", "0.23", "",
+             "7982f59418f08bbeac90e5a11cd94445e1da80c40f42a9e156c5be2c7b015158"),
+        ],
+    )
+    def test_golden_bytes(self, capsys, m, alpha_sq, beta_sq, clicks, digest):
+        code, out, _ = run_cli(
+            capsys, "trace", "--m", m, "--alpha-sq", alpha_sq, "--beta-sq", beta_sq,
+            "--clicks", clicks,
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_underflow_refused(self, capsys):
+        # a click on the nulled state of a bright signal: its likelihood
+        # e^{-4000 t} under the other state underflows, and so does the total
+        code, out, err = run_cli(
+            capsys, "trace", "--m", "2", "--alpha-sq", "1000", "--beta-sq", "0", "--clicks", "0.5"
+        )
+        assert code == EXIT_PRECISION
+        assert "precision error" in err
+        assert "nan" not in out.lower()
+
 
 class TestSweep:
     def test_columns_and_determinism(self, tmp_path, capsys):
