@@ -6,8 +6,9 @@ mixing function.  Two properties follow directly:
 
 * a trial's randomness never depends on how trials are batched or
   scheduled, so estimates are bit-identical for any worker count;
-* the same draw can be reproduced in a scalar code path and in a
-  vectorized one without sharing generator state.
+* the same draw can be reproduced one trial at a time (the test
+  suite's scalar reference, ``tests/scalar_reference.py``) and in a
+  vectorized block without sharing generator state.
 
 The mixer is the SplitMix64 finalizer applied as a hash combine over the
 three words.  The combine comes in two parts: :func:`trial_keys` mixes
@@ -118,33 +119,3 @@ def box_muller(u1, u2, out=None):
     z1 *= u2
     return z1, z2
 
-
-class TrialStream:
-    """Per-trial random stream addressed by (master seed, trial index).
-
-    Draws the slots of :func:`counter_uniform` with the layout documented
-    in the module docstring, from the trial's key hashed once.  Wait
-    draws are indexed by an internal cursor so a scalar simulation
-    consumes exactly the slots the vectorized engine would.
-    """
-
-    def __init__(self, master_seed: int, trial_index: int):
-        self.master_seed = int(master_seed)
-        self.trial_index = int(trial_index)
-        self._key = trial_keys(self.master_seed, self.trial_index)
-        self._next_wait = 0
-
-    def _uniform(self, slot: int) -> float:
-        return float(slot_uniform(self._key, slot))
-
-    def true_state_uniform(self) -> float:
-        return self._uniform(0)
-
-    def offset_normals(self) -> tuple[float, float]:
-        z1, z2 = box_muller(self._uniform(1), self._uniform(2))
-        return float(z1), float(z2)
-
-    def wait_uniform(self) -> float:
-        u = self._uniform(3 + self._next_wait)
-        self._next_wait += 1
-        return u

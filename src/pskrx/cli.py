@@ -44,16 +44,20 @@ from math import sqrt
 import numpy as np
 
 from . import bench as bench_mod
-from .core import PskAlphabet, displaced_rates
+from .core import PskAlphabet, probe_relative_rates
 from .errors import PrecisionError
-from .mc import ImperfectionModel, TrialRecords, WorkerPool, estimate_error, simulate_outcomes
-from .optimize import optimize_beta_analytic, optimize_beta_mc
-from .strategy import (
-    bayes_click_update,
-    bayes_silence_update,
-    initial_posterior,
-    select_probe,
+from .mc import (
+    ImperfectionModel,
+    TrialRecords,
+    WorkerPool,
+    Workspace,
+    click_update,
+    estimate_error,
+    final_update,
+    phase_steps,
+    simulate_outcomes,
 )
+from .optimize import optimize_beta_analytic, optimize_beta_mc
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -360,31 +364,40 @@ def trace_rows(M: int, alpha_sq: float, beta_sq: float, clicks: list[float]) -> 
     """Posterior after each click and at t = 1 for an ideal receiver.
 
     Each row carries the probe active on the interval *starting* at the
-    row's time; the receiver always begins by probing state 1.
+    row's time; the receiver always begins by probing state 1.  The
+    posterior is one column of the trial engine's, updated by the
+    engine's own functions.
     """
     if any(not 0.0 < t < 1.0 for t in clicks):
         raise ValueError(f"click times must lie strictly inside (0, 1): {clicks}")
     if any(later <= earlier for earlier, later in zip(clicks, clicks[1:])):
         raise ValueError(f"click times must be strictly increasing: {clicks}")
-    alphabet = PskAlphabet.from_power(M, alpha_sq)
-    beta = sqrt(beta_sq)
-    ps = initial_posterior(M)
+    steps = phase_steps(M)
+    rate_table = probe_relative_rates(PskAlphabet.from_power(M, alpha_sq), sqrt(beta_sq))[steps]
+    ws = Workspace()
+    w = np.full((M, 1), 1.0 / M)
+    probe = np.zeros(1, dtype=np.int64)
+    last = 0.0
     rows = []
 
-    def _row(t: float, state) -> dict:
-        row = {"t": t, "probe": state.probe}
+    def _row(t: float, probs: np.ndarray, map_state: np.ndarray) -> dict:
+        if not np.isfinite(probs).all():
+            raise PrecisionError(f"the posterior underflows at t={t} under every hypothesis")
+        row = {"t": t, "probe": int(probe[0]) + 1}
         for k in range(M):
-            row[f"p{k + 1}"] = float(state.probs[k])
-        row["map_state"] = select_probe(state.probs, state.probe)
+            row[f"p{k + 1}"] = float(probs[k, 0])
+        row["map_state"] = int(map_state[0]) + 1
         return row
 
     for t in clicks:
-        rates = displaced_rates(alphabet, ps.probe, beta)
-        ps = bayes_click_update(ps, t, rates)
-        rows.append(_row(t, ps))
-    rates = displaced_rates(alphabet, ps.probe, beta)
-    final = bayes_silence_update(ps, 1.0, rates)
-    rows.append(_row(1.0, final))
+        lag = np.array([last - t])
+        w = click_update(w, rate_table[:, probe], np.empty((M, 1)), lag, probe, steps, ws, 1)
+        # the click moved the probe to the MAP state
+        rows.append(_row(t, w, probe))
+        last = t
+    final, decision = rate_table[:, probe], probe.copy()
+    final_update(w, final, np.array([last - 1.0]), decision, steps, ws, 1)
+    rows.append(_row(1.0, final, decision))
     return rows
 
 

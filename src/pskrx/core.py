@@ -28,11 +28,11 @@ adjacent state, i.e. a *weaker* click rate for the non-probed states,
 which defeats the purpose of the surplus displacement.  beta = 0
 recovers exact nulling.
 
-Rates are computed from the probe-relative phase offset
+Rates are tabulated by the probe-relative phase offset
 d = (k - p) mod M, which makes two exact identities hold bitwise:
 
-* ``rates[probe] == beta**2`` (the d = 0 entry is special-cased), and
-* reflection symmetry ``rates[probe+j] == rates[probe-j]`` (the cosine
+* the probed state's rate (d = 0) is ``beta**2``, special-cased, and
+* reflection symmetry: offsets d and M - d share one rate (the cosine
   is evaluated at ``min(d, M-d)`` so mirror offsets share one argument).
 
 The second identity matters downstream: Bayesian probing breaks ties
@@ -111,15 +111,3 @@ def probe_relative_slopes(alphabet: PskAlphabet, beta: float) -> np.ndarray:
     slopes = 2.0 * (a + beta) - 2.0 * a * np.cos(2.0 * np.pi * d_mirror / alphabet.M)
     slopes[0] = 2.0 * beta
     return slopes
-
-
-def displaced_rates(alphabet: PskAlphabet, probe: int, beta: float) -> np.ndarray:
-    """Mean photon numbers of all M states while probing state ``probe``.
-
-    rates[k-1] = |alpha e^{i theta_k} - (alpha+beta) e^{i theta_probe}|^2.
-    """
-    if not 1 <= probe <= alphabet.M:
-        raise ValueError(f"probe index {probe} outside 1..{alphabet.M}")
-    table = probe_relative_rates(alphabet, beta)
-    return np.roll(table, probe - 1)
-

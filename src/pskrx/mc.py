@@ -14,27 +14,35 @@ A trial simulates one pulse on [0, 1]:
    are lost; the next recorded click is resume + Exp(rate));
 5. at t = 1 the strategy finalizes.
 
+Both receivers start by probing state 1 and move the displacement only
+at recorded clicks.  *Cyclic probing* rotates the probe 1 -> 2 -> ...
+-> M -> 1 on every click; its decision is the state probed when the
+pulse ends, 1 + (clicks mod M).  *Bayesian probing* tracks the
+posterior over the M hypotheses: each click reweights it by the
+inter-event likelihoods and moves the probe to the maximum-a-posteriori
+state (:func:`click_update`, :func:`map_pick`), and at t = 1 it decides
+for the MAP state after the trailing no-click survival
+(:func:`final_update`).
+
 Receiver knowledge: Bayesian updates use the *nominal* rates
 eta * n_k + dark_rate (the receiver is calibrated for its efficiency
 and dark counts) with exposure times that exclude blind windows (the
 receiver knows its own detector); the realized thermal offset is *not*
 known to the receiver, so excess noise acts purely as a channel
-impairment.  A click with zero likelihood under every hypothesis the
-receiver still holds (every state of nonzero posterior has nominal
-rate 0 -- e.g. a thermal click while nulling the last surviving
-hypothesis at beta = 0, or any click when every nominal rate is zero)
-carries no usable information and leaves the posterior and the probe
-unchanged.  A posterior that still turns non-finite (a likelihood that
-underflows under every held hypothesis) raises
-:class:`~pskrx.errors.PrecisionError`; no NaN is returned.
+impairment.  A click that no hypothesis the receiver still holds can
+explain changes nothing (see :func:`click_update`).  A posterior that
+still turns non-finite (a likelihood that underflows under every held
+hypothesis) raises :class:`~pskrx.errors.PrecisionError`; no NaN is
+returned.
 
 Randomness is addressed per trial through counter-based streams
 (see :mod:`pskrx._rng`): trial i's r-th wait is slot 3 + r of trial i
-whichever block of trials it runs in.  So the scalar
-:func:`simulate_trial` reproduces exactly the trial the vectorized
-engine runs, and :func:`estimate_errors` may cut its trials into
-blocks sized for the worker count and hand them to any worker without
-changing a bit of its result.  :func:`estimate_errors` evaluates
+whichever block of trials it runs in.  So a scalar replay of one trial
+(the test suite's reference, ``tests/scalar_reference.py``) reproduces
+exactly the trial the vectorized engine runs, and
+:func:`estimate_errors` may cut its trials into blocks sized for the
+worker count and hand them to any worker without changing a bit of its
+result.  :func:`estimate_errors` evaluates
 several surpluses in one pass: each block of trials draws its true
 states and thermal offsets once and runs every surplus on them (common
 random numbers); :func:`estimate_error` is its one-surplus case.  A
@@ -47,11 +55,14 @@ The block engine keeps the Bayesian posterior hypothesis-major: one
 still running.  With M of 2 to a few dozen, every step of the click
 loop (likelihoods, normalisation, the MAP pick with its tie-break) is
 then a few operations on whole rows of n values, not a per-trial
-operation on M values.  The normaliser adds the rows in the pairwise
-order numpy uses to sum one trial's M weights (:func:`_row_sum`).  A
-plain sum over the rows would round differently for M >= 8: the
-engine's posteriors would part from the scalar path's bits, and seeded
-outputs from the bits they had with a trial-major posterior.
+operation on M values.  Those steps are :func:`click_update`,
+:func:`final_update` and :func:`map_pick`; the ``trace`` command runs
+the same functions on one column.  The normaliser adds the rows in the
+pairwise order numpy uses to sum one trial's M weights
+(:func:`_row_sum`).  A plain sum over the rows would round differently
+for M >= 8: the engine's posteriors would part from the scalar
+reference's bits, and seeded outputs from the bits they had with a
+trial-major posterior.
 
 The rest of a running trial's state is compacted the same way and kept
 column-aligned with the posterior.  One int64 array holds each trial's
@@ -66,13 +77,13 @@ finishes, so no round writes state that a later round reads back by
 index.  The trials that never click all hold the prior at probe 0 from
 t = 0, so one column gives their decision.  Without excess noise a
 trial's true click rate is one lookup in an (M, M) table of true state
-and probe, built with the expression the scalar path evaluates; with
-it, the trial's offset field rides along as two more float rows.
+and probe, built with the expression the scalar reference evaluates;
+with it, the trial's offset field rides along as two more float rows.
 
 The engine owns its working memory.  Every array of block size (the
 state above and its spare for compaction, the rates, the click times,
 the scratch of the MAP pick and of the normaliser) is a view into a
-:class:`_Workspace` of preallocated buffers, written with ``out=``
+:class:`Workspace` of preallocated buffers, written with ``out=``
 arguments, so after a process's first block its rounds and blocks
 allocate and free no array of block size.  Without it each block gave
 its working set back to the allocator and faulted it in again: about
@@ -92,17 +103,9 @@ from math import sqrt
 
 import numpy as np
 
-from ._rng import TrialStream, box_muller, slot_uniform, trial_keys
+from ._rng import box_muller, slot_uniform, trial_keys
 from .core import PskAlphabet, probe_relative_rates
 from .errors import PrecisionError
-from .strategy import (
-    Hypothesis,
-    PosteriorState,
-    bayes_click_update,
-    bayes_finalize,
-    cyclic_finalize,
-    initial_posterior,
-)
 
 _BLOCK = 1 << 15
 # several workers get about this many blocks each, so none idles long at the end
@@ -140,6 +143,18 @@ class ImperfectionModel:
 
 
 IDEAL = ImperfectionModel()
+
+
+@dataclass(frozen=True)
+class Hypothesis:
+    """Final receiver decision: a state index 1..M and its confidence.
+
+    Confidence is the terminal posterior for Bayesian probing and 1.0
+    for cyclic probing (which tracks no posterior).
+    """
+
+    state: int
+    confidence: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -218,80 +233,16 @@ def nominal_rate_table(
     return imperfections.eta * probe_relative_rates(alphabet, beta) + imperfections.dark_rate
 
 
-def sample_thermal_offset(n_th: float, trial_rng: TrialStream) -> complex:
-    """One realized thermal amplitude offset for a pulse.
+def phase_steps(M: int) -> np.ndarray:
+    """Entry [k, p] is (k - p) mod M: the phase steps from probe p ahead to state k.
 
-    Independent zero-mean Gaussian quadratures of variance n_th/2, so the
-    offset adds n_th photons on average.
+    In the narrowest integer type that holds 2M, for the MAP pick's
+    arithmetic.  A table by phase offset indexed with it, such as
+    ``nominal_rate_table(...)[phase_steps(M)]``, gives at [k, p] the
+    entry of state k while probing p.
     """
-    if not n_th >= 0.0:
-        raise ValueError(f"thermal photon number {n_th} must be >= 0")
-    z1, z2 = trial_rng.offset_normals()
-    sigma = sqrt(n_th / 2.0)
-    return complex(sigma * z1, sigma * z2)
-
-
-def simulate_trial(
-    true_state: int,
-    alphabet: PskAlphabet,
-    beta: float,
-    strategy: str,
-    imperfections: ImperfectionModel,
-    trial_rng: TrialStream,
-) -> TrialOutcome:
-    """Simulate one pulse; the scalar reference for the block engine."""
-    _check_strategy(strategy)
-    M = alphabet.M
-    if not 1 <= true_state <= M:
-        raise ValueError(f"true state {true_state} outside 1..{M}")
-    imp = imperfections
-    amps = alphabet.amplitudes
-    recv = -(alphabet.alpha + beta) * np.exp(1j * alphabet.phases)
-    nominal = nominal_rate_table(alphabet, beta, imp)
-    eps = sample_thermal_offset(imp.n_th, trial_rng)
-
-    ps = initial_posterior(M) if strategy == "bayes" else None
-    probe = 1
-    count = 0
-    resume = 0.0
-    click_times: list[float] = []
-    probes: list[int] = [1]
-
-    while resume < 1.0:
-        f = amps[true_state - 1] + eps + recv[probe - 1]
-        # products, not scalar ** 2: libm pow may round x**2 differently
-        # from the x*x the array square computes
-        rate = imp.eta * (f.real * f.real + f.imag * f.imag) + imp.dark_rate
-        u = trial_rng.wait_uniform()
-        with np.errstate(divide="ignore", over="ignore"):
-            t = resume + -np.log(u) / rate
-        if not t < 1.0:
-            break
-        if strategy == "bayes":
-            rates = nominal[(np.arange(M) - (probe - 1)) % M]
-            ps = bayes_click_update(ps, float(t), rates)
-            probe = ps.probe
-        count += 1
-        if strategy == "cyclic":
-            probe = 1 + count % M
-        click_times.append(float(t))
-        probes.append(probe)
-        resume = min(float(t) + imp.dead_time, 1.0)
-        if strategy == "bayes":
-            ps = PosteriorState(ps.probs, ps.probe, resume, ps.click_count)
-
-    if strategy == "bayes":
-        rates = nominal[(np.arange(M) - (probe - 1)) % M]
-        hyp = bayes_finalize(ps, rates)
-    else:
-        hyp = cyclic_finalize(count, M)
-    return TrialOutcome(
-        true_state=true_state,
-        click_times=tuple(click_times),
-        probe_sequence=tuple(probes),
-        hypothesis=hyp,
-        correct=hyp.state == true_state,
-    )
+    k = np.arange(M)
+    return ((k[:, None] - k[None, :]) % M).astype(np.min_scalar_type(2 * M))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +250,7 @@ def simulate_trial(
 # ---------------------------------------------------------------------------
 
 
-class _Workspace:
+class Workspace:
     """Block-size arrays that every round, surplus and block run in it reuse.
 
     ``ws(name, size, dtype)`` hands out the first ``size`` elements of the
@@ -331,7 +282,7 @@ class _Workspace:
 
 
 # a worker process's workspace, kept for the process's life
-_process_workspace: _Workspace | None = None
+_process_workspace: Workspace | None = None
 
 
 def _row_sum(
@@ -382,6 +333,128 @@ def _row_sum(
     return out
 
 
+# ---------------------------------------------------------------------------
+# Bayesian probing on (M, m) columns: one posterior and one probe per column.
+# Each function takes its scratch from the workspace ``ws``, asked for at
+# ``n`` >= m columns, so a caller whose m shrinks asks at one size throughout.
+# ---------------------------------------------------------------------------
+
+
+def _view(buf: np.ndarray, rows: int, m: int) -> np.ndarray:
+    """The first rows * m elements of a flat buffer, as a (rows, m) array."""
+    return buf[: rows * m].reshape(rows, m)
+
+
+def _column_sums(x: np.ndarray, ws: Workspace, n: int) -> np.ndarray:
+    """Each column's sum of the (M, m) array ``x``, as :func:`_row_sum` adds it."""
+    M, m = x.shape
+    acc = _view(ws("acc", 8 * n), 8, m) if M >= 8 else None
+    return _row_sum(x, ws("total", n)[:m], acc)
+
+
+def map_pick(
+    w: np.ndarray, probe: np.ndarray, steps: np.ndarray, ws: Workspace, n: int
+) -> np.ndarray:
+    """Move each column's probe to its maximum-a-posteriori state; return that state's weight.
+
+    ``w`` holds the posteriors, ``probe`` the columns' 0-based probes,
+    moved in place, and ``steps`` is :func:`phase_steps`.  Of several
+    states that share the maximal weight (mirror-symmetric states tie
+    exactly) the pick is the one fewest phase steps ahead of the probe,
+    the smallest (k - probe) mod M: deterministic, the least feedback
+    actuation, and the probe itself wins any tie it is part of.  A column
+    holding NaN has a NaN maximum and keeps its probe.
+    """
+    M, m = w.shape
+    top = w.max(axis=0, out=ws("top", n)[:m])
+    ahead = steps.take(probe, axis=1, out=_view(ws("ahead", M * n, steps.dtype), M, m), mode="clip")
+    off = np.not_equal(w, top, out=_view(ws("off", M * n, steps.dtype), M, m))
+    off *= steps.dtype.type(M)
+    ahead += off
+    probe += ahead.min(axis=0, out=ws("ahead_min", n, steps.dtype)[:m])
+    probe %= M
+    return top
+
+
+def click_update(
+    w: np.ndarray,
+    rates: np.ndarray,
+    lik: np.ndarray,
+    lag: np.ndarray,
+    probe: np.ndarray,
+    steps: np.ndarray,
+    ws: Workspace,
+    n: int,
+) -> np.ndarray:
+    """Each column's posterior after a click, its probe moved to the new MAP state.
+
+    ``w`` holds the posteriors at the last event; ``rates`` the nominal
+    rate of each state while probing the column's probe, overwritten with
+    the posteriors after the click and returned; ``lik`` (M, m) is
+    scratch; ``lag`` is the last event's time minus the click's, the
+    exposure negated.  Each state is reweighted by its inter-event
+    likelihood n_k e^{-n_k dt} (survival since the last event times the
+    click density), then :func:`map_pick` moves the probe.
+
+    A click with zero likelihood under every state that a column still
+    holds (every state of nonzero posterior has nominal rate 0: a thermal
+    click while nulling the last surviving state at beta = 0, or any
+    click when every nominal rate is zero) carries no usable information
+    and leaves that column's posterior and probe unchanged.  A likelihood
+    that underflows under every held state leaves the column NaN, for the
+    caller to refuse.
+    """
+    lik = np.multiply(w, rates, out=lik)
+    # rates * -dt is -rates * dt to the bit: rounding is sign-symmetric
+    wn = rates
+    wn *= lag
+    np.exp(wn, out=wn)
+    wn *= lik
+    total = _column_sums(wn, ws, n)
+    if total.all():
+        held = None
+    else:
+        held = lik.any(axis=0)
+        wn[:, ~held], total[~held] = w[:, ~held], 1.0
+    with np.errstate(invalid="ignore"):
+        wn /= total
+    if held is None:
+        map_pick(wn, probe, steps, ws, n)
+    else:
+        moved = probe[held]
+        map_pick(wn[:, held], moved, steps, ws, n)
+        probe[held] = moved
+    return wn
+
+
+def final_update(
+    w: np.ndarray,
+    rates: np.ndarray,
+    lag: np.ndarray,
+    probe: np.ndarray,
+    steps: np.ndarray,
+    ws: Workspace,
+    n: int,
+) -> np.ndarray:
+    """Each column's decision at the pulse's end; return its posterior weight.
+
+    ``w`` holds the posteriors at the last event; ``rates`` the nominal
+    rate of each state while probing the column's probe, overwritten with
+    the posteriors at t = 1; ``lag`` is the last event's time minus 1.
+    The trailing no-click survival e^{-n_k dt} reweights the states, also
+    for dt = 0 (the pulse ends in a blind window), and :func:`map_pick`
+    moves the probe to the decision; its weight is the confidence.
+    Survival that underflows under every state leaves NaN, for the caller
+    to refuse.
+    """
+    rates *= lag
+    np.exp(rates, out=rates)
+    rates *= w
+    with np.errstate(invalid="ignore"):
+        rates /= _column_sums(rates, ws, n)
+    return map_pick(rates, probe, steps, ws, n)
+
+
 def _run_block(
     alphabet: PskAlphabet,
     betas: tuple[float, ...],
@@ -391,7 +464,7 @@ def _run_block(
     lo: int,
     hi: int,
     collect: bool = False,
-    workspace: _Workspace | None = None,
+    workspace: Workspace | None = None,
 ) -> list:
     """Simulate trials [lo, hi) at every surplus in ``betas``.
 
@@ -406,7 +479,7 @@ def _run_block(
     global _process_workspace
     if workspace is None:
         if _process_workspace is None:
-            _process_workspace = _Workspace()
+            _process_workspace = Workspace()
         workspace = _process_workspace
     ws = workspace
     M = alphabet.M
@@ -448,13 +521,9 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     bayes = strategy == "bayes"
     recv = -(alphabet.alpha + beta) * np.exp(1j * alphabet.phases)
     recv_parts = np.ascontiguousarray(recv.real), np.ascontiguousarray(recv.imag)
-    # steps[k, p]: phase steps from probe p ahead to state k, in the
-    # narrowest integer type that holds 2M (the MAP pick's arithmetic);
     # rate_table[k, p]: nominal rate of state k while probing p
-    k = np.arange(M)
-    steps = ((k[:, None] - k[None, :]) % M).astype(np.min_scalar_type(2 * M))
+    steps = phase_steps(M)
     rate_table = nominal_rate_table(alphabet, beta, imp)[steps]
-    no_max = steps.dtype.type(M)
 
     # outputs, each written once, when its trial finishes
     hyp0 = ws("hyp0", n, np.int64)
@@ -501,32 +570,6 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     rate_buf, index_buf = ws("rate", n), ws("index", n, np.int64)
     clicked_buf, done_buf = ws("clicked", n, bool), ws("done", n, bool)
     finished_buf, exposure_buf = ws("finished", 4 * n, np.int64), ws("exposure", n)
-    total_buf, acc_buf = ws("total", n), ws("acc", 8 * n) if M >= 8 else None
-    top_buf, ahead_min_buf = ws("top", n), ws("ahead_min", n, steps.dtype)
-    ahead_buf, off_buf = ws("ahead", M * n, steps.dtype), ws("off", M * n, steps.dtype)
-
-    def view(buf, rows, m):
-        return buf[: rows * m].reshape(rows, m)
-
-    def row_sum(x):
-        m = x.shape[1]
-        return _row_sum(x, total_buf[:m], None if acc_buf is None else view(acc_buf, 8, m))
-
-    def pick(wt, probe):
-        """Move each column's ``probe`` to the MAP state of ``wt``; return its weight.
-
-        Of several maxima the pick is the one fewest phase steps ahead of
-        the probe.  A column holding NaN has a NaN maximum and keeps its probe.
-        """
-        m = len(probe)
-        top = wt.max(axis=0, out=top_buf[:m])
-        ahead = steps.take(probe, axis=1, out=view(ahead_buf, M, m), mode="clip")
-        off = np.not_equal(wt, top, out=view(off_buf, M, m))
-        off *= no_max
-        ahead += off
-        probe += ahead.min(axis=0, out=ahead_min_buf[:m])
-        probe %= M
-        return top
 
     def shrink(running, alike):
         """Finish the trials whose column of ``running`` is False; keep the rest.
@@ -537,7 +580,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
         """
         nonlocal ints, reals, w
         cols = np.flatnonzero(np.logical_not(running, out=done_buf[: len(running)]))
-        finished = view(finished_buf, 4, len(cols))
+        finished = _view(finished_buf, 4, len(cols))
         trial, _, probe, clicks = ints[:4].take(cols, axis=1, out=finished, mode="clip")
         if collect:
             count[trial] = clicks
@@ -545,25 +588,22 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
             rep = cols[:1] if alike else cols
             r = len(rep)
             probe = probe[:r]
-            wf = rate_table.take(probe, axis=1, out=view(w_trio[1], M, r), mode="clip")
-            exposure = reals[0].take(rep, out=exposure_buf[:r], mode="clip")
-            exposure -= 1.0
-            wf *= exposure
-            np.exp(wf, out=wf)
-            wf *= w.take(rep, axis=1, out=view(w_trio[2], M, r), mode="clip")
-            wf /= row_sum(wf)
-            conf[trial] = pick(wf, probe)
-        # the decision is the probe: the MAP state that pick moved it to,
-        # or for cyclic probing the click count mod M
+            rates = rate_table.take(probe, axis=1, out=_view(w_trio[1], M, r), mode="clip")
+            lag = reals[0].take(rep, out=exposure_buf[:r], mode="clip")
+            lag -= 1.0
+            wt = w.take(rep, axis=1, out=_view(w_trio[2], M, r), mode="clip")
+            conf[trial] = final_update(wt, rates, lag, probe, steps, ws, n)
+        # the decision is the probe: the MAP state that final_update moved
+        # it to, or for cyclic probing the click count mod M
         hyp0[trial] = probe
         keep = np.flatnonzero(running)
         m = len(keep)
-        ints = ints.take(keep, axis=1, out=view(ints_pair[1], ints_rows, m), mode="clip")
-        reals = reals.take(keep, axis=1, out=view(reals_pair[1], reals_rows, m), mode="clip")
+        ints = ints.take(keep, axis=1, out=_view(ints_pair[1], ints_rows, m), mode="clip")
+        reals = reals.take(keep, axis=1, out=_view(reals_pair[1], reals_rows, m), mode="clip")
         ints_pair.reverse()
         reals_pair.reverse()
         if bayes:
-            w = w.take(keep, axis=1, out=view(w_trio[1], M, m), mode="clip")
+            w = w.take(keep, axis=1, out=_view(w_trio[1], M, m), mode="clip")
             w_trio[:2] = w_trio[1], w_trio[0]
         return keep
 
@@ -604,31 +644,9 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
 
         probe, resume = ints[2], reals[0]
         if bayes:
-            rates = rate_table.take(probe, axis=1, out=view(w_trio[1], M, m), mode="clip")
-            lik = np.multiply(w, rates, out=view(w_trio[2], M, m))
-            # rates * -dt is -rates * dt to the bit: rounding is sign-symmetric
-            wn = rates
-            wn *= np.subtract(resume, t_click, out=rate_buf[:m])
-            np.exp(wn, out=wn)
-            wn *= lik
-            total = row_sum(wn)
-            if total.all():
-                held = None
-            else:
-                # a click impossible under every hypothesis still
-                # held leaves the posterior and the probe unchanged
-                held = lik.any(axis=0)
-                wn[:, ~held], total[~held] = w[:, ~held], 1.0
-            # a total that underflowed to 0 leaves NaN, refused below
-            with np.errstate(invalid="ignore"):
-                wn /= total
-            if held is None:
-                pick(wn, probe)
-            else:
-                moved = probe[held]
-                pick(wn[:, held], moved)
-                probe[held] = moved
-            w = wn
+            rates = rate_table.take(probe, axis=1, out=_view(w_trio[1], M, m), mode="clip")
+            lag = np.subtract(resume, t_click, out=rate_buf[:m])
+            w = click_update(w, rates, _view(w_trio[2], M, m), lag, probe, steps, ws, n)
             w_trio[:2] = w_trio[1], w_trio[0]
         ints[3] += 1
         if not bayes:
@@ -666,7 +684,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     return n_err, payload
 
 
-def _block_errors(job, workspace: _Workspace | None = None) -> list[int]:
+def _block_errors(job, workspace: Workspace | None = None) -> list[int]:
     return [n_err for n_err, _ in _run_block(*job, workspace=workspace)]
 
 
@@ -713,7 +731,7 @@ class WorkerPool:
         one workspace, dropped when the call returns.
         """
         if self.workers < 2 or len(jobs) < 2:
-            workspace = _Workspace()
+            workspace = Workspace()
             return [fn(job, workspace) for job in jobs]
         if self._executor is None:
             # the module attribute, so a tracer or test that replaces it sees every start
@@ -803,7 +821,7 @@ def simulate_outcomes(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     imp = imperfections if imperfections is not None else IDEAL
-    workspace = _Workspace()
+    workspace = Workspace()
     blocks = []
     for lo in range(0, trials, _BLOCK):
         hi = min(lo + _BLOCK, trials)

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pskrx.core import (
-    PskAlphabet,
-    displaced_rates,
-    probe_relative_rates,
-    probe_relative_slopes,
-)
+from pskrx.core import PskAlphabet, probe_relative_rates, probe_relative_slopes
+from pskrx.mc import phase_steps
 
 from conftest import brute_rate
+from scalar_reference import displaced_rates
 
 
 class TestPskAlphabet:
@@ -38,32 +35,28 @@ class TestPskAlphabet:
 
 
 class TestDisplacedRates:
+    # the probe-relative table: entry d is the rate of the state d phase
+    # steps ahead of the probed one
     def test_qpsk_reference_point(self, qpsk_half):
         # probed state overshoots to beta^2; neighbors (alpha+beta)^2+alpha^2;
         # opposite (2 alpha + beta)^2
         alphabet, beta = qpsk_half
-        rates = displaced_rates(alphabet, 1, beta)
+        rates = probe_relative_rates(alphabet, beta)
         np.testing.assert_allclose(rates, [0.23, 1.9082, 3.5865, 1.9082], atol=5e-5)
         oracle = [brute_rate(4, alphabet.alpha, beta, 1, k) for k in (1, 2, 3, 4)]
         np.testing.assert_allclose(rates, oracle, atol=1e-12)
 
     def test_zero_amplitude(self):
-        rates = displaced_rates(PskAlphabet(6, 0.0), 3, 0.7)
+        rates = probe_relative_rates(PskAlphabet(6, 0.0), 0.7)
         np.testing.assert_allclose(rates, 0.49, rtol=0, atol=1e-15)
 
     def test_exact_nulling(self):
-        rates = displaced_rates(PskAlphabet.from_power(4, 0.5), 1, 0.0)
+        rates = probe_relative_rates(PskAlphabet.from_power(4, 0.5), 0.0)
         np.testing.assert_allclose(rates, [0.0, 1.0, 2.0, 1.0], atol=1e-12)
-
-    def test_probe_out_of_range(self):
-        a = PskAlphabet(4, 1.0)
-        for probe in (0, 5, -1):
-            with pytest.raises(ValueError):
-                displaced_rates(a, probe, 0.1)
 
     def test_negative_beta(self):
         with pytest.raises(ValueError):
-            displaced_rates(PskAlphabet(4, 1.0), 1, -0.2)
+            probe_relative_rates(PskAlphabet(4, 1.0), -0.2)
 
     @given(
         M=st.integers(2, 12),
@@ -73,32 +66,33 @@ class TestDisplacedRates:
     )
     def test_properties(self, M, alpha, beta, probe):
         p = probe.draw(st.integers(1, M))
-        a = PskAlphabet(M, alpha)
-        rates = displaced_rates(a, p, beta)
+        rates = probe_relative_rates(PskAlphabet(M, alpha), beta)
         # probed state lands exactly at beta^2
-        assert rates[p - 1] == beta * beta
+        assert rates[0] == beta * beta
         # mirror symmetry around the probe is bitwise
         for j in range(1, M):
-            assert rates[(p - 1 + j) % M] == rates[(p - 1 - j) % M]
-        # rotation invariance: only the offset to the probe matters
-        base = displaced_rates(a, 1, beta)
-        for k in range(M):
-            assert rates[(p - 1 + k) % M] == pytest.approx(base[k], abs=1e-12)
+            assert rates[j] == rates[M - j]
+        # only the offset to the probe matters: any probe p reads the table
+        # at (k - p) mod M
+        for k in range(1, M + 1):
+            assert rates[(k - p) % M] == pytest.approx(brute_rate(M, alpha, beta, p, k), abs=1e-9)
         # the farthest state bounds every rate
         assert rates.max() <= (2 * alpha + beta) ** 2 + 1e-9
 
     @pytest.mark.parametrize("M", [2, 4, 6, 8])
     def test_opposite_state_for_even_m(self, M):
         alpha, beta = 0.9, 0.4
-        rates = displaced_rates(PskAlphabet(M, alpha), 1, beta)
+        rates = probe_relative_rates(PskAlphabet(M, alpha), beta)
         assert rates[M // 2] == pytest.approx((2 * alpha + beta) ** 2, rel=1e-13)
 
 
 def test_probe_relative_rates_is_the_shared_table(qpsk_half):
+    # the engine reads the table through phase_steps, the scalar reference
+    # rolls it to the probe: the same rates, bit for bit
     alphabet, beta = qpsk_half
-    table = probe_relative_rates(alphabet, beta)
+    by_probe = probe_relative_rates(alphabet, beta)[phase_steps(4)]
     for p in range(1, 5):
-        np.testing.assert_array_equal(displaced_rates(alphabet, p, beta), np.roll(table, p - 1))
+        np.testing.assert_array_equal(by_probe[:, p - 1], displaced_rates(alphabet, p, beta))
 
 
 @given(M=st.integers(2, 16), alpha=st.floats(0.0, 3.0), beta=st.floats(0.01, 1.5))
@@ -109,3 +103,13 @@ def test_probe_relative_slopes_differentiate_the_table(M, alpha, beta):
     central = (probe_relative_rates(a, beta + h) - probe_relative_rates(a, beta - h)) / (2 * h)
     np.testing.assert_allclose(probe_relative_slopes(a, beta), central, rtol=0, atol=1e-9)
     assert probe_relative_slopes(a, beta)[0] == 2.0 * beta
+
+
+def test_every_export_resolves():
+    import pskrx
+
+    for name in pskrx.__all__:
+        assert hasattr(pskrx, name), name
+    namespace = {}
+    exec("from pskrx import *", namespace)
+    assert set(pskrx.__all__) <= set(namespace)

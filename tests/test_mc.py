@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from pskrx._rng import TrialStream, box_muller, counter_uniform, slot_uniform, trial_keys
+from pskrx._rng import box_muller, counter_uniform, slot_uniform, trial_keys
 from pskrx.analytic import cyclic_error_probability, poisson_pmf
 from pskrx.core import PskAlphabet
 from pskrx.errors import PrecisionError
@@ -17,15 +17,24 @@ from pskrx.mc import (
     ImperfectionModel,
     TrialRecords,
     WorkerPool,
-    _Workspace,
+    Workspace,
     _row_sum,
     _run_block,
     _trial_blocks,
     estimate_error,
     estimate_errors,
     nominal_rate_table,
-    sample_thermal_offset,
     simulate_outcomes,
+)
+
+from scalar_reference import (
+    PosteriorState,
+    TrialStream,
+    bayes_click_update,
+    bayes_silence_update,
+    cyclic_finalize,
+    initial_posterior,
+    sample_thermal_offset,
     simulate_trial,
 )
 
@@ -94,8 +103,6 @@ class TestSimulateTrial:
         assert out.correct
 
     def test_cyclic_hypothesis_is_the_count(self):
-        from pskrx.strategy import cyclic_finalize
-
         for i in range(200):
             out = simulate_trial(2, QPSK_HALF, BETA, "cyclic", IDEAL, TrialStream(17, i))
             assert out.hypothesis == cyclic_finalize(len(out.click_times), 4)
@@ -312,7 +319,7 @@ class TestWorkspace:
     def test_blocks_share_the_buffers(self):
         # a block of the size run before, then a smaller one, run in the
         # buffers the first block left: none is added, grown or replaced
-        ws = _Workspace()
+        ws = Workspace()
         alphabet = PskAlphabet.from_power(8, 2.0)
         imp = ImperfectionModel(eta=0.8, n_th=0.1, dead_time=0.02, dark_rate=0.01)
 
@@ -431,8 +438,6 @@ class TestZeroLikelihoodClick:
 
     def test_posterior_and_probe_unchanged(self):
         # one hypothesis left, probed at rate 0: the click changes nothing
-        from pskrx.strategy import PosteriorState, bayes_click_update
-
         ps = PosteriorState(np.array([0.0, 1.0, 0.0, 0.0]), probe=2, last_event_time=0.2)
         out = bayes_click_update(ps, 0.5, np.array([2.0, 0.0, 2.0, 8.0]))
         assert (out.probs == ps.probs).all()
@@ -444,8 +449,6 @@ class TestZeroLikelihoodClick:
         # bright nulling receiver: a late thermal click on the probed state
         # has likelihood e^{-4000 t} under the other hypothesis, which
         # underflows; both paths refuse rather than emitting NaN
-        from pskrx.strategy import bayes_click_update, bayes_silence_update, initial_posterior
-
         alphabet = PskAlphabet.from_power(2, 1000.0)
         with pytest.raises(PrecisionError):
             estimate_error(alphabet, 0.0, "bayes", ImperfectionModel(n_th=1.0), 2000, 1)

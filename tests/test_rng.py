@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pskrx._rng import TrialStream, box_muller, counter_uniform
+from pskrx._rng import box_muller, counter_uniform
+
+from scalar_reference import TrialStream
 
 
 class TestCounterUniform:

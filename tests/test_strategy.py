@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pskrx.core import PskAlphabet, displaced_rates
-from pskrx.strategy import (
-    Hypothesis,
+from pskrx.core import PskAlphabet
+from pskrx.mc import Hypothesis, Workspace, map_pick, phase_steps
+
+from scalar_reference import (
     PosteriorState,
     bayes_click_update,
     bayes_finalize,
     bayes_silence_update,
     cyclic_finalize,
+    displaced_rates,
     initial_posterior,
     select_probe,
 )
@@ -63,6 +65,21 @@ class TestSelectProbe:
         assert select_probe(probs, 3) == 4  # step 1 beats step 3
         assert select_probe(probs, 1) == 2
         assert select_probe(probs, 4) == 4  # current probe wins its own tie
+
+    @given(
+        M=st.integers(2, 16),
+        levels=st.lists(st.integers(0, 3), min_size=16 * 9, max_size=16 * 9),
+        probes=st.lists(st.integers(0, 15), min_size=9, max_size=9),
+    )
+    def test_engine_pick_on_columns(self, M, levels, probes):
+        # the engine's pick on (M, m) columns agrees with the scalar one
+        # column by column; few weight levels make ties common
+        w = np.array(levels[: M * 9], dtype=float).reshape(M, 9)
+        probe = np.array(probes, dtype=np.int64) % M
+        expected = [select_probe(w[:, j], int(probe[j]) + 1) for j in range(9)]
+        top = map_pick(w, probe, phase_steps(M), Workspace(), 9)
+        assert (probe + 1).tolist() == expected
+        assert top.tolist() == w.max(axis=0).tolist()
 
 
 class TestBayesUpdates:
