@@ -134,12 +134,18 @@ class TestTrace:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_underflow_refused(self, capsys):
-        # a click on the nulled state of a bright signal: its likelihood
-        # e^{-4000 t} under the other state underflows, and so does the total
-        code, out, err = run_cli(
-            capsys, "trace", "--m", "2", "--alpha-sq", "1000", "--beta-sq", "0", "--clicks", "0.5"
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a click on the nulled state of a bright signal: its likelihood
+            # e^{-4000 t} under the other state underflows, and so does the total
+            ["--m", "2", "--alpha-sq", "1000", "--beta-sq", "0", "--clicks", "0.5"],
+            # no click under rates of 1000 and more: the survival to t = 1 underflows
+            ["--m", "4", "--alpha-sq", "1000", "--beta-sq", "1000", "--clicks", ""],
+        ],
+    )
+    def test_underflow_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "trace", *argv)
         assert code == EXIT_PRECISION
         assert "precision error" in err
         assert "nan" not in out.lower()
