@@ -48,13 +48,13 @@ from .core import PskAlphabet, probe_relative_rates
 from .errors import PrecisionError
 from .mc import (
     ImperfectionModel,
+    PosteriorScratch,
     TrialRecords,
     WorkerPool,
     Workspace,
     click_update,
     estimate_error,
     final_update,
-    phase_steps,
     simulate_outcomes,
 )
 from .optimize import optimize_beta_analytic, optimize_beta_mc
@@ -372,9 +372,9 @@ def trace_rows(M: int, alpha_sq: float, beta_sq: float, clicks: list[float]) -> 
         raise ValueError(f"click times must lie strictly inside (0, 1): {clicks}")
     if any(later <= earlier for earlier, later in zip(clicks, clicks[1:])):
         raise ValueError(f"click times must be strictly increasing: {clicks}")
-    steps = phase_steps(M)
-    rate_table = probe_relative_rates(PskAlphabet.from_power(M, alpha_sq), sqrt(beta_sq))[steps]
-    ws = Workspace()
+    alphabet = PskAlphabet.from_power(M, alpha_sq)
+    scratch = PosteriorScratch(Workspace(), M, 1)
+    rate_table = probe_relative_rates(alphabet, sqrt(beta_sq))[scratch.steps]
     w = np.full((M, 1), 1.0 / M)
     probe = np.zeros(1, dtype=np.int64)
     last = 0.0
@@ -391,12 +391,12 @@ def trace_rows(M: int, alpha_sq: float, beta_sq: float, clicks: list[float]) -> 
 
     for t in clicks:
         lag = np.array([last - t])
-        w = click_update(w, rate_table[:, probe], np.empty((M, 1)), lag, probe, steps, ws, 1)
+        w = click_update(w, rate_table[:, probe], np.empty((M, 1)), lag, probe, scratch)
         # the click moved the probe to the MAP state
         rows.append(_row(t, w, probe))
         last = t
     final, decision = rate_table[:, probe], probe.copy()
-    final_update(w, final, np.array([last - 1.0]), decision, steps, ws, 1)
+    final_update(w, final, np.array([last - 1.0]), decision, scratch)
     rows.append(_row(1.0, final, decision))
     return rows
 

@@ -334,9 +334,7 @@ def _row_sum(
 
 
 # ---------------------------------------------------------------------------
-# Bayesian probing on (M, m) columns: one posterior and one probe per column.
-# Each function takes its scratch from the workspace ``ws``, asked for at
-# ``n`` >= m columns, so a caller whose m shrinks asks at one size throughout.
+# Bayesian probing on (M, m) columns: one posterior and one probe per column
 # ---------------------------------------------------------------------------
 
 
@@ -345,33 +343,48 @@ def _view(buf: np.ndarray, rows: int, m: int) -> np.ndarray:
     return buf[: rows * m].reshape(rows, m)
 
 
-def _column_sums(x: np.ndarray, ws: Workspace, n: int) -> np.ndarray:
-    """Each column's sum of the (M, m) array ``x``, as :func:`_row_sum` adds it."""
-    M, m = x.shape
-    acc = _view(ws("acc", 8 * n), 8, m) if M >= 8 else None
-    return _row_sum(x, ws("total", n)[:m], acc)
+class PosteriorScratch:
+    """Scratch of :func:`map_pick`, :func:`click_update` and :func:`final_update`.
+
+    For up to n columns of M states: the :func:`phase_steps` table and
+    flat buffers of the workspace ``ws``, asked for once at n columns.  A
+    call on m <= n columns uses their first m (or rows * m) elements, so a
+    caller whose columns shrink keeps one for all its rounds.
+    """
+
+    def __init__(self, ws: Workspace, M: int, n: int):
+        self.steps = steps = phase_steps(M)
+        # added to the steps of a state off the maximum: more than any step
+        self.no_max = steps.dtype.type(M)
+        self.top, self.total = ws("top", n), ws("total", n)
+        self.acc = ws("acc", 8 * n) if M >= 8 else None
+        self.ahead_min = ws("ahead_min", n, steps.dtype)
+        self.ahead, self.off = ws("ahead", M * n, steps.dtype), ws("off", M * n, steps.dtype)
+
+    def column_sums(self, x: np.ndarray) -> np.ndarray:
+        """Each column's sum of the (M, m) array ``x``, as :func:`_row_sum` adds it."""
+        m = x.shape[1]
+        return _row_sum(x, self.total[:m], None if self.acc is None else _view(self.acc, 8, m))
 
 
-def map_pick(
-    w: np.ndarray, probe: np.ndarray, steps: np.ndarray, ws: Workspace, n: int
-) -> np.ndarray:
+def map_pick(w: np.ndarray, probe: np.ndarray, scratch: PosteriorScratch) -> np.ndarray:
     """Move each column's probe to its maximum-a-posteriori state; return that state's weight.
 
-    ``w`` holds the posteriors, ``probe`` the columns' 0-based probes,
-    moved in place, and ``steps`` is :func:`phase_steps`.  Of several
-    states that share the maximal weight (mirror-symmetric states tie
-    exactly) the pick is the one fewest phase steps ahead of the probe,
-    the smallest (k - probe) mod M: deterministic, the least feedback
-    actuation, and the probe itself wins any tie it is part of.  A column
-    holding NaN has a NaN maximum and keeps its probe.
+    ``w`` holds the posteriors and ``probe`` the columns' 0-based probes,
+    moved in place.  Of several states that share the maximal weight
+    (mirror-symmetric states tie exactly) the pick is the one fewest
+    phase steps ahead of the probe, the smallest (k - probe) mod M:
+    deterministic, the least feedback actuation, and the probe itself
+    wins any tie it is part of.  A column holding NaN has a NaN maximum
+    and keeps its probe.
     """
     M, m = w.shape
-    top = w.max(axis=0, out=ws("top", n)[:m])
-    ahead = steps.take(probe, axis=1, out=_view(ws("ahead", M * n, steps.dtype), M, m), mode="clip")
-    off = np.not_equal(w, top, out=_view(ws("off", M * n, steps.dtype), M, m))
-    off *= steps.dtype.type(M)
+    top = w.max(axis=0, out=scratch.top[:m])
+    ahead = scratch.steps.take(probe, axis=1, out=_view(scratch.ahead, M, m), mode="clip")
+    off = np.not_equal(w, top, out=_view(scratch.off, M, m))
+    off *= scratch.no_max
     ahead += off
-    probe += ahead.min(axis=0, out=ws("ahead_min", n, steps.dtype)[:m])
+    probe += ahead.min(axis=0, out=scratch.ahead_min[:m])
     probe %= M
     return top
 
@@ -382,9 +395,7 @@ def click_update(
     lik: np.ndarray,
     lag: np.ndarray,
     probe: np.ndarray,
-    steps: np.ndarray,
-    ws: Workspace,
-    n: int,
+    scratch: PosteriorScratch,
 ) -> np.ndarray:
     """Each column's posterior after a click, its probe moved to the new MAP state.
 
@@ -410,7 +421,7 @@ def click_update(
     wn *= lag
     np.exp(wn, out=wn)
     wn *= lik
-    total = _column_sums(wn, ws, n)
+    total = scratch.column_sums(wn)
     if total.all():
         held = None
     else:
@@ -419,10 +430,10 @@ def click_update(
     with np.errstate(invalid="ignore"):
         wn /= total
     if held is None:
-        map_pick(wn, probe, steps, ws, n)
+        map_pick(wn, probe, scratch)
     else:
         moved = probe[held]
-        map_pick(wn[:, held], moved, steps, ws, n)
+        map_pick(wn[:, held], moved, scratch)
         probe[held] = moved
     return wn
 
@@ -432,9 +443,7 @@ def final_update(
     rates: np.ndarray,
     lag: np.ndarray,
     probe: np.ndarray,
-    steps: np.ndarray,
-    ws: Workspace,
-    n: int,
+    scratch: PosteriorScratch,
 ) -> np.ndarray:
     """Each column's decision at the pulse's end; return its posterior weight.
 
@@ -451,8 +460,8 @@ def final_update(
     np.exp(rates, out=rates)
     rates *= w
     with np.errstate(invalid="ignore"):
-        rates /= _column_sums(rates, ws, n)
-    return map_pick(rates, probe, steps, ws, n)
+        rates /= scratch.column_sums(rates)
+    return map_pick(rates, probe, scratch)
 
 
 def _run_block(
@@ -521,9 +530,9 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     bayes = strategy == "bayes"
     recv = -(alphabet.alpha + beta) * np.exp(1j * alphabet.phases)
     recv_parts = np.ascontiguousarray(recv.real), np.ascontiguousarray(recv.imag)
+    scratch = PosteriorScratch(ws, M, n)
     # rate_table[k, p]: nominal rate of state k while probing p
-    steps = phase_steps(M)
-    rate_table = nominal_rate_table(alphabet, beta, imp)[steps]
+    rate_table = nominal_rate_table(alphabet, beta, imp)[scratch.steps]
 
     # outputs, each written once, when its trial finishes
     hyp0 = ws("hyp0", n, np.int64)
@@ -592,7 +601,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
             lag = reals[0].take(rep, out=exposure_buf[:r], mode="clip")
             lag -= 1.0
             wt = w.take(rep, axis=1, out=_view(w_trio[2], M, r), mode="clip")
-            conf[trial] = final_update(wt, rates, lag, probe, steps, ws, n)
+            conf[trial] = final_update(wt, rates, lag, probe, scratch)
         # the decision is the probe: the MAP state that final_update moved
         # it to, or for cyclic probing the click count mod M
         hyp0[trial] = probe
@@ -646,7 +655,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
         if bayes:
             rates = rate_table.take(probe, axis=1, out=_view(w_trio[1], M, m), mode="clip")
             lag = np.subtract(resume, t_click, out=rate_buf[:m])
-            w = click_update(w, rates, _view(w_trio[2], M, m), lag, probe, steps, ws, n)
+            w = click_update(w, rates, _view(w_trio[2], M, m), lag, probe, scratch)
             w_trio[:2] = w_trio[1], w_trio[0]
         ints[3] += 1
         if not bayes:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pskrx.core import PskAlphabet
-from pskrx.mc import Hypothesis, Workspace, map_pick, phase_steps
+from pskrx.mc import Hypothesis, PosteriorScratch, Workspace, map_pick
 
 from scalar_reference import (
     PosteriorState,
@@ -77,7 +77,7 @@ class TestSelectProbe:
         w = np.array(levels[: M * 9], dtype=float).reshape(M, 9)
         probe = np.array(probes, dtype=np.int64) % M
         expected = [select_probe(w[:, j], int(probe[j]) + 1) for j in range(9)]
-        top = map_pick(w, probe, phase_steps(M), Workspace(), 9)
+        top = map_pick(w, probe, PosteriorScratch(Workspace(), M, 9))
         assert (probe + 1).tolist() == expected
         assert top.tolist() == w.max(axis=0).tolist()
 
