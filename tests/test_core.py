@@ -75,7 +75,7 @@ class TestDisplacedRates:
         # only the offset to the probe matters: any probe p reads the table
         # at (k - p) mod M
         for k in range(1, M + 1):
-            assert rates[(k - p) % M] == pytest.approx(brute_rate(M, alpha, beta, p, k), abs=1e-9)
+            assert rates[(k - p) % M] == pytest.approx(brute_rate(M, alpha, beta, p, k), abs=1e-12)
         # the farthest state bounds every rate
         assert rates.max() <= (2 * alpha + beta) ** 2 + 1e-9
 
