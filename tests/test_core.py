@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -93,6 +94,28 @@ def test_probe_relative_rates_is_the_shared_table(qpsk_half):
     by_probe = probe_relative_rates(alphabet, beta)[phase_steps(4)]
     for p in range(1, 5):
         np.testing.assert_array_equal(by_probe[:, p - 1], displaced_rates(alphabet, p, beta))
+
+
+@pytest.mark.parametrize(
+    "M, digest",
+    [
+        (2, "9107b011d01156d1263c7f14d6d8e82ef9427f2e0ac129232711e838b876e3a8"),
+        (3, "3ae9481249816edf2c69d35eadb0ef517e4359676f7685ac7e98f86220cee2d7"),
+        (4, "db09963041077f728825e82605ce206543e4f3c71af002726c52954b4b4293c5"),
+        (8, "f036e6a282b0e880c613ccf135a29fd098990740d4df402922be10247e364733"),
+        (16, "f964fda5f6a7d69aa52929556a1ef75756f77a68d97c18438763c1dd65247c64"),
+    ],
+)
+def test_rate_and_slope_tables_bit_for_bit(M, digest):
+    # float.hex of both tables at alpha^2 = 0.5, three surpluses: every
+    # entry pinned to the last bit
+    alphabet = PskAlphabet.from_power(M, 0.5)
+    lines = [
+        " ".join(float(x).hex() for x in table(alphabet, beta))
+        for beta in (0.0, 0.3, 1.7)
+        for table in (probe_relative_rates, probe_relative_slopes)
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 @given(M=st.integers(2, 16), alpha=st.floats(0.0, 3.0), beta=st.floats(0.01, 1.5))
