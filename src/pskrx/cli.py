@@ -27,6 +27,10 @@ non-ideal receiver, ``trials`` or ``beta_grid`` under ``optimize``'s
 exact objective (``--seed`` and ``--workers`` are accepted there and
 change nothing).
 
+``main(argv)`` may be called any number of times in one process: it
+builds its parser on the first call and reuses it after that, so
+importing the module builds none.
+
 Exit codes: 0 success, 2 argument error, 3 precision/convergence
 error, 4 I/O error.
 """
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -228,6 +233,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if value is None:
             value = spec_values.get(name, default)
         resolved[name] = _convert(name, conv, value) if value is not None else None
+    # checked before anything takes its square root
+    if "beta_sq" in schema and not resolved["beta_sq"] >= 0.0:
+        raise ValueError(f"displacement surplus must be >= 0, got {resolved['beta_sq']}")
     if "workers" in schema:
         if resolved["workers"] is None:
             resolved["workers"] = int(os.environ.get("PSKRX_WORKERS", _usable_cpus()))
@@ -596,8 +604,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: built on its first call, then reused for the rest of the process
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         cfg = _resolve(args.command, args)
         if args.dump_spec:

@@ -41,6 +41,7 @@ between mirror-symmetric hypotheses, and those ties must be exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import sqrt
 
@@ -82,6 +83,18 @@ class PskAlphabet:
         return self.alpha * np.exp(1j * self.phases)
 
 
+@functools.cache
+def _mirror_cosines(M: int) -> np.ndarray:
+    """cos(2 pi d / M) at the mirror offset min(d, M - d), d = 0..M-1.
+
+    Built once per M and shared by both tables below, so it is read-only.
+    """
+    d = np.arange(M)
+    cosines = np.cos(2.0 * np.pi * np.minimum(d, M - d) / M)
+    cosines.flags.writeable = False
+    return cosines
+
+
 def probe_relative_rates(alphabet: PskAlphabet, beta: float) -> np.ndarray:
     """Mean photon numbers by phase offset from the probed state.
 
@@ -92,9 +105,7 @@ def probe_relative_rates(alphabet: PskAlphabet, beta: float) -> np.ndarray:
     if not beta >= 0.0:
         raise ValueError(f"displacement surplus must be >= 0, got {beta}")
     a, c = alphabet.alpha, alphabet.alpha + beta
-    d = np.arange(alphabet.M)
-    d_mirror = np.minimum(d, alphabet.M - d)
-    rates = a * a + c * c - 2.0 * a * c * np.cos(2.0 * np.pi * d_mirror / alphabet.M)
+    rates = a * a + c * c - 2.0 * a * c * _mirror_cosines(alphabet.M)
     rates[0] = beta * beta
     return rates
 
@@ -106,8 +117,6 @@ def probe_relative_slopes(alphabet: PskAlphabet, beta: float) -> np.ndarray:
     cosine at the mirror offset as there; entry 0 is exactly 2 beta.
     """
     a = alphabet.alpha
-    d = np.arange(alphabet.M)
-    d_mirror = np.minimum(d, alphabet.M - d)
-    slopes = 2.0 * (a + beta) - 2.0 * a * np.cos(2.0 * np.pi * d_mirror / alphabet.M)
+    slopes = 2.0 * (a + beta) - 2.0 * a * _mirror_cosines(alphabet.M)
     slopes[0] = 2.0 * beta
     return slopes
