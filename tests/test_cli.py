@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,13 @@ def parse_csv(text):
     return rows
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+BENCH_GOLDEN_ARGV = ("bench", "--m", "8", "--alpha-sq", "0.01,0.5,2,6")
+BENCH_GOLDEN_DIGEST = "6097f29a7685196222ca0e4e2a4e6acb603c5f5a1cbc6d5aa192edb8e0b1b0df"
+
 SEVENTEEN_SIG = re.compile(r"^-?(\d+(\.\d+)?|\d?\.\d+)(e[+-]?\d+)?$", re.IGNORECASE)
 
 
@@ -62,10 +71,9 @@ class TestBench:
     def test_golden_bytes(self, capsys):
         # pins the SQL's Gauss-Legendre wedge rule and the circulant Helstrom
         # formula bit for bit
-        code, out, _ = run_cli(capsys, "bench", "--m", "8", "--alpha-sq", "0.01,0.5,2,6")
+        code, out, _ = run_cli(capsys, *BENCH_GOLDEN_ARGV)
         assert code == EXIT_OK
-        digest = "6097f29a7685196222ca0e4e2a4e6acb603c5f5a1cbc6d5aa192edb8e0b1b0df"
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert sha256(out) == BENCH_GOLDEN_DIGEST
 
 
 class TestTrace:
@@ -370,6 +378,112 @@ class TestWorkerPool:
             assert code == EXIT_OK
             outs.append(out)
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestNegativeSurplus:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--clicks", "0.2"],
+            ["simulate", "--seed", "1"],
+            ["sweep", "--beta-policy", "fixed", "--trials", "1000", "--seed", "1",
+             "--workers", "1"],
+        ],
+        ids=["trace", "simulate", "sweep-fixed"],
+    )
+    @pytest.mark.parametrize("beta_sq", ["-1", "nan"])
+    def test_refused_before_its_square_root(self, capsys, argv, beta_sq):
+        code, out, err = run_cli(capsys, *argv, "--beta-sq", beta_sq)
+        assert code == EXIT_ARGS and out == ""
+        assert f"error: displacement surplus must be >= 0, got {float(beta_sq)}" in err
+
+
+# one small run of each subcommand
+EVERY_COMMAND = {
+    "sweep": ["sweep", "--alpha-sq", "0.5", "--beta-policy", "zero", "--trials", "2000",
+              "--seed", "3", "--workers", "1"],
+    "trace": ["trace", "--clicks", "0.2,0.6"],
+    "bench": ["bench", "--alpha-sq", "0.5,1"],
+    "optimize": ["optimize", "--alpha-sq", "0.5", "--objective", "analytic"],
+    "simulate": ["simulate", "--trials", "20", "--seed", "5"],
+}
+
+
+class TestReusedParser:
+    # main builds its parser once per process: no call may leave anything
+    # behind for the next
+
+    @pytest.mark.parametrize("command", sorted(EVERY_COMMAND))
+    def test_repeated_call_same_bytes(self, capsys, command):
+        first = run_cli(capsys, *EVERY_COMMAND[command])
+        assert first[0] == EXIT_OK
+        assert run_cli(capsys, *EVERY_COMMAND[command]) == first
+
+    @pytest.mark.parametrize(
+        "failing, raises",
+        [
+            # argparse's own error, after it has read every golden option
+            ([*BENCH_GOLDEN_ARGV, "--format", "json", "--no-such-option"], True),
+            # a ValueError from resolving the options
+            ([*BENCH_GOLDEN_ARGV, "--format", "xml"], False),
+        ],
+        ids=["argparse-error", "value-error"],
+    )
+    def test_golden_bytes_after_an_argument_error(self, capsys, failing, raises):
+        if raises:
+            with pytest.raises(SystemExit) as exc:
+                main(failing)
+            code = exc.value.code
+        else:
+            code = main(failing)
+        assert code == EXIT_ARGS
+        assert capsys.readouterr().out == ""
+        code, out, _ = run_cli(capsys, *BENCH_GOLDEN_ARGV)
+        assert code == EXIT_OK
+        assert sha256(out) == BENCH_GOLDEN_DIGEST
+
+    def test_spec_values_do_not_carry_over(self, tmp_path, capsys):
+        spec = tmp_path / "bench.spec"
+        spec.write_text("command = bench\nm = 8\nalpha_sq = 0.01,0.5,2,6\nformat = csv\n")
+        code, out, _ = run_cli(capsys, "bench", "--spec", str(spec))
+        assert code == EXIT_OK and sha256(out) == BENCH_GOLDEN_DIGEST
+        # the next call without --spec reads the defaults, M=4 and six powers
+        code, bare, _ = run_cli(capsys, "bench", "--format", "json")
+        assert code == EXIT_OK
+        code, explicit, _ = run_cli(
+            capsys, "bench", "--m", "4", "--alpha-sq", "0.1,0.25,0.5,1,1.5,2",
+            "--format", "json",
+        )
+        assert code == EXIT_OK and bare == explicit
+        assert len(json.loads(bare)) == 6
+
+    def test_import_builds_none_and_main_builds_once(self):
+        # counts every argparse parser a fresh interpreter builds: none on
+        # import, then those of main's first call, and no more on its second
+        src = str(Path(pskrx.cli.__file__).resolve().parents[1])
+        code = "\n".join([
+            "import argparse, io, sys",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting_init(self, *args, **kwargs):",
+            "    built.append(self)",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting_init",
+            "import pskrx.cli",
+            "assert not built, f'import built {len(built)} parsers'",
+            "out, sys.stdout = sys.stdout, io.StringIO()",
+            "first = pskrx.cli.main(['bench', '--alpha-sq', '0.5'])",
+            "n_first = len(built)",
+            "second = pskrx.cli.main(['bench', '--alpha-sq', '0.5'])",
+            "sys.stdout = out",
+            "assert first == second == 0",
+            "assert n_first > 0 and len(built) == n_first, (n_first, len(built))",
+        ])
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestSpecFiles:

@@ -118,6 +118,17 @@ def test_rate_and_slope_tables_bit_for_bit(M, digest):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("table", [probe_relative_rates, probe_relative_slopes])
+def test_each_call_returns_a_new_writable_array(table):
+    # both tables share one cosine table per M; no caller may reach it
+    alphabet = PskAlphabet.from_power(4, 0.5)
+    first, second = table(alphabet, 0.3), table(alphabet, 0.3)
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    first[:] = -1.0
+    np.testing.assert_array_equal(table(alphabet, 0.3), second)
+
+
 @given(M=st.integers(2, 16), alpha=st.floats(0.0, 3.0), beta=st.floats(0.01, 1.5))
 def test_probe_relative_slopes_differentiate_the_table(M, alpha, beta):
     # the rates are quadratic in beta, so a central difference is exact
