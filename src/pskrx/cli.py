@@ -147,6 +147,10 @@ _BETA_POLICIES = ("fixed", "zero", "analytic", "mc")
 # sweep options that one beta policy alone reads
 _POLICY_OPTIONS = {"beta_sq": "fixed", "opt_trials": "mc"}
 
+# the largest alphabet accepted: the engine and trace tabulate phase steps and
+# posteriors as M x M and M x trials arrays
+_MAX_M = 1024
+
 # simulate's output fields, in column order
 _RECORD_FIELDS = (
     "trial", "true_state", "hypothesis", "confidence",
@@ -160,6 +164,62 @@ _RECORD_CHUNK = 1 << 14
 def _fmt(x: float) -> str:
     """Floats are serialized with 17 significant digits (round-trip safe)."""
     return format(float(x), ".17g")
+
+
+# The doubles nearest 1e-4, 1e-3, 0.01 and 0.1 each lie above that power of
+# ten with no double in between, so comparing with them finds floor(log10 v)
+# exactly; _fmt_slots calls a value's place in this table its decade.
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+# by decade 1..4: what %.17g writes before the 17 digits, and 10**(16 - e)
+# for e = floor(log10 v), which is exact in binary64 and takes those digits
+# to the integer part
+_LEADS = np.array([None, "0.000", "0.00", "0.0", "0."], dtype=object)
+_SCALES = np.array([1.0, 1e20, 1e19, 1e18, 1e17])
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split doubles exactly into halves of at most 26 significant bits each."""
+    t = 134217729.0 * a  # 2**27 + 1
+    high = t - (t - a)
+    return high, a - high
+
+
+_SCALE_HIGH, _SCALE_LOW = _veltkamp(_SCALES)
+
+
+def _fmt_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_fmt`` of each value of ``x`` as two slots, a lead and its digits.
+
+    ``"%s%s" % (lead[i], digits[i])`` is ``_fmt(x[i])``.  For a value v in
+    [1e-4, 1) the lead is "0." and the zeros before the first significant
+    digit, and the digits are a Python int: with e = floor(log10 v), the
+    exact product v 10**(16 - e) is the double p plus its rounding error,
+    both found by Dekker's TwoProduct.  p is an even integer of at least
+    10**16 > 2**53, so p + rint(error) rounds the product half to even, as
+    %.17g does, and it stays below 10**17 because no double lies within
+    half a unit of the 17th digit below 10**(e + 1).  Trailing zeros are
+    divided away.  Any other value is ``_fmt``'s string with "" as its
+    digits.
+    """
+    decade = np.searchsorted(_DECADES, x, side="right")
+    outside = np.flatnonzero((decade == 0) | (decade == 5))
+    rest = [_fmt(t) for t in x[outside].tolist()]
+    if rest:
+        # stand-ins keep the arithmetic finite; their slots are replaced below
+        x = x.copy()
+        x[outside], decade[outside] = 0.5, 4
+    product = x * _SCALES[decade]
+    x_high, x_low = _veltkamp(x)
+    s_high, s_low = _SCALE_HIGH[decade], _SCALE_LOW[decade]
+    error = ((x_high * s_high - product) + x_high * s_low + x_low * s_high) + x_low * s_low
+    n = product.astype(np.int64) + np.rint(error).astype(np.int64)
+    zeros = np.flatnonzero(n % 10 == 0)
+    while zeros.size:
+        n[zeros] //= 10
+        zeros = zeros[n[zeros] % 10 == 0]
+    lead, digits = _LEADS[decade], n.astype(object)
+    lead[outside], digits[outside] = rest, ""
+    return lead, digits
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -233,6 +293,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         if value is None:
             value = spec_values.get(name, default)
         resolved[name] = _convert(name, conv, value) if value is not None else None
+    if resolved["m"] > _MAX_M:
+        raise ValueError(f"alphabet size M must be at most {_MAX_M}, got {resolved['m']}")
     # checked before anything takes its square root
     if "beta_sq" in schema and not resolved["beta_sq"] >= 0.0:
         raise ValueError(f"displacement surplus must be >= 0, got {resolved['beta_sq']}")
@@ -501,7 +563,7 @@ def _record_columns(rec: TrialRecords) -> tuple[list, ...]:
     """simulate's JSON columns, one list per field of ``_RECORD_FIELDS``."""
     offsets = rec.click_offsets.tolist()
     spans = list(zip(offsets, offsets[1:]))
-    times = list(map(_fmt, rec.click_times.tolist()))
+    times = [f"{lead}{digits}" for lead, digits in zip(*_fmt_slots(rec.click_times))]
     probes = [f";{p}" for p in rec.probes.tolist()]
     true_state = rec.true_state.tolist()
     hypothesis = rec.hypothesis.tolist()
@@ -523,9 +585,10 @@ def _record_csv(rec: TrialRecords):
     A chunk is one ``%``-format: the row templates of its trials, chosen by
     click count, joined, and applied to all of the chunk's values in row
     order (six leading fields, the click times, the probes after each
-    click).  ``%.17g`` is ``_fmt``'s formatting, and the integer fields stay
-    Python ints.  Fields hold digits, '.', '-', '+', 'e' and ';' only, so
-    none needs quoting.
+    click).  Each float fills two ``%s`` slots from ``_fmt_slots``, which
+    together read as ``_fmt`` writes it, and the integer fields stay Python
+    ints.  Fields hold digits, '.', '-', '+', 'e' and ';' only, so none
+    needs quoting.
     """
     yield ",".join(_RECORD_FIELDS) + "\n"
     templates: dict[int, str] = {}
@@ -534,7 +597,7 @@ def _record_csv(rec: TrialRecords):
         offsets = rec.click_offsets[lo : hi + 1]
         first, last = int(offsets[0]), int(offsets[-1])
         n_clicks = np.diff(offsets)
-        widths = 6 + 2 * n_clicks
+        widths = 7 + 3 * n_clicks
         starts = np.cumsum(widths) - widths
         values = np.empty(int(widths.sum()), dtype=object)
         true_state, hypothesis = rec.true_state[lo:hi], rec.hypothesis[lo:hi]
@@ -542,19 +605,22 @@ def _record_csv(rec: TrialRecords):
             np.arange(lo, hi),
             true_state,
             hypothesis,
-            rec.confidence[lo:hi],
+            *_fmt_slots(rec.confidence[lo:hi]),
             (true_state == hypothesis).astype(np.int64),
             n_clicks,
         )):
             values[starts + field] = column
-        # click j of a trial with n clicks goes 6 + j past its row start, its probe n later
-        at = np.arange(last - first) + np.repeat(starts + 6 - (offsets[:-1] - first), n_clicks)
-        values[at] = rec.click_times[first:last]
-        values[at + np.repeat(n_clicks, n_clicks)] = rec.probes[first:last]
+        # click j of a trial with n clicks fills 7 + 2j and 8 + 2j past its
+        # row start, and its probe 7 + 2n + j
+        row = np.repeat(starts, n_clicks)
+        j = np.arange(last - first) - np.repeat(offsets[:-1] - first, n_clicks)
+        at = row + 7 + 2 * j
+        values[at], values[at + 1] = _fmt_slots(rec.click_times[first:last])
+        values[row + 7 + 2 * np.repeat(n_clicks, n_clicks) + j] = rec.probes[first:last]
         counts = n_clicks.tolist()
         for n in set(counts) - templates.keys():
-            clicks = ";".join(["%.17g"] * n)
-            templates[n] = f"%d,%d,%d,%.17g,%d,%d,{clicks},1" + ";%d" * n + "\n"
+            clicks = ";".join(["%s%s"] * n)
+            templates[n] = f"%d,%d,%d,%s%s,%d,%d,{clicks},1" + ";%d" * n + "\n"
         yield "".join([templates[n] for n in counts]) % tuple(values.tolist())
 
 

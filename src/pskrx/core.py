@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -62,14 +62,14 @@ class PskAlphabet:
     def __post_init__(self):
         if self.M < 2:
             raise ValueError(f"alphabet needs at least 2 states, got M={self.M}")
-        if not self.alpha >= 0.0:
-            raise ValueError(f"amplitude must be >= 0, got {self.alpha}")
+        if not 0.0 <= self.alpha < inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.alpha}")
 
     @classmethod
     def from_power(cls, M: int, alpha_sq: float) -> "PskAlphabet":
         """Build from the mean photon number |alpha|^2 per pulse."""
-        if not alpha_sq >= 0.0:
-            raise ValueError(f"mean photon number must be >= 0, got {alpha_sq}")
+        if not 0.0 <= alpha_sq < inf:
+            raise ValueError(f"mean photon number must be finite and >= 0, got {alpha_sq}")
         return cls(M, sqrt(alpha_sq))
 
     @property

@@ -398,6 +398,33 @@ class TestNegativeSurplus:
         assert f"error: displacement surplus must be >= 0, got {float(beta_sq)}" in err
 
 
+class TestAlphabetBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace", "--m", "100000", "--clicks", "0.5"], ["simulate", "--m", "1025", "--seed", "1"]],
+        ids=["trace", "simulate"],
+    )
+    def test_m_above_1024_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ARGS and out == ""
+        assert f"alphabet size M must be at most 1024, got {argv[2]}" in err
+
+    def test_m_1024_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--m", "1024", "--clicks", "0.5")
+        assert code == EXIT_OK and out.splitlines()[0].endswith(",p1024,map_state")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["optimize", "--objective", "analytic"], ["trace", "--clicks", "0.5"]],
+        ids=["optimize", "trace"],
+    )
+    def test_infinite_power_refused_without_warnings(self, capsys, recwarn, argv):
+        code, out, err = run_cli(capsys, *argv, "--alpha-sq", "inf")
+        assert code == EXIT_ARGS and out == ""
+        assert "mean photon number must be finite and >= 0, got inf" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 # one small run of each subcommand
 EVERY_COMMAND = {
     "sweep": ["sweep", "--alpha-sq", "0.5", "--beta-policy", "zero", "--trials", "2000",

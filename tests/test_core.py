@@ -29,10 +29,17 @@ class TestPskAlphabet:
         assert (np.diff(ph) > 0).all()
         assert ph[-1] < 2 * np.pi
 
-    @pytest.mark.parametrize("M,alpha", [(1, 1.0), (0, 1.0), (4, -0.1)])
+    @pytest.mark.parametrize(
+        "M,alpha", [(1, 1.0), (0, 1.0), (4, -0.1), (4, math.inf), (4, math.nan)]
+    )
     def test_invalid(self, M, alpha):
         with pytest.raises(ValueError):
             PskAlphabet(M, alpha)
+
+    @pytest.mark.parametrize("alpha_sq", [-0.1, math.inf, math.nan])
+    def test_invalid_power(self, alpha_sq):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            PskAlphabet.from_power(4, alpha_sq)
 
 
 class TestDisplacedRates:

@@ -1,5 +1,8 @@
 """simulate's CSV writer against a reference writer, byte for byte.
 
+Its float kernel, ``_fmt_slots``, is checked against ``format(x, ".17g")``
+value by value.
+
 The reference below is the earlier per-trial writer, which also matches
 the golden digests of ``TestSimulate::test_golden_bytes``: it joins the
 click times and probes of every trial and each row's fields as strings.  The
@@ -151,3 +154,51 @@ class TestAgainstReference:
         )
         with pytest.MonkeyPatch.context() as mp:
             assert_same_text(rec, chunk, mp)
+
+
+# --- the float kernel ------------------------------------------------------
+
+
+def assert_slots_format(x):
+    x = np.asarray(x, dtype=np.float64)
+    lead, digits = pskrx.cli._fmt_slots(x)
+    assert ["%s%s" % pair for pair in zip(lead.tolist(), digits.tolist())] == [
+        format(v, ".17g") for v in x.tolist()
+    ]
+    return lead.tolist(), digits.tolist()
+
+
+# the doubles on both sides of each decade's edges
+EDGE_NEIGHBOURS = [
+    y for p in (1e-4, 1e-3, 1e-2, 0.1, 1.0) for y in (np.nextafter(p, 0.0), p, np.nextafter(p, 2.0))
+]
+
+
+class TestFloatSlots:
+    @given(st.lists(st.floats(1e-4, 1.0, exclude_max=True), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_inside_the_decades(self, xs):
+        _, digits = assert_slots_format(xs)
+        assert all(isinstance(d, int) for d in digits)
+
+    def test_decade_edges(self):
+        assert_slots_format(EDGE_NEIGHBOURS)
+
+    def test_trailing_zeros(self):
+        lead, digits = assert_slots_format([0.5, 0.25, 0.0625, 0.1, 0.001, 1e-4, 0.30000000000000004])
+        assert lead[:3] == ["0.", "0.", "0.0"] and digits[:3] == [5, 25, 625]
+
+    def test_ties_round_half_to_even(self):
+        # m / 2**q with m odd has one digit too many: the 18th is a 5, ending a tie
+        rng = np.random.default_rng(17)
+        for q, lo, hi in ((18, 26215, 262143), (19, 5243, 52428), (20, 1049, 10485), (21, 211, 2097)):
+            odd = rng.integers(lo // 2, hi // 2, 200) * 2 + 1
+            assert_slots_format(odd / 2.0**q)
+
+    def test_fallback_values(self):
+        lead, digits = assert_slots_format([1.0, 5e-324, 3e-05, 0.5])
+        assert lead[:3] == ["1", "4.9406564584124654e-324", "3.0000000000000001e-05"]
+        assert digits == ["", "", "", 5]
+
+    def test_empty(self):
+        assert assert_slots_format([]) == ([], [])
