@@ -19,9 +19,7 @@ from .errors import PrecisionError
 from .mc import (
     IDEAL,
     ErrorEstimate,
-    Hypothesis,
     ImperfectionModel,
-    TrialOutcome,
     TrialRecords,
     WorkerPool,
     estimate_error,
@@ -35,13 +33,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CyclicError",
     "ErrorEstimate",
-    "Hypothesis",
     "IDEAL",
     "ImperfectionModel",
     "OptimizationResult",
     "PrecisionError",
     "PskAlphabet",
-    "TrialOutcome",
     "TrialRecords",
     "WorkerPool",
     "cyclic_error_probability",

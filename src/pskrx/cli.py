@@ -52,6 +52,7 @@ from . import bench as bench_mod
 from .core import PskAlphabet, probe_relative_rates
 from .errors import PrecisionError
 from .mc import (
+    STRATEGIES,
     ImperfectionModel,
     PosteriorScratch,
     TrialRecords,
@@ -73,6 +74,13 @@ _DEFAULT_POWERS = "0.1,0.25,0.5,1,1.5,2"
 
 # option schema per subcommand: name -> (converter, default, help)
 _FLOATS = "floats"
+# the detector options of sweep, optimize and simulate: ImperfectionModel's fields
+_DETECTOR = {
+    "eta": (float, 1.0, "detector quantum efficiency"),
+    "n_th": (float, 0.0, "mean thermal photons per pulse"),
+    "dead_time": (float, 0.0, "detector dead time, fraction of the pulse"),
+    "dark_rate": (float, 0.0, "mean dark counts per pulse"),
+}
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "sweep": {
         "m": (int, 4, "alphabet size M"),
@@ -82,10 +90,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "beta_sq": (float, 0.0, "surplus photon number for --beta-policy fixed"),
         "trials": (int, 100_000, "Monte Carlo trials per grid point"),
         "opt_trials": (int, 100_000, "trials per candidate for --beta-policy mc"),
-        "eta": (float, 1.0, "detector quantum efficiency"),
-        "n_th": (float, 0.0, "mean thermal photons per pulse"),
-        "dead_time": (float, 0.0, "detector dead time, fraction of the pulse"),
-        "dark_rate": (float, 0.0, "mean dark counts per pulse"),
+        **_DETECTOR,
         "seed": (int, None, "master seed (omit for a fresh printed one)"),
         "workers": (int, None, "worker processes for the trial engine"),
         "format": (str, "csv", "output format: csv or json"),
@@ -112,10 +117,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "objective": (str, "auto", "auto, analytic or mc"),
         "trials": (int, 100_000, "trials per candidate (mc objective)"),
         "beta_grid": (_FLOATS, "", "candidate surplus amplitudes (mc objective)"),
-        "eta": (float, 1.0, "detector quantum efficiency"),
-        "n_th": (float, 0.0, "mean thermal photons per pulse"),
-        "dead_time": (float, 0.0, "detector dead time, fraction of the pulse"),
-        "dark_rate": (float, 0.0, "mean dark counts per pulse"),
+        **_DETECTOR,
         "seed": (int, None, "master seed"),
         "workers": (int, None, "worker processes"),
         "format": (str, "csv", "output format: csv or json"),
@@ -127,10 +129,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "beta_sq": (float, 0.0, "displacement surplus photon number"),
         "strategy": (str, "cyclic", "probing strategy: cyclic or bayes"),
         "trials": (int, 10, "number of trials to record"),
-        "eta": (float, 1.0, "detector quantum efficiency"),
-        "n_th": (float, 0.0, "mean thermal photons per pulse"),
-        "dead_time": (float, 0.0, "detector dead time, fraction of the pulse"),
-        "dark_rate": (float, 0.0, "mean dark counts per pulse"),
+        **_DETECTOR,
         "seed": (int, None, "master seed"),
         "format": (str, "csv", "output format: csv or json"),
         "out": (str, None, "output path (default stdout)"),
@@ -305,7 +304,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             raise ValueError(f"need at least one worker, got {resolved['workers']}")
     if "format" in schema and resolved["format"] not in ("csv", "json"):
         raise ValueError(f"unknown format {resolved['format']!r}; use csv or json")
-    if "strategy" in schema and resolved.get("strategy") not in (None, "cyclic", "bayes"):
+    if "strategy" in schema and resolved["strategy"] not in STRATEGIES:
         raise ValueError(f"unknown strategy {resolved['strategy']!r}")
     if command in _GRID_COMMANDS:
         powers = resolved["alpha_sq"]
@@ -336,12 +335,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 
 def _imperfections(cfg: dict) -> ImperfectionModel:
-    return ImperfectionModel(
-        eta=cfg["eta"],
-        n_th=cfg["n_th"],
-        dead_time=cfg["dead_time"],
-        dark_rate=cfg["dark_rate"],
-    )
+    return ImperfectionModel(**{name: cfg[name] for name in _DETECTOR})
 
 
 def _single_power(cfg: dict) -> float:
@@ -506,7 +500,7 @@ def _changed_options(cfg: dict, names) -> list[str]:
 def _optimize_objective(cfg: dict) -> str:
     """optimize's objective, 'analytic' or 'mc', with ``auto`` resolved."""
     # the options the exact objective cannot model: it assumes the ideal cyclic receiver
-    non_ideal = _changed_options(cfg, ("strategy", "eta", "n_th", "dead_time", "dark_rate"))
+    non_ideal = _changed_options(cfg, ("strategy", *_DETECTOR))
     objective = cfg["objective"]
     if objective == "auto":
         objective = "mc" if non_ideal else "analytic"

@@ -57,12 +57,14 @@ loop (likelihoods, normalisation, the MAP pick with its tie-break) is
 then a few operations on whole rows of n values, not a per-trial
 operation on M values.  Those steps are :func:`click_update`,
 :func:`final_update` and :func:`map_pick`; the ``trace`` command runs
-the same functions on one column.  The normaliser adds the rows in the
-pairwise order numpy uses to sum one trial's M weights
-(:func:`_row_sum`).  A plain sum over the rows would round differently
-for M >= 8: the engine's posteriors would part from the scalar
-reference's bits, and seeded outputs from the bits they had with a
-trial-major posterior.
+the same functions on one column.  The normaliser adds a column's M
+weights in one order, left to right: row 0, then each later row added in
+turn.  So a column gets the same bits whatever other columns share its
+call, and the scalar reference adds one trial's weights in that order.
+``np.add.reduce(x, axis=0)`` would not do: it adds the rows in sequence
+for several columns but pairwise for one, and one-column calls are
+common (the trials that never click, a round's last running trial, every
+``trace`` call).
 
 The rest of a running trial's state is compacted the same way and kept
 column-aligned with the posterior.  One int64 array holds each trial's
@@ -145,29 +147,6 @@ class ImperfectionModel:
 IDEAL = ImperfectionModel()
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """Final receiver decision: a state index 1..M and its confidence.
-
-    Confidence is the terminal posterior for Bayesian probing and 1.0
-    for cyclic probing (which tracks no posterior).
-    """
-
-    state: int
-    confidence: float = 1.0
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Full record of one simulated pulse."""
-
-    true_state: int
-    click_times: tuple[float, ...]
-    probe_sequence: tuple[int, ...]
-    hypothesis: Hypothesis
-    correct: bool
-
-
 @dataclass(frozen=True, eq=False)
 class TrialRecords:
     """Full records of trials 0..n-1, one flat array per field, in trial order.
@@ -175,9 +154,7 @@ class TrialRecords:
     States are 1-based.  Trial i clicked at
     ``click_times[click_offsets[i]:click_offsets[i + 1]]`` and probed
     ``probes`` of the same slice after those clicks; every trial starts
-    by probing state 1.  The records form a read-only sequence of
-    :class:`TrialOutcome`: ``len``, integer indexing (negative indices
-    count from the end) and iteration build one outcome at a time.
+    by probing state 1.  ``len`` is the number of trials.
     """
 
     true_state: np.ndarray
@@ -189,22 +166,6 @@ class TrialRecords:
 
     def __len__(self) -> int:
         return len(self.true_state)
-
-    def __getitem__(self, i: int) -> TrialOutcome:
-        i = range(len(self))[i]  # IndexError and TypeError as for a list
-        s, e = self.click_offsets[i : i + 2].tolist()
-        true_state = int(self.true_state[i])
-        hyp = Hypothesis(int(self.hypothesis[i]), float(self.confidence[i]))
-        return TrialOutcome(
-            true_state=true_state,
-            click_times=tuple(self.click_times[s:e].tolist()),
-            probe_sequence=(1, *self.probes[s:e].tolist()),
-            hypothesis=hyp,
-            correct=hyp.state == true_state,
-        )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -285,54 +246,6 @@ class Workspace:
 _process_workspace: Workspace | None = None
 
 
-def _row_sum(
-    x: np.ndarray, out: np.ndarray | None = None, acc: np.ndarray | None = None
-) -> np.ndarray:
-    """``x.sum(axis=0)`` of an (M, n) array, bit for bit as numpy sums one row.
-
-    numpy reduces a contiguous run of M values pairwise: in sequence for
-    M < 8, in eight interleaved accumulators up to 128 values, and by
-    halving above that.  Adding whole rows in that order gives each
-    column the bits that ``x.T.sum(axis=1)`` or a 1-D ``.sum()`` of it
-    gives, where a plain ``x.sum(axis=0)`` would add in sequence.  The
-    sum goes to ``out``; for M >= 8 the accumulators are ``acc``, an
-    (8, n) scratch array.  Either is new when not given.
-    """
-    m = len(x)
-    if out is None:
-        out = np.empty(x.shape[1:])
-    if m < 8:
-        np.copyto(out, x[0])
-        for row in x[1:]:
-            out += row
-        return out
-    if acc is None:
-        acc = np.empty((8, *x.shape[1:]))
-    if m > 128:
-        half = m // 2 - (m // 2) % 8
-        _row_sum(x[:half], out, acc)
-        out += _row_sum(x[half:], None, acc)
-        return out
-    tail = m - m % 8
-    a = x[:8]
-    if tail > 8:
-        a = np.add(x[:8], x[8:16], out=acc)
-        for i in range(16, tail, 8):
-            a += x[i : i + 8]
-    # ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)), the pairs through
-    # acc[0] and acc[1] once a no longer needs them
-    np.add(a[0], a[1], out=out)
-    np.add(a[2], a[3], out=acc[0])
-    out += acc[0]
-    np.add(a[4], a[5], out=acc[0])
-    np.add(a[6], a[7], out=acc[1])
-    acc[0] += acc[1]
-    out += acc[0]
-    for row in x[tail:]:
-        out += row
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Bayesian probing on (M, m) columns: one posterior and one probe per column
 # ---------------------------------------------------------------------------
@@ -357,14 +270,16 @@ class PosteriorScratch:
         # added to the steps of a state off the maximum: more than any step
         self.no_max = steps.dtype.type(M)
         self.top, self.total = ws("top", n), ws("total", n)
-        self.acc = ws("acc", 8 * n) if M >= 8 else None
         self.ahead_min = ws("ahead_min", n, steps.dtype)
         self.ahead, self.off = ws("ahead", M * n, steps.dtype), ws("off", M * n, steps.dtype)
 
     def column_sums(self, x: np.ndarray) -> np.ndarray:
-        """Each column's sum of the (M, m) array ``x``, as :func:`_row_sum` adds it."""
-        m = x.shape[1]
-        return _row_sum(x, self.total[:m], None if self.acc is None else _view(self.acc, 8, m))
+        """Each column's sum of the (M, m) array ``x``, its rows added left to right."""
+        total = self.total[: x.shape[1]]
+        np.copyto(total, x[0])
+        for row in x[1:]:
+            total += row
+        return total
 
 
 def map_pick(w: np.ndarray, probe: np.ndarray, scratch: PosteriorScratch) -> np.ndarray:

@@ -18,21 +18,72 @@ reweighted by the click densities n_k, after which the receiver probes
 the maximum-a-posteriori state (:func:`select_probe`, ties to the
 smallest phase step from the current probe).  The final decision (at
 t = 1) includes the trailing no-click factor since the last event.
+The posterior is normalised by adding its M weights left to right, the
+order in which the engine adds its rows.
+
+A trial's record is a :class:`TrialOutcome`; :func:`outcome` reads trial
+i of the engine's :class:`~pskrx.mc.TrialRecords` as one, for comparing
+the two paths trial by trial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from math import sqrt
+from operator import add
 
 import numpy as np
 
 from pskrx._rng import box_muller, slot_uniform, trial_keys
 from pskrx.core import PskAlphabet, probe_relative_rates
 from pskrx.errors import PrecisionError
-from pskrx.mc import STRATEGIES, Hypothesis, ImperfectionModel, TrialOutcome, nominal_rate_table
+from pskrx.mc import STRATEGIES, ImperfectionModel, TrialRecords, nominal_rate_table
 
 _NORMALIZATION_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Hypothesis:
+    """Final receiver decision: a state index 1..M and its confidence.
+
+    Confidence is the terminal posterior for Bayesian probing and 1.0
+    for cyclic probing (which tracks no posterior).
+    """
+
+    state: int
+    confidence: float = 1.0
+
+
+@dataclass(frozen=True)
+class TrialOutcome:
+    """Full record of one simulated pulse."""
+
+    true_state: int
+    click_times: tuple[float, ...]
+    probe_sequence: tuple[int, ...]
+    hypothesis: Hypothesis
+    correct: bool
+
+
+def outcome(rec: TrialRecords, i: int) -> TrialOutcome:
+    """Trial i of the engine's records; a negative i counts from the end."""
+    i = range(len(rec))[i]  # IndexError and TypeError as for a list
+    s, e = rec.click_offsets[i : i + 2].tolist()
+    true_state = int(rec.true_state[i])
+    hyp = Hypothesis(int(rec.hypothesis[i]), float(rec.confidence[i]))
+    return TrialOutcome(
+        true_state=true_state,
+        click_times=tuple(rec.click_times[s:e].tolist()),
+        probe_sequence=(1, *rec.probes[s:e].tolist()),
+        hypothesis=hyp,
+        correct=hyp.state == true_state,
+    )
+
+
+def weight_sum(w: np.ndarray) -> float:
+    """One trial's posterior weights added left to right, as the engine adds its rows."""
+    return reduce(add, w.tolist())
 
 
 class TrialStream:
@@ -141,7 +192,7 @@ def bayes_click_update(ps: PosteriorState, t: float, rates: np.ndarray) -> Poste
     if not lik.any():
         return replace(ps, last_event_time=t, click_count=ps.click_count + 1)
     w = lik * np.exp(-rates * dt)
-    total = w.sum()
+    total = weight_sum(w)
     if not total > 0.0:
         raise PrecisionError(f"click likelihood underflows at t={t} under every hypothesis")
     w /= total
@@ -165,7 +216,7 @@ def bayes_silence_update(ps: PosteriorState, t_end: float, rates: np.ndarray) ->
         raise ValueError(f"end time {t_end} before last event {ps.last_event_time}")
     dt = t_end - ps.last_event_time
     w = ps.probs * np.exp(-rates * dt)
-    total = w.sum()
+    total = weight_sum(w)
     if not total > 0.0:
         raise PrecisionError(f"survival underflows by t={t_end} under every hypothesis")
     w /= total

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from pskrx._rng import box_muller, counter_uniform, slot_uniform, trial_keys
@@ -15,14 +15,16 @@ from pskrx.mc import (
     IDEAL,
     STRATEGIES,
     ImperfectionModel,
+    PosteriorScratch,
     TrialRecords,
     WorkerPool,
     Workspace,
-    _row_sum,
     _run_block,
     _trial_blocks,
+    click_update,
     estimate_error,
     estimate_errors,
+    final_update,
     nominal_rate_table,
     simulate_outcomes,
 )
@@ -34,8 +36,10 @@ from scalar_reference import (
     bayes_silence_update,
     cyclic_finalize,
     initial_posterior,
+    outcome,
     sample_thermal_offset,
     simulate_trial,
+    weight_sum,
 )
 
 QPSK_HALF = PskAlphabet.from_power(4, 0.5)
@@ -151,12 +155,12 @@ class TestEstimateError:
     def test_trial_stream_identity(self):
         # the block engine replays exactly the trials the scalar path runs
         n = 4000
-        outs = simulate_outcomes(QPSK_HALF, BETA, "bayes", IDEAL, n, 13)
+        rec = simulate_outcomes(QPSK_HALF, BETA, "bayes", IDEAL, n, 13)
         for i in (0, 1, 17, 500, 1234, n - 1):
             u = counter_uniform(13, i, 0)
             true_state = min(int(u * 4), 3) + 1
             ref = simulate_trial(true_state, QPSK_HALF, BETA, "bayes", IDEAL, TrialStream(13, i))
-            out = outs[i]
+            out = outcome(rec, i)
             assert out.true_state == ref.true_state
             assert out.hypothesis == ref.hypothesis
             assert out.probe_sequence == ref.probe_sequence
@@ -164,14 +168,14 @@ class TestEstimateError:
 
     def test_error_fraction_matches_outcomes(self):
         n = 30_000
-        outs = simulate_outcomes(QPSK_HALF, BETA, "cyclic", IDEAL, n, 19)
+        rec = simulate_outcomes(QPSK_HALF, BETA, "cyclic", IDEAL, n, 19)
         est = estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, n, 19)
-        assert est.p_err == sum(not o.correct for o in outs) / n
+        assert est.p_err == np.count_nonzero(rec.hypothesis != rec.true_state) / n
 
     def test_click_count_law(self):
         # with all states identical the count is plain Poisson(beta^2)
-        outs = simulate_outcomes(PskAlphabet(4, 0.0), 1.0, "cyclic", IDEAL, 200_000, 3)
-        counts = np.array([len(o.click_times) for o in outs])
+        rec = simulate_outcomes(PskAlphabet(4, 0.0), 1.0, "cyclic", IDEAL, 200_000, 3)
+        counts = np.diff(rec.click_offsets)
         kmax = 9
         obs = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1)
         expected = [poisson_pmf(1.0, k) for k in range(kmax)]
@@ -185,18 +189,39 @@ class TestEstimateError:
 
 
 class TestTrialRecords:
-    def test_sequence_protocol(self):
+    def test_columns_in_trial_order(self):
         rec = simulate_outcomes(QPSK_HALF, BETA, "bayes", ImperfectionModel(dead_time=0.1), 500, 7)
         assert isinstance(rec, TrialRecords)
         assert len(rec) == 500
-        assert rec[-1] == rec[499] and rec[-500] == rec[0]
-        assert rec[np.int64(3)] == rec[3]
+        for col in (rec.true_state, rec.hypothesis, rec.confidence):
+            assert col.shape == (500,)
+        assert rec.click_offsets.shape == (501,)
+        assert rec.click_times.shape == rec.probes.shape == (rec.click_offsets[-1],)
+        # each trial's clicks are a slice in time order, each after the dead time
+        for s, e in zip(rec.click_offsets[:-1].tolist(), rec.click_offsets[1:].tolist()):
+            assert (np.diff(rec.click_times[s:e]) >= 0.1).all()
+        assert ((rec.hypothesis >= 1) & (rec.hypothesis <= 4)).all()
+        assert ((rec.confidence > 0.0) & (rec.confidence <= 1.0)).all()
+
+    def test_one_trial_as_an_outcome(self):
+        # the scalar reference's view of trial i reads the columns' slices
+        rec = simulate_outcomes(QPSK_HALF, BETA, "bayes", ImperfectionModel(dead_time=0.1), 500, 7)
+        assert outcome(rec, -1) == outcome(rec, 499) and outcome(rec, -500) == outcome(rec, 0)
+        assert outcome(rec, np.int64(3)) == outcome(rec, 3)
         for i in (500, -501):
             with pytest.raises(IndexError):
-                rec[i]
+                outcome(rec, i)
         with pytest.raises(TypeError):
-            rec[1.0]
-        assert list(rec) == [rec[i] for i in range(500)]
+            outcome(rec, 1.0)
+        for i in (0, 3, 250, 499):
+            out = outcome(rec, i)
+            s, e = rec.click_offsets[i : i + 2]
+            assert out.true_state == rec.true_state[i]
+            assert out.hypothesis.state == rec.hypothesis[i]
+            assert out.hypothesis.confidence == rec.confidence[i]
+            assert out.click_times == tuple(rec.click_times[s:e])
+            assert out.probe_sequence == (1, *rec.probes[s:e])
+            assert out.correct == (rec.hypothesis[i] == rec.true_state[i])
 
     def test_columns_span_blocks(self):
         # 40,000 trials: a full block and a partial one
@@ -211,7 +236,7 @@ class TestTrialRecords:
         est = estimate_error(QPSK_HALF, BETA, "bayes", imp, 40_000, 9)
         assert np.count_nonzero(rec.hypothesis != rec.true_state) / 40_000 == est.p_err
         for i in (0, 32_767, 32_768, 39_999):
-            out = rec[i]
+            out = outcome(rec, i)
             assert len(out.click_times) == counts[i]
             assert all(b > a for a, b in zip(out.click_times, out.click_times[1:]))
 
@@ -227,7 +252,7 @@ class TestTrialRecords:
             ("bayes", 4, 1.0, 0.23, 0.0, 0.2,
              "1802b3e982cdb0eca40481c8642c208157beef73202e44c632756006907df841"),
             ("bayes", 8, 2.0, 0.23, 0.1, 0.01,
-             "469fc32f840d67d2a4b95754a727e576b7ac31673eff2e25732fa97b28769b8b"),
+             "5d5fbf8cad19c27d83f75e1f3d61bac522113cf4872ce810105871381e2d49e3"),
             ("cyclic", 8, 2.0, 0.23, 0.1, 0.01,
              "79cac6c397596e9811f73a9af97186925037df52a782225345d8320c132a2d2d"),
             # nulling under excess noise: zero-likelihood clicks as well
@@ -284,12 +309,12 @@ class TestBlockSequence:
                 (14624, "b03074cab611b598d72ff3881d204040c35ba18eed4fe7f32bc93c51c2a637f4"),
             ]),
             ("bayes", [
-                (16551, "b427edefa88bdf2198a5e6dfad748a628390ad57283095eb8e0a069eb374552c"),
-                (15779, "c9586fc681108d702aab2ddd2aa17d6a46d8f0d750c89609bbb5571cc47c316e"),
+                (16551, "df0bf4c22146ebbd37f892ab327cc0c33e3156b801016464deb208bf79ce2e34"),
+                (15779, "2f44dbde74b6c89008f897a732e77005a0dbdeefe7062ab4ccd5f155f9f322cf"),
                 (0, "bc940dcc0d266d5c5fee84ab04f46b10d93170bfef96441e2d2a5a3cb31dc942"),
                 (0, "e649ccd16a359dba4661de79f638bcc399c469334868e40c0549af2757b54c34"),
-                (12252, "52160b93b6192d262fed769067ec7c90d1f48cd30c6314cdd9bf58884b61e8df"),
-                (11832, "c820eb28e54c7bfc072bf7b560139ca258c5979d41659bdfee11ed2254aaefd8"),
+                (12252, "3a29a4e1dc6f108d59ee3638f021b05abd33f480e609c84204de95aa16de5cac"),
+                (11832, "aa125ddd62ea2363dceccc6c58409fcf5bae9e633ee331463912238ffacf94dd"),
             ]),
         ],
     )
@@ -360,11 +385,12 @@ class TestWorkspace:
 
 def _replay(alphabet, beta, strategy, imp, trials, seed):
     """Block-engine records next to the scalar path's, trial by trial."""
-    outs = simulate_outcomes(alphabet, beta, strategy, imp, trials, seed)
-    for i, out in enumerate(outs):
+    rec = simulate_outcomes(alphabet, beta, strategy, imp, trials, seed)
+    for i in range(trials):
         u = counter_uniform(seed, i, 0)
         true_state = min(int(u * alphabet.M), alphabet.M - 1) + 1
-        yield out, simulate_trial(true_state, alphabet, beta, strategy, imp, TrialStream(seed, i))
+        ref = simulate_trial(true_state, alphabet, beta, strategy, imp, TrialStream(seed, i))
+        yield outcome(rec, i), ref
 
 
 def _assert_same_trial(out, ref):
@@ -392,7 +418,16 @@ _ONE_IMPERFECTION = st.one_of(
 )
 
 
+# all four imperfections, for the Bayesian examples at M >= 8 below
+_IMPERFECT = ImperfectionModel(eta=0.8, n_th=0.1, dead_time=0.02, dark_rate=0.01)
+
+
 class TestScalarBlockAgreement:
+    # Bayesian probing at M >= 8 in every run, where a sum of the posterior's
+    # weights in another order than left to right would round differently
+    @example(M=8, alpha_sq=2.0, beta=0.48, strategy="bayes", imp=_IMPERFECT, seed=22)
+    @example(M=16, alpha_sq=3.0, beta=0.48, strategy="bayes", imp=_IMPERFECT, seed=23)
+    @example(M=33, alpha_sq=4.0, beta=0.48, strategy="bayes", imp=_IMPERFECT, seed=24)
     @given(
         M=st.integers(2, 16),
         alpha_sq=st.floats(0.0, 4.0),
@@ -409,17 +444,55 @@ class TestScalarBlockAgreement:
 
 
 class TestRowSum:
-    # the engine's posterior is (M, n); its normaliser must carry the bits of
-    # numpy's own row sum, which the scalar path and the golden digests use
+    # the normaliser adds the posterior's rows left to right: the bits of
+    # numpy's own row sum x.sum(axis=0) over several columns, and in each
+    # column those of the scalar reference's sum of one trial's weights
     @pytest.mark.parametrize("M", [*range(2, 41), 127, 128, 129, 300])
     def test_bits_of_numpys_row_sum(self, M):
         rng = np.random.default_rng(M)
         # nonnegative like posterior weights, over 24 orders of magnitude
         x = rng.random((M, 500)) * 10.0 ** rng.uniform(-12.0, 12.0, (M, 500))
-        total = _row_sum(x)
-        assert np.array_equal(total, np.ascontiguousarray(x.T).sum(axis=1))
+        total = PosteriorScratch(Workspace(), M, 500).column_sums(x)
+        assert np.array_equal(total, x.sum(axis=0))
         for j in range(0, 500, 25):
-            assert total[j] == x[:, j].copy().sum()
+            assert total[j] == weight_sum(x[:, j])
+
+
+class TestColumnCount:
+    # the engine updates many trials' posteriors in one call, and one column
+    # alone for the trials that never click, a round's last running trial
+    # and every trace; a column's bits and probe must not depend on which.
+    # numpy's reduce over axis 0 would fail this: it adds one column's rows
+    # pairwise, several columns' in sequence
+    @pytest.mark.parametrize("M", [2, 7, 8, 9, 16, 33, 200])
+    def test_a_column_alone_as_among_many(self, M):
+        m = 64
+        rng = np.random.default_rng(M)
+        w = rng.random((M, m)) * 10.0 ** rng.uniform(-6.0, 0.0, (M, m))
+        w /= w.sum(axis=0)
+        click_rates, final_rates = rng.uniform(0.0, 8.0, (2, M, m))
+        click_lag, final_lag = -rng.random((2, m))
+        probe = rng.integers(0, M, m)
+        scratch = PosteriorScratch(Workspace(), M, m)
+
+        def update(cols):
+            p = probe[cols].copy()
+            after = click_update(
+                w[:, cols], click_rates[:, cols].copy(), np.empty((M, len(p))),
+                click_lag[cols], p, scratch,
+            )
+            clicked = after.copy(), p.copy()
+            final = final_rates[:, cols].copy()
+            conf = final_update(after, final, final_lag[cols], p, scratch)
+            return clicked, (final, p, conf.copy())
+
+        (w_all, p_all), (f_all, d_all, c_all) = update(slice(None))
+        for j in range(m):
+            (w_j, p_j), (f_j, d_j, c_j) = update(slice(j, j + 1))
+            assert w_j[:, 0].tobytes() == w_all[:, j].tobytes()
+            assert p_j[0] == p_all[j]
+            assert f_j[:, 0].tobytes() == f_all[:, j].tobytes()
+            assert (d_j[0], c_j[0]) == (d_all[j], c_all[j])
 
 
 class TestZeroLikelihoodClick:
@@ -429,8 +502,7 @@ class TestZeroLikelihoodClick:
     def test_posteriors_stay_finite(self, M, alpha_sq):
         alphabet = PskAlphabet.from_power(M, alpha_sq)
         imp = ImperfectionModel(n_th=0.8)
-        outs = simulate_outcomes(alphabet, 0.0, "bayes", imp, 20_000, 1)
-        conf = np.array([o.hypothesis.confidence for o in outs])
+        conf = simulate_outcomes(alphabet, 0.0, "bayes", imp, 20_000, 1).confidence
         assert np.isfinite(conf).all()
         assert (conf > 0.0).all() and (conf <= 1.0).all()
         for out, ref in _replay(alphabet, 0.0, "bayes", imp, 300, 1):
@@ -583,8 +655,8 @@ class TestImperfections:
     def test_thermal_noise_offsets_are_per_pulse(self):
         # at alpha=beta=0 with noise, clicks arise from |eps|^2 alone
         imp = ImperfectionModel(n_th=0.8)
-        outs = simulate_outcomes(PskAlphabet(4, 0.0), 0.0, "cyclic", imp, 150_000, 43)
-        counts = np.array([len(o.click_times) for o in outs])
+        rec = simulate_outcomes(PskAlphabet(4, 0.0), 0.0, "cyclic", imp, 150_000, 43)
+        counts = np.diff(rec.click_offsets)
         # mixed Poisson with exponential mean: P(0) = 1/(1+n_th)
         assert counts.mean() == pytest.approx(0.8, rel=2e-2)
         assert (counts == 0).mean() == pytest.approx(1 / 1.8, rel=5e-3)

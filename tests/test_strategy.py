@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pskrx.core import PskAlphabet
-from pskrx.mc import Hypothesis, PosteriorScratch, Workspace, map_pick
+from pskrx.mc import PosteriorScratch, Workspace, map_pick
 
 from scalar_reference import (
+    Hypothesis,
     PosteriorState,
     bayes_click_update,
     bayes_finalize,
