@@ -6,7 +6,7 @@ sweep     error probability vs. signal power for one receiver setup
 trace     posterior trace for a given click record (ideal receiver)
 bench     SQL and Helstrom reference curves
 optimize  optimal displacement surplus vs. signal power
-simulate  raw per-trial records
+simulate  raw per-trial records, CSV and JSON from one chunked writer
 
 Every option can also be supplied through a flat ``key = value`` spec
 file (``--spec FILE``); explicit flags override file entries, and
@@ -18,8 +18,9 @@ exact objective uses no random numbers, so it draws no seed.
 ``--workers``, at least 1, caps the Monte Carlo parallelism (default:
 PSKRX_WORKERS or the CPUs this process may run on): ``sweep`` and
 ``optimize`` run every Monte Carlo estimate in one worker pool, started
-when first needed and stopped when the command ends.
-The output is identical for any worker count.
+when first needed and stopped when the command ends.  The pool starts
+no more processes than the CPUs this process may run on, whatever
+``--workers`` asks.  The output is identical for any worker count.
 An option that the chosen mode would ignore is an argument error:
 ``sweep``'s ``beta_sq`` outside ``--beta-policy fixed`` and
 ``opt_trials`` outside ``mc``, each compared with its default, and a
@@ -62,6 +63,7 @@ from .mc import (
     estimate_error,
     final_update,
     simulate_outcomes,
+    usable_cpus,
 )
 from .optimize import optimize_beta_analytic, optimize_beta_mc
 
@@ -156,7 +158,7 @@ _RECORD_FIELDS = (
     "correct", "n_clicks", "click_times", "probes",
 )
 
-# simulate writes its CSV this many trials at a time, to bound the text held at once
+# simulate writes its records this many trials at a time, to bound the text held at once
 _RECORD_CHUNK = 1 << 14
 
 
@@ -275,13 +277,6 @@ def _dump_spec(path: str, command: str, resolved: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults, spec file, and explicit flags (flags win)."""
     schema = _SCHEMA[command]
@@ -299,7 +294,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         raise ValueError(f"displacement surplus must be >= 0, got {resolved['beta_sq']}")
     if "workers" in schema:
         if resolved["workers"] is None:
-            resolved["workers"] = int(os.environ.get("PSKRX_WORKERS", _usable_cpus()))
+            resolved["workers"] = int(os.environ.get("PSKRX_WORKERS", usable_cpus()))
         if resolved["workers"] < 1:
             raise ValueError(f"need at least one worker, got {resolved['workers']}")
     if "format" in schema and resolved["format"] not in ("csv", "json"):
@@ -553,38 +548,37 @@ def cmd_optimize(cfg: dict) -> None:
     _write_rows(cfg, header, rows)
 
 
-def _record_columns(rec: TrialRecords) -> tuple[list, ...]:
-    """simulate's JSON columns, one list per field of ``_RECORD_FIELDS``."""
-    offsets = rec.click_offsets.tolist()
-    spans = list(zip(offsets, offsets[1:]))
-    times = [f"{lead}{digits}" for lead, digits in zip(*_fmt_slots(rec.click_times))]
-    probes = [f";{p}" for p in rec.probes.tolist()]
-    true_state = rec.true_state.tolist()
-    hypothesis = rec.hypothesis.tolist()
-    return (
-        list(range(len(rec))),
-        true_state,
-        hypothesis,
-        rec.confidence.tolist(),
-        [int(h == t) for h, t in zip(hypothesis, true_state)],
-        [e - s for s, e in spans],
-        [";".join(times[s:e]) for s, e in spans],
-        ["1" + "".join(probes[s:e]) for s, e in spans],
-    )
+def _row_template(fmt: str, n: int) -> str:
+    """The ``%``-template of one simulate record with n clicks.
+
+    Both formats have the same slots in the same order.  A CSV row ends in
+    "\n"; a JSON row is one object of ``json.dumps(rows, indent=2)`` and
+    ends in ",\n".
+    """
+    slots = ["%d", "%d", "%d", "%s%s", "%d", "%d", ";".join(["%s%s"] * n), "1" + ";%d" * n]
+    if fmt == "csv":
+        return ",".join(slots) + "\n"
+    slots[6:] = [f'"{slot}"' for slot in slots[6:]]
+    fields = ",\n".join(f'    "{name}": {slot}' for name, slot in zip(_RECORD_FIELDS, slots))
+    return f"  {{\n{fields}\n  }},\n"
 
 
-def _record_csv(rec: TrialRecords):
-    """simulate's CSV text: the header, then one piece per chunk of trials.
+def _record_text(rec: TrialRecords, fmt: str):
+    """simulate's output in format ``fmt``: a head, then one piece per chunk of trials.
 
     A chunk is one ``%``-format: the row templates of its trials, chosen by
     click count, joined, and applied to all of the chunk's values in row
     order (six leading fields, the click times, the probes after each
-    click).  Each float fills two ``%s`` slots from ``_fmt_slots``, which
-    together read as ``_fmt`` writes it, and the integer fields stay Python
-    ints.  Fields hold digits, '.', '-', '+', 'e' and ';' only, so none
-    needs quoting.
+    click).  Each float fills two ``%s`` slots: a click time's are its
+    ``_fmt_slots``, which together read as ``_fmt`` writes it, and so are
+    the confidence's in CSV; JSON puts the float and "" there, since ``%s``
+    of a float is the ``repr`` that ``json.dumps`` writes.  The integer
+    fields stay Python ints.  The string fields hold digits, '.', '-', '+',
+    'e' and ';' only, so none needs quoting or escaping.  JSON's head is
+    "[" and its last row closes the array in place of its ",".
     """
-    yield ",".join(_RECORD_FIELDS) + "\n"
+    json_fmt = fmt == "json"
+    yield "[\n" if json_fmt else ",".join(_RECORD_FIELDS) + "\n"
     templates: dict[int, str] = {}
     for lo in range(0, len(rec), _RECORD_CHUNK):
         hi = min(lo + _RECORD_CHUNK, len(rec))
@@ -595,11 +589,12 @@ def _record_csv(rec: TrialRecords):
         starts = np.cumsum(widths) - widths
         values = np.empty(int(widths.sum()), dtype=object)
         true_state, hypothesis = rec.true_state[lo:hi], rec.hypothesis[lo:hi]
+        confidence = rec.confidence[lo:hi]
         for field, column in enumerate((
             np.arange(lo, hi),
             true_state,
             hypothesis,
-            *_fmt_slots(rec.confidence[lo:hi]),
+            *((confidence.tolist(), "") if json_fmt else _fmt_slots(confidence)),
             (true_state == hypothesis).astype(np.int64),
             n_clicks,
         )):
@@ -613,9 +608,11 @@ def _record_csv(rec: TrialRecords):
         values[row + 7 + 2 * np.repeat(n_clicks, n_clicks) + j] = rec.probes[first:last]
         counts = n_clicks.tolist()
         for n in set(counts) - templates.keys():
-            clicks = ";".join(["%s%s"] * n)
-            templates[n] = f"%d,%d,%d,%s%s,%d,%d,{clicks},1" + ";%d" * n + "\n"
-        yield "".join([templates[n] for n in counts]) % tuple(values.tolist())
+            templates[n] = _row_template(fmt, n)
+        rows = [templates[n] for n in counts]
+        if json_fmt and hi == len(rec):
+            rows[-1] = rows[-1][:-2] + "\n]\n"
+        yield "".join(rows) % tuple(values.tolist())
 
 
 def cmd_simulate(cfg: dict) -> None:
@@ -628,11 +625,7 @@ def cmd_simulate(cfg: dict) -> None:
         cfg["trials"],
         cfg["seed"],
     )
-    if cfg["format"] == "csv":
-        _emit(cfg, _record_csv(rec))
-        return
-    rows = [dict(zip(_RECORD_FIELDS, row)) for row in zip(*_record_columns(rec))]
-    _write_rows(cfg, list(_RECORD_FIELDS), rows)
+    _emit(cfg, _record_text(rec, cfg["format"]))
 
 
 _COMMANDS = {

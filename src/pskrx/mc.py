@@ -48,7 +48,8 @@ states and thermal offsets once and runs every surplus on them (common
 random numbers); :func:`estimate_error` is its one-surplus case.  A
 :class:`WorkerPool` runs the blocks, and one pool can serve every call
 of a command.  :func:`simulate_outcomes` runs the same trials in
-process and keeps the engine's columns as :class:`TrialRecords`.
+process, in the blocks :func:`estimate_errors` gives one worker, and
+keeps the engine's columns as :class:`TrialRecords`.
 
 The block engine keeps the Bayesian posterior hypothesis-major: one
 (M, n) array whose row k holds state k's weight in each of the n trials
@@ -98,6 +99,7 @@ drops it when the call returns, so none outlives a command.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
@@ -626,13 +628,22 @@ def _trial_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(i * trials // n, (i + 1) * trials // n) for i in range(n)]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class WorkerPool:
     """Worker processes for the trial engine, shared by every call given the pool.
 
     A context manager.  The processes start on the first call that has
     more than one block of trials, and only if ``workers > 1``; they stop
-    when the context exits, also on an exception.  Blocks run in any
-    worker and in any order: the result cannot depend on it.
+    when the context exits, also on an exception.  ``workers`` sizes the
+    blocks, but no more processes start than :func:`usable_cpus`: a
+    CPU-bound worker past the CPUs adds only its start.  Blocks run in
+    any worker and in any order: the result cannot depend on it.
     """
 
     def __init__(self, workers: int):
@@ -659,7 +670,7 @@ class WorkerPool:
             return [fn(job, workspace) for job in jobs]
         if self._executor is None:
             # the module attribute, so a tracer or test that replaces it sees every start
-            pool = ProcessPoolExecutor(max_workers=self.workers)
+            pool = ProcessPoolExecutor(max_workers=min(self.workers, usable_cpus()))
             self._executor = self._stack.enter_context(pool)
         return list(self._executor.map(fn, jobs, chunksize=1))
 
@@ -668,7 +679,7 @@ def estimate_errors(
     alphabet: PskAlphabet,
     betas,
     strategy: str,
-    imperfections: ImperfectionModel | None,
+    imperfections: ImperfectionModel,
     trials: int,
     master_seed: int,
     workers: int | WorkerPool = 1,
@@ -692,11 +703,10 @@ def estimate_errors(
     betas = tuple(float(b) for b in betas)
     if not betas:
         raise ValueError("need at least one surplus")
-    imp = imperfections if imperfections is not None else IDEAL
     shared = isinstance(workers, WorkerPool)
     with (nullcontext(workers) if shared else WorkerPool(workers)) as pool:
         jobs = [
-            (alphabet, betas, strategy, imp, master_seed, lo, hi)
+            (alphabet, betas, strategy, imperfections, master_seed, lo, hi)
             for lo, hi in _trial_blocks(trials, pool.workers)
         ]
         per_block = pool.map(_block_errors, jobs)
@@ -718,7 +728,7 @@ def estimate_error(
     alphabet: PskAlphabet,
     beta: float,
     strategy: str,
-    imperfections: ImperfectionModel | None,
+    imperfections: ImperfectionModel,
     trials: int,
     master_seed: int,
     workers: int | WorkerPool = 1,
@@ -733,24 +743,23 @@ def simulate_outcomes(
     alphabet: PskAlphabet,
     beta: float,
     strategy: str,
-    imperfections: ImperfectionModel | None,
+    imperfections: ImperfectionModel,
     trials: int,
     master_seed: int,
 ) -> TrialRecords:
     """Full records of trials 0..trials-1, the ones :func:`estimate_error` counts.
 
-    Runs in this process, in blocks of ``_BLOCK`` trials.
+    Runs in this process, in the blocks that :func:`_trial_blocks` gives one
+    worker.
     """
     _check_strategy(strategy)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    imp = imperfections if imperfections is not None else IDEAL
     workspace = Workspace()
     blocks = []
-    for lo in range(0, trials, _BLOCK):
-        hi = min(lo + _BLOCK, trials)
+    for lo, hi in _trial_blocks(trials, 1):
         [(_, payload)] = _run_block(
-            alphabet, (beta,), strategy, imp, master_seed, lo, hi, True, workspace
+            alphabet, (beta,), strategy, imperfections, master_seed, lo, hi, True, workspace
         )
         blocks.append(payload)
     del workspace  # freed before the columns are joined

@@ -39,6 +39,13 @@ from .mc import ImperfectionModel, WorkerPool, estimate_error, estimate_errors
 _MAX_BRACKET_HI = 8.0
 _SCAN_POINTS = 9
 _MAX_ROOT_STEPS = 60
+# the exact optimum's amplitude tolerance, and the count-series truncation of
+# its objective: looser than the evaluator's default, it biases every value by
+# less than 1e-9, far below the scale the optimum is quoted at
+_BETA_TOL = 1e-6
+_TAIL_TOL = 1e-9
+# candidates of the default Monte Carlo grid
+_GRID_POINTS = 9
 
 
 @dataclass(frozen=True)
@@ -64,8 +71,6 @@ class OptimizationResult:
 def optimize_beta_analytic(
     alphabet: PskAlphabet,
     bracket: tuple[float, float] = (0.0, 2.0),
-    tol: float = 1e-6,
-    tail_tol: float = 1e-9,
 ) -> OptimizationResult:
     """Minimize the analytic cyclic error probability over beta.
 
@@ -75,13 +80,10 @@ def optimize_beta_analytic(
     beyond which the boundary flag is set).  The exact derivative then
     picks the scan cell where dP/dbeta changes sign beside the scan
     minimum, and ``_stationary_point`` solves dP/dbeta = 0 in it to
-    amplitude tolerance ``tol``.  The optimum sits at the bracket's low
-    edge when dP/dbeta >= 0 there; a root within 10 tol of the edge is
-    flagged as a boundary optimum too, and gives way to the edge if the
-    edge's error is no larger.  The count-series truncation
-    ``tail_tol`` is looser than the evaluator's default: it biases every
-    objective value by less than 1e-9, far below the scale the optimum
-    is quoted at.
+    amplitude tolerance ``_BETA_TOL``.  The optimum sits at the bracket's
+    low edge when dP/dbeta >= 0 there; a root within 10 ``_BETA_TOL`` of
+    the edge is flagged as a boundary optimum too, and gives way to the
+    edge if the edge's error is no larger.
     """
     lo, hi = bracket
     if not 0.0 <= lo < hi:
@@ -91,7 +93,7 @@ def optimize_beta_analytic(
     def f(b: float) -> CyclicError:
         b = float(b)
         if b not in cache:
-            cache[b] = cyclic_error_probability(alphabet, b, tail_tol)
+            cache[b] = cyclic_error_probability(alphabet, b, _TAIL_TOL)
         return cache[b]
 
     while True:
@@ -113,14 +115,14 @@ def optimize_beta_analytic(
     if cell is None:
         beta_opt = float(grid[i])
     elif scan[cell].slope < 0.0 < scan[cell + 1].slope:
-        beta_opt = _stationary_point(f, float(grid[cell]), float(grid[cell + 1]), tol)
+        beta_opt = _stationary_point(f, float(grid[cell]), float(grid[cell + 1]), _BETA_TOL)
     else:
         raise PrecisionError(
             f"dP/dbeta keeps its sign across the scan cell next to beta={grid[i]:.6g}, "
             "where the scan has its least error"
         )
-    at_low = beta_opt <= lo + 10 * tol
-    at_high = beta_opt >= hi - 10 * tol and hi >= _MAX_BRACKET_HI
+    at_low = beta_opt <= lo + 10 * _BETA_TOL
+    at_high = beta_opt >= hi - 10 * _BETA_TOL and hi >= _MAX_BRACKET_HI
     if at_low and f(lo).p_err <= f(beta_opt).p_err:
         beta_opt = lo
     best = f(beta_opt)
@@ -169,9 +171,7 @@ def _stationary_point(f, a: float, b: float, tol: float) -> float:
     raise PrecisionError(f"dP/dbeta = 0 not solved to {tol:g} in [{a:.9g}, {b:.9g}]")
 
 
-def default_beta_grid(
-    alphabet: PskAlphabet, imperfections: ImperfectionModel, points: int = 9
-) -> np.ndarray:
+def default_beta_grid(alphabet: PskAlphabet, imperfections: ImperfectionModel) -> np.ndarray:
     """Candidate surpluses centered on the efficiency-compensated optimum.
 
     Finite quantum efficiency rescales the detected power, so the ideal
@@ -183,13 +183,13 @@ def default_beta_grid(
     scaled = PskAlphabet(alphabet.M, sqrt(eta) * alphabet.alpha)
     center = optimize_beta_analytic(scaled).beta_opt / sqrt(eta)
     half = max(0.35, 0.6 * center)
-    return np.linspace(max(0.0, center - half), center + half, points)
+    return np.linspace(max(0.0, center - half), center + half, _GRID_POINTS)
 
 
 def optimize_beta_mc(
     alphabet: PskAlphabet,
     strategy: str,
-    imperfections: ImperfectionModel | None,
+    imperfections: ImperfectionModel,
     trials: int,
     master_seed: int,
     grid=None,
@@ -208,35 +208,25 @@ def optimize_beta_mc(
     one standard error the objective is flat at this trial budget; the
     grid minimum is returned with the ``flat`` flag set.
     """
-    imp = imperfections if imperfections is not None else ImperfectionModel()
     if grid is None:
-        grid = default_beta_grid(alphabet, imp)
+        grid = default_beta_grid(alphabet, imperfections)
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 8:
         raise ValueError(f"need a grid of >= 8 candidates, got {len(grid)}")
     if trials < 10_000:
         raise ValueError(f"need >= 10000 trials per candidate, got {trials}")
 
-    estimates = estimate_errors(alphabet, grid, strategy, imp, trials, master_seed, workers)
+    estimates = estimate_errors(
+        alphabet, grid, strategy, imperfections, trials, master_seed, workers
+    )
     vals = np.array([e.p_err for e in estimates])
     errs = np.array([e.std_err for e in estimates])
     evaluations = len(grid)
     i = int(np.argmin(vals))
-
-    if vals.max() - vals.min() <= errs.max():
-        return OptimizationResult(
-            beta_opt=float(grid[i]),
-            p_err_at_opt=float(vals[i]),
-            objective_kind=f"mc-{strategy}",
-            evaluations=evaluations,
-            bracket=(float(grid[0]), float(grid[-1])),
-            at_boundary=i in (0, len(grid) - 1),
-            flat=True,
-            p_err_std=float(errs[i]),
-        )
+    flat = bool(vals.max() - vals.min() <= errs.max())
 
     best_beta, best = float(grid[i]), estimates[i]
-    if 0 < i < len(grid) - 1:
+    if not flat and 0 < i < len(grid) - 1:
         x = grid[i - 1 : i + 2]
         y = vals[i - 1 : i + 2]
         denom = (x[0] - x[1]) * (y[1] - y[2]) - (x[1] - x[2]) * (y[0] - y[1])
@@ -250,7 +240,7 @@ def optimize_beta_mc(
             vertex = float(np.clip(vertex, x[0], x[2]))
             if vertex >= 0.0:
                 cand = estimate_error(
-                    alphabet, vertex, strategy, imp, trials, master_seed, workers
+                    alphabet, vertex, strategy, imperfections, trials, master_seed, workers
                 )
                 evaluations += 1
                 if cand.p_err < best.p_err:
@@ -262,5 +252,6 @@ def optimize_beta_mc(
         evaluations=evaluations,
         bracket=(float(grid[0]), float(grid[-1])),
         at_boundary=i in (0, len(grid) - 1),
+        flat=flat,
         p_err_std=best.std_err,
     )

@@ -4,8 +4,8 @@ Everything here deliberately avoids the implementation paths it checks:
 rates come from brute-force complex arithmetic, counting statistics from
 30- and 50-digit matrix exponentials of the counting master equation and
 from literal nested quadrature, and the SQL from a 40-digit integral, so
-agreement is meaningful.  The ``pool_events`` fixture logs the trial
-engine's worker pools without starting a process.
+agreement is meaningful.  The ``pool_events`` and ``pool_sizes``
+fixtures log the trial engine's worker pools without starting a process.
 """
 
 import cmath
@@ -142,19 +142,20 @@ def qpsk_half():
 
 
 @pytest.fixture
-def pool_events(monkeypatch):
-    """Log ("start" / "stop") of every pool the trial engine opens.
+def pool_log(monkeypatch):
+    """Logs of every pool the trial engine opens: its events and its ``max_workers``.
 
     ``pskrx.mc.ProcessPoolExecutor`` is replaced by an in-process fake
     with the same context-manager protocol and ``map`` signature.
     """
     import pskrx.mc
 
-    events = []
+    events, sizes = [], []
 
     class FakePool:
         def __init__(self, max_workers):
             events.append("start")
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -167,4 +168,16 @@ def pool_events(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(pskrx.mc, "ProcessPoolExecutor", FakePool)
-    return events
+    return events, sizes
+
+
+@pytest.fixture
+def pool_events(pool_log):
+    """Log ("start" / "stop") of every pool the trial engine opens."""
+    return pool_log[0]
+
+
+@pytest.fixture
+def pool_sizes(pool_log):
+    """The ``max_workers`` that every pool the trial engine opens asks for."""
+    return pool_log[1]

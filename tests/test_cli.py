@@ -360,6 +360,15 @@ class TestWorkerPool:
         assert "engine failure" in err
         assert pool_events == ["start", "stop"]
 
+    def test_processes_capped_at_the_usable_cpus(self, capsys, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--alpha-sq", "0.5", "--beta-policy", "zero",
+            "--trials", "20000", "--seed", "1", "--workers", "1000000",
+        )
+        assert code == EXIT_OK
+        assert pool_sizes == [2]
+
     @pytest.mark.parametrize("workers", ["0", "-4"])
     @pytest.mark.parametrize("command", ["sweep", "optimize"])
     def test_workers_below_one_rejected(self, capsys, command, workers):
@@ -746,8 +755,9 @@ class TestSimulate:
         assert code == EXIT_ARGS and out == "" and "trial" in err
 
     def test_csv_and_json_agree(self, capsys):
-        # the two formats come from separate writers; every field must match,
-        # numbers as floats (JSON writes confidence with repr, CSV with .17g)
+        # one writer fills the same values into each format's row template;
+        # every field must match, numbers as floats (JSON writes confidence
+        # with repr, CSV with .17g)
         argv = ["simulate", "--m", "8", "--alpha-sq", "2", "--beta-sq", "0.23",
                 "--strategy", "bayes", "--trials", "3000", "--seed", "28", *IMPERFECT]
         code, text, _ = run_cli(capsys, *argv)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+import pskrx.mc
 from pskrx._rng import box_muller, counter_uniform, slot_uniform, trial_keys
 from pskrx.analytic import cyclic_error_probability, poisson_pmf
 from pskrx.core import PskAlphabet
@@ -599,6 +600,16 @@ class TestWorkerPool:
         assert pool_events == []
         estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=2)
         assert pool_events == ["start", "stop"]
+
+    def test_processes_capped_at_the_usable_cpus(self, pool_sizes, monkeypatch):
+        # a million workers size the blocks, but the pool starts one process a CPU
+        monkeypatch.setattr(pskrx.mc, "usable_cpus", lambda: 3)
+        est = estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 20_000, 1, workers=10**6)
+        assert pool_sizes == [3]
+        assert est == estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 20_000, 1, workers=1)
+        with WorkerPool(2) as pool:
+            estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 20_000, 1, pool)
+        assert pool_sizes == [3, 2]
 
     def test_stops_on_an_error(self, pool_events):
         alphabet = PskAlphabet.from_power(2, 1000.0)

@@ -1,15 +1,18 @@
-"""simulate's CSV writer against a reference writer, byte for byte.
+"""simulate's record writer against reference writers, byte for byte.
 
 Its float kernel, ``_fmt_slots``, is checked against ``format(x, ".17g")``
 value by value.
 
-The reference below is the earlier per-trial writer, which also matches
-the golden digests of ``TestSimulate::test_golden_bytes``: it joins the
-click times and probes of every trial and each row's fields as strings.  The
-writer in ``pskrx.cli`` must produce the same text for any records and
-any chunk size, so the tests shrink the chunk to put its edges
-everywhere.
+The CSV reference below is the earlier per-trial writer, which also
+matches the golden digests of ``TestSimulate::test_golden_bytes``: it
+joins the click times and probes of every trial and each row's fields as
+strings.  The JSON reference is ``json.dumps(rows, indent=2)`` of one dict
+per trial built from the same columns.  The writer in ``pskrx.cli`` must
+produce the same text in both formats for any records and any chunk
+size, so the tests shrink the chunk to put its edges everywhere.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -64,6 +67,13 @@ def _record_csv(rec: TrialRecords):
         yield "".join(",".join(row) + "\n" for row in fields)
 
 
+def _record_json(rec: TrialRecords) -> str:
+    """simulate's JSON text: one dict per trial, serialized at once."""
+    columns = _record_columns(rec, 0, len(rec))
+    rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return json.dumps(rows, indent=2) + "\n"
+
+
 # --- tests -----------------------------------------------------------------
 
 
@@ -81,7 +91,12 @@ def records(n_clicks, times, probes, true_state, hypothesis, confidence):
 
 def assert_same_text(rec, chunk, monkeypatch):
     monkeypatch.setattr(pskrx.cli, "_RECORD_CHUNK", chunk)
-    assert "".join(pskrx.cli._record_csv(rec)) == "".join(_record_csv(rec))
+    assert "".join(pskrx.cli._record_text(rec, "csv")) == "".join(_record_csv(rec))
+
+
+def assert_same_json(rec, chunk, monkeypatch):
+    monkeypatch.setattr(pskrx.cli, "_RECORD_CHUNK", chunk)
+    assert "".join(pskrx.cli._record_text(rec, "json")) == _record_json(rec)
 
 
 # with chunks of 3: trials 0 and 3 open a chunk without a click, 2 and 5
@@ -106,6 +121,11 @@ SIXTEEN = records(
     confidence=[0.123456789012345678, 1.0, 0.99999999999999989, 0.0625],
 )
 
+SINGLE_TRIALS = [
+    records([0], [], [], [2], [2], [1.0]),
+    records([2], [4.5e-05, 0.5], [2, 3], [3], [1], [0.5]),
+]
+
 
 class TestAgainstReference:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 1 << 14])
@@ -113,21 +133,14 @@ class TestAgainstReference:
     def test_hand_built_records(self, monkeypatch, rec, chunk):
         assert_same_text(rec, chunk, monkeypatch)
 
-    @pytest.mark.parametrize(
-        "rec",
-        [
-            records([0], [], [], [2], [2], [1.0]),
-            records([2], [4.5e-05, 0.5], [2, 3], [3], [1], [0.5]),
-        ],
-        ids=["silent", "two-clicks"],
-    )
+    @pytest.mark.parametrize("rec", SINGLE_TRIALS, ids=["silent", "two-clicks"])
     def test_single_trial(self, monkeypatch, rec):
         assert_same_text(rec, 3, monkeypatch)
 
     def test_exponent_form_and_unit_confidence(self, monkeypatch):
         # .17g writes 3.2e-05 in exponent form and a confidence of 1.0 as 1
         monkeypatch.setattr(pskrx.cli, "_RECORD_CHUNK", 3)
-        text = "".join(pskrx.cli._record_csv(EDGES)).splitlines()
+        text = "".join(pskrx.cli._record_text(EDGES, "csv")).splitlines()
         assert text[0] == "trial,true_state,hypothesis,confidence,correct,n_clicks,click_times,probes"
         assert text[1] == "0,1,1,1,1,0,,1"
         assert text[5] == "4,1,2,0.25,0,1,3.1999999999999999e-05,1;4"
@@ -154,6 +167,33 @@ class TestAgainstReference:
         )
         with pytest.MonkeyPatch.context() as mp:
             assert_same_text(rec, chunk, mp)
+
+
+IMPERFECT = ImperfectionModel(eta=0.8, n_th=0.1, dead_time=0.02, dark_rate=0.01)
+
+
+class TestJsonAgainstReference:
+    # chunks of 1 and 5 divide EDGES' 10 trials exactly, 3 does not; SIXTEEN
+    # has 4 trials
+    @pytest.mark.parametrize("chunk", [1, 3, 5, 1 << 14])
+    @pytest.mark.parametrize("rec", [EDGES, SIXTEEN], ids=["edges", "m16"])
+    def test_hand_built_records(self, monkeypatch, rec, chunk):
+        assert_same_json(rec, chunk, monkeypatch)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 14])
+    @pytest.mark.parametrize("rec", SINGLE_TRIALS, ids=["silent", "two-clicks"])
+    def test_single_trial(self, monkeypatch, rec, chunk):
+        # one object and no comma after it
+        assert_same_json(rec, chunk, monkeypatch)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 14])
+    @pytest.mark.parametrize("trials", [1, 6, 7])
+    @pytest.mark.parametrize("imp", [IDEAL, IMPERFECT], ids=["ideal", "imperfect"])
+    @pytest.mark.parametrize("strategy", ["cyclic", "bayes"])
+    def test_seeded_runs(self, monkeypatch, strategy, imp, trials, chunk):
+        # cyclic confidences are exactly 1.0, which JSON writes as 1.0 and CSV as 1
+        rec = simulate_outcomes(PskAlphabet.from_power(4, 1.0), 0.48, strategy, imp, trials, 9)
+        assert_same_json(rec, chunk, monkeypatch)
 
 
 # --- the float kernel ------------------------------------------------------
