@@ -38,43 +38,58 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, in place on a uint64 array: bijective avalanche."""
+def _mix64(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array: bijective avalanche.
+
+    ``scratch`` is a uint64 array shaped like ``x`` to hold the shifted
+    words, or None for a temporary at each shift.
+    """
     # uint64 arithmetic wraps silently; keep numpy quiet about it anyway
     with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
+        x ^= np.right_shift(x, np.uint64(30), out=scratch)
         x *= _MIX1
-        x ^= x >> np.uint64(27)
+        x ^= np.right_shift(x, np.uint64(27), out=scratch)
         x *= _MIX2
-        x ^= x >> np.uint64(31)
+        x ^= np.right_shift(x, np.uint64(31), out=scratch)
     return x
 
 
-def trial_keys(seed: int, trials: np.ndarray | int, out: np.ndarray | None = None) -> np.ndarray:
+def trial_keys(
+    seed: int,
+    trials: np.ndarray | int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """The 64-bit key of each trial of ``seed``, uint64 values shaped like ``trials``.
 
     ``out`` is a uint64 array to write the keys into (``trials`` itself
-    will do), or None for a new one.
+    will do), or None for a new one; ``scratch`` is :func:`_mix64`'s.
     """
     h = _mix64(np.array((seed % _WORD) ^ _GOLDEN, dtype=np.uint64))
     with np.errstate(over="ignore"):
         keys = np.multiply(np.asarray(trials, dtype=np.uint64), np.uint64(_GOLDEN), out=out)
     keys ^= h
-    return _mix64(keys)
+    return _mix64(keys, scratch)
 
 
-def slot_uniform(keys: np.ndarray, slot: int, out: np.ndarray | None = None) -> np.ndarray:
+def slot_uniform(
+    keys: np.ndarray,
+    slot: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Uniform draw(s) in the open interval (0, 1) for one slot of keyed trials.
 
     Values are taken from the top 53 bits of the mixed word and offset by
     half an ulp so that log() and division are always safe.  ``out`` is a
     float64 array shaped like ``keys`` to write them into, or None for a
-    new one; the words are mixed in its memory.
+    new one; the words are mixed in its memory.  ``scratch`` is
+    :func:`_mix64`'s.
     """
     if out is None:
         out = np.empty(np.shape(keys))
     h = np.bitwise_xor(keys, np.uint64(slot * int(_MIX1) % _WORD), out=out.view(np.uint64))
-    _mix64(h)
+    _mix64(h, scratch)
     h >>= np.uint64(11)
     # below 2**53, so exact as a signed word, whose conversion is the
     # faster; each word is read before its float is written over it

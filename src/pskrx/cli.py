@@ -20,7 +20,8 @@ PSKRX_WORKERS or the CPUs this process may run on): ``sweep`` and
 ``optimize`` run every Monte Carlo estimate in one worker pool, started
 when first needed and stopped when the command ends.  The pool starts
 no more processes than the CPUs this process may run on, whatever
-``--workers`` asks.  The output is identical for any worker count.
+``--workers`` asks, and none when that leaves one.  The output is
+identical for any worker count.
 An option that the chosen mode would ignore is an argument error:
 ``sweep``'s ``beta_sq`` outside ``--beta-policy fixed`` and
 ``opt_trials`` outside ``mc``, each compared with its default, and a
@@ -293,10 +294,16 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     if "beta_sq" in schema and not resolved["beta_sq"] >= 0.0:
         raise ValueError(f"displacement surplus must be >= 0, got {resolved['beta_sq']}")
     if "workers" in schema:
+        origin = ""
         if resolved["workers"] is None:
-            resolved["workers"] = int(os.environ.get("PSKRX_WORKERS", usable_cpus()))
+            env = os.environ.get("PSKRX_WORKERS")
+            if env is None:
+                resolved["workers"] = usable_cpus()
+            else:
+                resolved["workers"] = _convert("PSKRX_WORKERS", int, env)
+                origin = " from PSKRX_WORKERS"
         if resolved["workers"] < 1:
-            raise ValueError(f"need at least one worker, got {resolved['workers']}")
+            raise ValueError(f"need at least one worker, got {resolved['workers']}{origin}")
     if "format" in schema and resolved["format"] not in ("csv", "json"):
         raise ValueError(f"unknown format {resolved['format']!r}; use csv or json")
     if "strategy" in schema and resolved["strategy"] not in STRATEGIES:

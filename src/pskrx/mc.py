@@ -40,16 +40,20 @@ Randomness is addressed per trial through counter-based streams
 whichever block of trials it runs in.  So a scalar replay of one trial
 (the test suite's reference, ``tests/scalar_reference.py``) reproduces
 exactly the trial the vectorized engine runs, and
-:func:`estimate_errors` may cut its trials into blocks sized for the
-worker count and hand them to any worker without changing a bit of its
-result.  :func:`estimate_errors` evaluates
-several surpluses in one pass: each block of trials draws its true
-states and thermal offsets once and runs every surplus on them (common
-random numbers); :func:`estimate_error` is its one-surplus case.  A
-:class:`WorkerPool` runs the blocks, and one pool can serve every call
-of a command.  :func:`simulate_outcomes` runs the same trials in
-process, in the blocks :func:`estimate_errors` gives one worker, and
-keeps the engine's columns as :class:`TrialRecords`.
+:func:`estimate_errors` may cut its trials into any blocks and hand
+them to any worker without changing a bit of its result.
+:func:`estimate_errors` evaluates several surpluses in one pass: each
+block of trials draws its true states and thermal offsets once and runs
+every surplus on them (common random numbers); :func:`estimate_error`
+is its one-surplus case.  A :class:`WorkerPool` runs the blocks, and
+one pool can serve every call of a command.  The blocks follow the
+processes that run them, not the workers asked for: the fewest of at
+most ``_BLOCK`` trials whose count is a multiple of the pool's
+processes (:func:`_trial_blocks`), since each block pays a fixed cost
+in numpy calls a round, whatever its size.  With one process the blocks
+run in this process and no pool starts.  :func:`simulate_outcomes` runs
+the same trials in process, in the blocks one process gets, and keeps
+the engine's columns as :class:`TrialRecords`.
 
 The block engine keeps the Bayesian posterior hypothesis-major: one
 (M, n) array whose row k holds state k's weight in each of the n trials
@@ -85,21 +89,24 @@ with it, the trial's offset field rides along as two more float rows.
 
 The engine owns its working memory.  Every array of block size (the
 state above and its spare for compaction, the rates, the click times,
-the scratch of the MAP pick and of the normaliser) is a view into a
+the scratch of the MAP pick, of the normaliser and of the RNG's word
+mixing) is a view into a
 :class:`Workspace` of preallocated buffers, written with ``out=``
 arguments, so after a process's first block its rounds and blocks
 allocate and free no array of block size.  Without it each block gave
 its working set back to the allocator and faulted it in again: about
 2,000 minor page faults a 32,768-trial block, kernel time that a
 profile of the Python process does not show.  A worker process keeps
-one workspace for its life; a run in this process (one worker, a
+one workspace for its life; a run in this process (one process, a
 single block, :func:`simulate_outcomes`) holds one for the call and
 drops it when the call returns, so none outlives a command.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
@@ -112,10 +119,12 @@ from .core import PskAlphabet, probe_relative_rates
 from .errors import PrecisionError
 
 _BLOCK = 1 << 15
-# several workers get about this many blocks each, so none idles long at the end
-_BLOCKS_PER_WORKER = 4
-# ... but no block below this size: a short call stays one block, run in process
+# no block is split below this size: a short call stays one block, run in process
 _MIN_BLOCK = 1 << 12
+# fork starts a worker in hundredths of a second, forkserver and spawn in
+# tenths (Python 3.14 makes forkserver Linux's default); elsewhere the
+# platform's default stands
+_START_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else None
 
 STRATEGIES = ("cyclic", "bayes")
 
@@ -271,6 +280,9 @@ class PosteriorScratch:
         self.steps = steps = phase_steps(M)
         # added to the steps of a state off the maximum: more than any step
         self.no_max = steps.dtype.type(M)
+        # wrap[s] is s mod M for s < 2M: a probe moved ahead by fewer than M
+        # steps wraps with a take, which costs a fifth of an integer division
+        self.wrap = np.arange(2 * M, dtype=np.int64) % M
         self.top, self.total = ws("top", n), ws("total", n)
         self.ahead_min = ws("ahead_min", n, steps.dtype)
         self.ahead, self.off = ws("ahead", M * n, steps.dtype), ws("off", M * n, steps.dtype)
@@ -302,7 +314,7 @@ def map_pick(w: np.ndarray, probe: np.ndarray, scratch: PosteriorScratch) -> np.
     off *= scratch.no_max
     ahead += off
     probe += ahead.min(axis=0, out=scratch.ahead_min[:m])
-    probe %= M
+    scratch.wrap.take(probe, out=probe, mode="clip")
     return top
 
 
@@ -411,8 +423,9 @@ def _run_block(
     M = alphabet.M
     n = hi - lo
     keys = np.add(ws.iota(n), np.uint64(lo), out=ws("keys", n, np.uint64))
-    trial_keys(master_seed, keys, out=keys)
-    u = slot_uniform(keys, 0, out=ws("u", n))
+    mix = ws("mix", n, np.uint64)
+    trial_keys(master_seed, keys, out=keys, scratch=mix)
+    u = slot_uniform(keys, 0, out=ws("u", n), scratch=mix)
     u *= M
     true0 = ws("true0", n, np.int64)
     true0[:] = u  # truncated, as astype truncates
@@ -421,7 +434,11 @@ def _run_block(
     if imp.n_th > 0.0:
         # without excess noise the offset is exactly zero: slots 1-2 go unread
         field0 = ws("field_re", n), ws("field_im", n)
-        box_muller(slot_uniform(keys, 1, out=field0[0]), slot_uniform(keys, 2, out=u), out=field0)
+        box_muller(
+            slot_uniform(keys, 1, out=field0[0], scratch=mix),
+            slot_uniform(keys, 2, out=u, scratch=mix),
+            out=field0,
+        )
         sigma = sqrt(imp.n_th / 2.0)
         # each trial's amplitude plus its offset, one quadrature at a time
         for z, part in zip(field0, (alphabet.amplitudes.real, alphabet.amplitudes.imag)):
@@ -493,7 +510,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
         w.fill(1.0 / M)
 
     # scratch of a round
-    rate_buf, index_buf = ws("rate", n), ws("index", n, np.int64)
+    rate_buf, index_buf, mix_buf = ws("rate", n), ws("index", n, np.int64), ws("mix", n, np.uint64)
     clicked_buf, done_buf = ws("clicked", n, bool), ws("done", n, bool)
     finished_buf, exposure_buf = ws("finished", 4 * n, np.int64), ws("exposure", n)
 
@@ -553,7 +570,9 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
             rate += imp.dark_rate
         # resume + -log(u) / rate, in place; a zero or tiny rate means a
         # wait past the pulse's end: no click
-        t_click = slot_uniform(ints[1].view(np.uint64), 3 + rnd, out=t_pair[0][:m])
+        t_click = slot_uniform(
+            ints[1].view(np.uint64), 3 + rnd, out=t_pair[0][:m], scratch=mix_buf[:m]
+        )
         with np.errstate(divide="ignore", over="ignore"):
             np.log(t_click, out=t_click)
             np.negative(t_click, out=t_click)
@@ -576,7 +595,8 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
             w_trio[:2] = w_trio[1], w_trio[0]
         ints[3] += 1
         if not bayes:
-            np.remainder(ints[3], M, out=probe)
+            # the probe is the click count mod M: one step ahead, wrapped
+            scratch.wrap[1:].take(probe, out=probe, mode="clip")
         # a trial blocked up to the pulse's end (resume 1.0) waits past it
         # next round and finishes in that round's shrink, with no exposure
         np.add(t_click, imp.dead_time, out=resume)
@@ -614,17 +634,19 @@ def _block_errors(job, workspace: Workspace | None = None) -> list[int]:
     return [n_err for n_err, _ in _run_block(*job, workspace=workspace)]
 
 
-def _trial_blocks(trials: int, workers: int) -> list[tuple[int, int]]:
+def _trial_blocks(trials: int, processes: int) -> list[tuple[int, int]]:
     """Contiguous spans [lo, hi) of near-equal size that cover trials 0..trials-1.
 
-    One worker gets blocks of up to ``_BLOCK`` trials.  Several get about
-    ``_BLOCKS_PER_WORKER`` blocks each, within [``_MIN_BLOCK``, ``_BLOCK``]
-    trials, so the last blocks to finish keep every worker busy.
+    The fewest blocks of at most ``_BLOCK`` trials whose count is a
+    multiple of ``processes``, so that each process runs as many blocks
+    as the others and none idles at the end.  A split never goes below
+    ``_MIN_BLOCK`` trials a block: a call too short for a multiple of
+    ``processes`` such blocks gets as many as it fills, at least one.
+    Every block a process runs pays a fixed cost of each round's numpy
+    calls, so no more blocks are made than this needs.
     """
-    size = _BLOCK
-    if workers > 1:
-        size = min(_BLOCK, max(_MIN_BLOCK, -(-trials // (_BLOCKS_PER_WORKER * workers))))
-    n = -(-trials // size)
+    n = -(-trials // _BLOCK)
+    n = max(n, min(-(-n // processes) * processes, trials // _MIN_BLOCK))
     return [(i * trials // n, (i + 1) * trials // n) for i in range(n)]
 
 
@@ -638,16 +660,18 @@ def usable_cpus() -> int:
 class WorkerPool:
     """Worker processes for the trial engine, shared by every call given the pool.
 
-    A context manager.  The processes start on the first call that has
-    more than one block of trials, and only if ``workers > 1``; they stop
-    when the context exits, also on an exception.  ``workers`` sizes the
-    blocks, but no more processes start than :func:`usable_cpus`: a
-    CPU-bound worker past the CPUs adds only its start.  Blocks run in
-    any worker and in any order: the result cannot depend on it.
+    A context manager.  ``processes``, fixed when the pool is made, is
+    ``workers`` capped at :func:`usable_cpus`: a CPU-bound worker past
+    the CPUs would add only its start.  The blocks of every call follow
+    it (see :func:`_trial_blocks`).  The processes start on the first
+    call that has more than one block of trials, and only if
+    ``processes > 1``; they stop when the context exits, also on an
+    exception.  On Linux they are forked.  Blocks run in any worker and
+    in any order: the result cannot depend on it.
     """
 
     def __init__(self, workers: int):
-        self.workers = workers
+        self.processes = min(workers, usable_cpus())
         self._stack = ExitStack()
         self._executor = None
 
@@ -665,12 +689,12 @@ class WorkerPool:
         life; in this process every job runs as ``fn(job, workspace)`` on
         one workspace, dropped when the call returns.
         """
-        if self.workers < 2 or len(jobs) < 2:
+        if self.processes < 2 or len(jobs) < 2:
             workspace = Workspace()
             return [fn(job, workspace) for job in jobs]
         if self._executor is None:
             # the module attribute, so a tracer or test that replaces it sees every start
-            pool = ProcessPoolExecutor(max_workers=min(self.workers, usable_cpus()))
+            pool = ProcessPoolExecutor(max_workers=self.processes, mp_context=_START_CONTEXT)
             self._executor = self._stack.enter_context(pool)
         return list(self._executor.map(fn, jobs, chunksize=1))
 
@@ -690,7 +714,7 @@ def estimate_errors(
     pass: each block of trials is one job that carries all the surpluses.
     ``workers`` is a :class:`WorkerPool` to run the jobs in, or a worker
     count for a pool of this call alone.  The blocks are derived from
-    ``trials`` and the worker count, but every random draw is addressed
+    ``trials`` and the pool's processes, but every random draw is addressed
     by (master_seed, trial index, slot), so neither the partition nor the
     scheduling can change any outcome, and aggregation is plain counting:
     the result is bit-identical for fixed (master_seed, trials) whatever
@@ -707,7 +731,7 @@ def estimate_errors(
     with (nullcontext(workers) if shared else WorkerPool(workers)) as pool:
         jobs = [
             (alphabet, betas, strategy, imperfections, master_seed, lo, hi)
-            for lo, hi in _trial_blocks(trials, pool.workers)
+            for lo, hi in _trial_blocks(trials, pool.processes)
         ]
         per_block = pool.map(_block_errors, jobs)
     estimates = []
@@ -750,7 +774,7 @@ def simulate_outcomes(
     """Full records of trials 0..trials-1, the ones :func:`estimate_error` counts.
 
     Runs in this process, in the blocks that :func:`_trial_blocks` gives one
-    worker.
+    process.
     """
     _check_strategy(strategy)
     if trials < 1:

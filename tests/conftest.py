@@ -143,19 +143,20 @@ def qpsk_half():
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    """Logs of every pool the trial engine opens: its events and its ``max_workers``.
+    """Logs of every pool the trial engine opens: its events, ``max_workers`` and ``mp_context``.
 
     ``pskrx.mc.ProcessPoolExecutor`` is replaced by an in-process fake
     with the same context-manager protocol and ``map`` signature.
     """
     import pskrx.mc
 
-    events, sizes = [], []
+    events, sizes, contexts = [], [], []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             events.append("start")
             sizes.append(max_workers)
+            contexts.append(mp_context)
 
         def __enter__(self):
             return self
@@ -168,7 +169,7 @@ def pool_log(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(pskrx.mc, "ProcessPoolExecutor", FakePool)
-    return events, sizes
+    return events, sizes, contexts
 
 
 @pytest.fixture
@@ -181,3 +182,17 @@ def pool_events(pool_log):
 def pool_sizes(pool_log):
     """The ``max_workers`` that every pool the trial engine opens asks for."""
     return pool_log[1]
+
+
+@pytest.fixture
+def pool_contexts(pool_log):
+    """The ``mp_context`` that every pool the trial engine opens asks for."""
+    return pool_log[2]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so a pool of two or more workers starts two processes on any host."""
+    import pskrx.mc
+
+    monkeypatch.setattr(pskrx.mc, "usable_cpus", lambda: 2)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import pskrx.cli
+import pskrx.mc
 from pskrx.cli import (
     _SCHEMA,
     EXIT_ARGS,
@@ -300,6 +301,22 @@ class TestSweep:
         assert parse_csv(out)
 
     @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "bad value for 'PSKRX_WORKERS': 'abc'"),
+            ("0", "need at least one worker, got 0 from PSKRX_WORKERS"),
+        ],
+    )
+    def test_bad_workers_env_named(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("PSKRX_WORKERS", value)
+        code, out, err = run_cli(
+            capsys, "sweep", "--alpha-sq", "0.25", "--beta-policy", "zero",
+            "--trials", "1000", "--seed", "1",
+        )
+        assert code == EXIT_ARGS and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize(
         "affinity, cpu_count, expected", [({0}, 8, 1), ({0, 3, 5}, 8, 3), (None, 6, 6)]
     )
     def test_default_workers_are_the_usable_cpus(
@@ -333,7 +350,7 @@ MC_OPTIMIZE = (
 
 class TestWorkerPool:
     @pytest.mark.parametrize("argv", [MC_SWEEP, MC_OPTIMIZE], ids=["sweep", "optimize"])
-    def test_one_pool_per_command(self, capsys, pool_events, argv):
+    def test_one_pool_per_command(self, capsys, pool_events, two_cpus, argv):
         code, _, _ = run_cli(capsys, *argv, "--workers", "2")
         assert code == EXIT_OK
         assert pool_events == ["start", "stop"]
@@ -349,7 +366,9 @@ class TestWorkerPool:
     @pytest.mark.parametrize(
         "error, exit_code", [(PrecisionError, EXIT_PRECISION), (ValueError, EXIT_ARGS)]
     )
-    def test_pool_stops_on_error_exit(self, capsys, pool_events, monkeypatch, error, exit_code):
+    def test_pool_stops_on_error_exit(
+        self, capsys, pool_events, two_cpus, monkeypatch, error, exit_code
+    ):
         def failing_estimate(*args):
             raise error("engine failure")
 
@@ -380,13 +399,16 @@ class TestWorkerPool:
         assert f"need at least one worker, got {workers}" in err
 
     @pytest.mark.parametrize("argv", [MC_SWEEP, MC_OPTIMIZE], ids=["sweep", "optimize"])
-    def test_output_independent_of_workers(self, capsys, argv):
+    def test_output_independent_of_workers(self, capsys, monkeypatch, argv):
+        # three usable CPUs whatever the host has, so 1, 2 and 3 workers run
+        # in as many processes, each count with its own blocks
+        monkeypatch.setattr(pskrx.mc, "usable_cpus", lambda: 3)
         outs = []
-        for workers in ("1", "2", "3"):
+        for workers in ("1", "2", "3", "64"):
             code, out, _ = run_cli(capsys, *argv, "--workers", workers)
             assert code == EXIT_OK
             outs.append(out)
-        assert outs[0] == outs[1] == outs[2]
+        assert all(out == outs[0] for out in outs)
 
 
 class TestNegativeSurplus:

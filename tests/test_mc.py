@@ -13,6 +13,8 @@ from pskrx.analytic import cyclic_error_probability, poisson_pmf
 from pskrx.core import PskAlphabet
 from pskrx.errors import PrecisionError
 from pskrx.mc import (
+    _BLOCK,
+    _MIN_BLOCK,
     IDEAL,
     STRATEGIES,
     ImperfectionModel,
@@ -551,24 +553,44 @@ class TestBatchedEstimates:
             estimate_errors(QPSK_HALF, [], "cyclic", IDEAL, 100, 1)
 
 
-# 1 and 7 trials: more workers than trials; 65,537: prime; 100,000: the
+# 1 and 7 trials: more processes than trials; 65,537: prime; 100,000: the
 # old layout of three 32,768-trial blocks plus a tail
 PARTITION_TRIALS = [1, 7, 65_537, 100_000]
 
 
 class TestTrialPartition:
-    @pytest.mark.parametrize("trials", PARTITION_TRIALS)
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    def test_blocks_cover_the_trials(self, trials, workers):
-        blocks = _trial_blocks(trials, workers)
+    @pytest.mark.parametrize("trials", PARTITION_TRIALS + [10**6])
+    @pytest.mark.parametrize("processes", [1, 2, 3, 5, 64])
+    def test_blocks_cover_the_trials(self, trials, processes):
+        blocks = _trial_blocks(trials, processes)
         assert blocks[0][0] == 0
         assert blocks[-1][1] == trials
         assert all(prev_hi == lo for (_, prev_hi), (lo, _) in zip(blocks, blocks[1:]))
-        assert all(0 < hi - lo <= 1 << 15 for lo, hi in blocks)
+        sizes = [hi - lo for lo, hi in blocks]
+        assert 0 < min(sizes) and max(sizes) <= _BLOCK
+        n = len(blocks)
+        if n > 1:
+            assert min(sizes) >= _MIN_BLOCK
+        if n % processes:
+            # a multiple of the processes would need blocks below _MIN_BLOCK:
+            # as many as fit
+            assert trials < -(-n // processes) * processes * _MIN_BLOCK
+            assert n == max(1, trials // _MIN_BLOCK)
+        elif n > processes:
+            # the fewest: one block fewer per process would overfill a block
+            assert -(-trials // (n - processes)) > _BLOCK
+
+    def test_fewer_larger_blocks(self):
+        assert _trial_blocks(100_000, 2) == [(i * 25_000, (i + 1) * 25_000) for i in range(4)]
+        # 31 blocks of 32,768 would do; 32 share out evenly
+        assert _trial_blocks(10**6, 2) == [(i * 31_250, (i + 1) * 31_250) for i in range(32)]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("trials", PARTITION_TRIALS)
-    def test_partition_never_changes_a_result(self, strategy, trials):
+    def test_partition_never_changes_a_result(self, strategy, trials, monkeypatch):
+        # up to 5 processes whatever the host has, so the worker counts cut
+        # the trials differently
+        monkeypatch.setattr(pskrx.mc, "usable_cpus", lambda: 5)
         alphabet = PskAlphabet.from_power(4, 1.0)
         imp = ImperfectionModel(eta=0.8, n_th=0.2, dark_rate=0.05)
         grid = [0.3, BETA, 0.8]
@@ -577,6 +599,7 @@ class TestTrialPartition:
             assert estimate_errors(alphabet, grid, strategy, imp, trials, 23, workers) == one
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestWorkerPool:
     def test_one_pool_serves_every_call(self, pool_events):
         imp = ImperfectionModel(n_th=0.1)
@@ -601,8 +624,27 @@ class TestWorkerPool:
         estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=2)
         assert pool_events == ["start", "stop"]
 
+    def test_one_usable_cpu_starts_no_pool(self, pool_events, monkeypatch):
+        monkeypatch.setattr(pskrx.mc, "usable_cpus", lambda: 1)
+        estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=4)
+        assert pool_events == []
+
+    def test_blocks_follow_the_processes(self, pool_events, monkeypatch):
+        # on two CPUs a million workers cut the trials as two do
+        block_errors, blocks = pskrx.mc._block_errors, []
+
+        def logged(job, workspace=None):
+            blocks.append(job[5:])
+            return block_errors(job, workspace)
+
+        monkeypatch.setattr(pskrx.mc, "_block_errors", logged)
+        estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=2)
+        two = blocks[:]
+        estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=10**6)
+        assert two == blocks[len(two):] == _trial_blocks(100_000, 2)
+
     def test_processes_capped_at_the_usable_cpus(self, pool_sizes, monkeypatch):
-        # a million workers size the blocks, but the pool starts one process a CPU
+        # a million workers start one process a CPU
         monkeypatch.setattr(pskrx.mc, "usable_cpus", lambda: 3)
         est = estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 20_000, 1, workers=10**6)
         assert pool_sizes == [3]
@@ -610,6 +652,15 @@ class TestWorkerPool:
         with WorkerPool(2) as pool:
             estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 20_000, 1, pool)
         assert pool_sizes == [3, 2]
+
+    def test_start_method_pinned(self, pool_contexts):
+        # fork on Linux whatever the interpreter's default; elsewhere the platform's
+        estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=2)
+        [context] = pool_contexts
+        if sys.platform == "linux":
+            assert context.get_start_method() == "fork"
+        else:
+            assert context is None
 
     def test_stops_on_an_error(self, pool_events):
         alphabet = PskAlphabet.from_power(2, 1000.0)

@@ -119,11 +119,11 @@ class TestMonteCarlo:
         ana = cyclic_error_probability(a, 0.0).p_err
         assert abs(est.p_err - ana) < 4 * est.std_err
 
-    def test_one_pool_for_the_grid(self, monkeypatch):
+    def test_one_pool_for_the_grid(self, monkeypatch, two_cpus):
         starts = []
 
         class CountingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 starts.append(max_workers)
 
             def __enter__(self):
