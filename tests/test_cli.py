@@ -41,6 +41,13 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def columns_digest(text, columns):
+    """sha256 of the named columns of CSV ``text``, a comma-joined line a row."""
+    rows = list(csv.reader(io.StringIO(text)))
+    keep = [rows[0].index(c) for c in columns]
+    return sha256("\n".join(",".join(row[i] for i in keep) for row in rows))
+
+
 BENCH_GOLDEN_ARGV = ("bench", "--m", "8", "--alpha-sq", "0.01,0.5,2,6")
 BENCH_GOLDEN_DIGEST = "6097f29a7685196222ca0e4e2a4e6acb603c5f5a1cbc6d5aa192edb8e0b1b0df"
 
@@ -142,6 +149,31 @@ class TestTrace:
         )
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "m, alpha_sq, beta_sq, clicks, digest",
+        [
+            ("4", "0.5", "0.23", "0.15,0.35,0.54,0.71",
+             "448290f10a9ad3eb04f1dbd761b044ccc80262b4b43adcc9bca4ba91ccf7c971"),
+            ("2", "0.5", "0", "0.3,0.6",
+             "13824feb8fc7b366374845810ff184193792a98fe833c399efec8fc1afc6ff43"),
+            ("8", "2", "0.1", "0.1,0.2,0.45,0.9",
+             "9a6f5b74aee1ba274e83b0b5dbd18c86404edb56f45b0f12305a1a8884dfb330"),
+            ("16", "3", "0", "0.05,0.2,0.3,0.6,0.61,0.9",
+             "b09902af7f36049b5b8df2392ad10eaa22101b3b17ac65e3f1748e399f1c709c"),
+            ("4", "0.5", "0.23", "",
+             "cd916cc2f04fc6f8bc12c2de7d65857893026db16d7e7ac669093a40add9a5bd"),
+        ],
+    )
+    def test_golden_decisions(self, capsys, m, alpha_sq, beta_sq, clicks, digest):
+        # the runs of test_golden_bytes: their probes and MAP states, pinned
+        # apart from the posteriors' bits
+        code, out, _ = run_cli(
+            capsys, "trace", "--m", m, "--alpha-sq", alpha_sq, "--beta-sq", beta_sq,
+            "--clicks", clicks,
+        )
+        assert code == EXIT_OK
+        assert columns_digest(out, ["probe", "map_state"]) == digest
 
     @pytest.mark.parametrize(
         "argv",
@@ -797,6 +829,45 @@ class TestSimulate:
                     assert float(row[key]) == float(value)
             times = [float(t) for t in row["click_times"].split(";") if t]
             assert len(times) == int(row["n_clicks"])
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            pytest.param(
+                _small("bayes", "csv", []), "e90df377e8c6c429ec3992c3dafbc0aebe9977d25eab29903eaed656319889a3", id="bayes-ideal",
+            ),
+            pytest.param(
+                _small("bayes", "csv", IMPERFECT), "1d32ae250ea859f8fa6563d368d56b57a30e04d48c032dab8815cacaac8f85fb", id="bayes-imperfect",
+            ),
+            pytest.param(
+                ["--m", "8", "--alpha-sq", "2", "--beta-sq", "0.23", "--strategy", "bayes",
+                 "--trials", "40000", "--seed", "22", *IMPERFECT],
+                "5eae3959d2ebe477451aef4ac4094fb9dcbd32d444b6846655665fa0afc27db3",
+                id="bayes-imperfect-40000",
+            ),
+            pytest.param(
+                ["--alpha-sq", "1", "--beta-sq", "0", "--strategy", "bayes", "--n-th", "0.8",
+                 "--trials", "3000", "--seed", "15"],
+                "db2b991979c9cc36a98dd870a756713608bd84252bcf43c774fd60fb5aa5dc43",
+                id="bayes-nulling-thermal",
+            ),
+            pytest.param(
+                ["--m", "16", "--alpha-sq", "2", "--beta-sq", "0.23", "--strategy", "bayes",
+                 "--trials", "40000", "--seed", "24", *IMPERFECT],
+                "51ba96682df8373c0b3e134bf052aaed2ff6dd2d43dac918947f1835501d9c23",
+                id="bayes-m16-imperfect-40000",
+            ),
+        ],
+    )
+    def test_golden_decisions(self, capsys, argv, digest):
+        # the Bayesian runs of test_golden_bytes (each JSON golden holds the
+        # records of its CSV twin): every column but the confidence, pinned
+        # apart from the confidences' bits
+        code, out, _ = run_cli(capsys, "simulate", *argv)
+        assert code == EXIT_OK
+        columns = ["trial", "true_state", "hypothesis", "correct", "n_clicks", "click_times",
+                   "probes"]
+        assert columns_digest(out, columns) == digest
 
     @pytest.mark.parametrize(
         "argv, digest",

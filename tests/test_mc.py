@@ -343,6 +343,50 @@ class TestBlockSequence:
             assert [e.p_err for e in est] == p_errs
 
 
+_DECISION_COLUMNS = ("true_state", "hypothesis", "click_offsets", "click_times", "probes")
+
+
+class TestGoldenDecisions:
+    # the Bayesian runs of the golden tests below: every column but the
+    # confidence, pinned apart from the confidences' bits
+    @pytest.mark.parametrize(
+        "M, alpha_sq, beta_sq, n_th, dark_rate, digest",
+        [
+            (4, 1.0, 0.23, 0.0, 0.2, "28f329d27cf86621305b63412b97d5410d59feeec694b52d46d1f173c2b3a192"),
+            (8, 2.0, 0.23, 0.1, 0.01, "bb011a9735429e5ee5fb97e30e7671afff7265b19891b15e88a282e1a4168abd"),
+            (4, 1.0, 0.0, 0.8, 0.0, "56ebdb33407e49196742caa30cd1384055822ba99bdbc2d123cc334c215addcd"),
+        ],
+    )
+    def test_long_dead_time(self, M, alpha_sq, beta_sq, n_th, dark_rate, digest):
+        imp = ImperfectionModel(eta=0.8, n_th=n_th, dead_time=0.3, dark_rate=dark_rate)
+        rec = simulate_outcomes(
+            PskAlphabet.from_power(M, alpha_sq), math.sqrt(beta_sq), "bayes", imp, 40_000, 29
+        )
+        h = hashlib.sha256()
+        for name in _DECISION_COLUMNS:
+            h.update(np.ascontiguousarray(getattr(rec, name)).tobytes())
+        assert h.hexdigest() == digest
+
+    def test_block_sequence(self):
+        got = []
+        for M, alpha_sq, imp, lo, hi in _BLOCK_SEQUENCE:
+            blocks = _run_block(
+                PskAlphabet.from_power(M, alpha_sq), (0.0, 0.48), "bayes", imp, 41, lo, hi,
+                collect=True,
+            )
+            # payload column 2 is the confidence
+            got += [(n_err, _payload_digest(p[:2] + p[3:])) for n_err, p in blocks]
+        expected = [
+            (16551, "14c5ea2590f383c3b941858ae1b219ad9464e4a2aa75970ece7748fc3350e2e3"),
+            (15779, "efb690f8007351a871237acda0b4e7b204b747c0b4a1d59b3513ed2949038470"),
+            (0, "c45ea733dfc1b5a908c8d99b084070610bb5b820e6fa1ecf1927fd7a945efe0b"),
+            (0, "9913e6aee6573fe2544ac5cef65ece5e46164658cbabace9cb31d02136cc9da4"),
+            (12252, "9430a2f273844f8f975fab838f475a12069c8be8d4dbd211689ecade2fbb2c73"),
+            (11832, "9f8eb2330d87c1a66d7e6defacf69157e7e766d86498ecf35829d4a27f57c222"),
+        ]
+        assert got == expected + expected[:2]
+
+
 class TestWorkspace:
     def test_blocks_share_the_buffers(self):
         # a block of the size run before, then a smaller one, run in the
