@@ -7,13 +7,8 @@ detector and channel imperfections, against the heterodyne standard
 quantum limit and the Helstrom bound.
 """
 
-from .analytic import (
-    CyclicError,
-    cyclic_error_probability,
-    m_click_probability,
-    poisson_pmf,
-)
-from .bench import gram_srm_oracle, helstrom_mpsk, sql_heterodyne
+from .analytic import CyclicError, cyclic_error_probability, m_click_probability
+from .bench import helstrom_mpsk, sql_heterodyne
 from .core import PskAlphabet, probe_relative_rates
 from .errors import PrecisionError
 from .mc import (
@@ -43,12 +38,10 @@ __all__ = [
     "cyclic_error_probability",
     "estimate_error",
     "estimate_errors",
-    "gram_srm_oracle",
     "helstrom_mpsk",
     "m_click_probability",
     "optimize_beta_analytic",
     "optimize_beta_mc",
-    "poisson_pmf",
     "probe_relative_rates",
     "simulate_outcomes",
     "sql_heterodyne",

@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import exp, inf, isfinite, lgamma, log, pi, prod, sqrt
+from math import exp, isfinite, pi, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -86,20 +86,6 @@ _M_CLICK_TAIL_TOL = 1e-16
 
 #: Terms below this fraction of a sum leave its float64 value unchanged.
 _EPS = 2.0**-53
-
-
-def poisson_pmf(n: float, m: int) -> float:
-    """P_m(n) = n^m e^{-n} / m!, evaluated in log space.
-
-    Stable for mean photon numbers up to ~50 and counts up to ~100.
-    """
-    if not n >= 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {n}")
-    if m < 0:
-        raise ValueError(f"count must be >= 0, got {m}")
-    if n == 0.0:
-        return 1.0 if m == 0 else 0.0
-    return exp(m * log(n) - n - lgamma(m + 1))
 
 
 def _stirlerr(k: int) -> float:
@@ -167,22 +153,6 @@ def _poisson_table(lam: float, first: int, floor: float) -> tuple[list[float], l
     tails = list(accumulate(reversed(terms), initial=t * r / (1.0 - r)))
     tails.reverse()
     return terms, tails
-
-
-def poisson_tail(n: float, m: int) -> float:
-    """P(X > m) for X ~ Poisson(n); the series-truncation bound.
-
-    Summed from the far end with a geometric bound on the terms left
-    out, so it is exact up to float rounding (see ``_poisson_table``);
-    exactly 0 at n = 0.
-    """
-    if not 0.0 <= n < inf:
-        raise ValueError(f"mean photon number must be finite and >= 0, got {n}")
-    if m < 0:
-        raise ValueError(f"count must be >= 0, got {m}")
-    if n == 0.0:
-        return 0.0
-    return _poisson_table(n, m + 1, inf)[1][0]
 
 
 def _max_rate(rates: np.ndarray) -> float:

@@ -8,10 +8,10 @@ Two benchmarks frame every receiver curve:
 * the standard quantum limit (SQL), the error of an ideal heterodyne
   detector followed by a maximum-likelihood phase decision.
 
-The Helstrom value is computed twice by independent routes -- a
-circulant eigenvalue formula and a Fock-space Gram-matrix square root --
-because the formula is imported from the general square-root-measurement
-literature rather than derived here.
+The Helstrom value comes from a circulant eigenvalue formula, imported
+from the general square-root-measurement literature rather than derived
+here; the test suite checks it against an independent route, a
+Fock-space Gram-matrix square root (``tests/oracles.py``).
 
 The SQL is a one-dimensional integral over the decision wedge, done
 with Gauss-Legendre rules (``numpy.polynomial.legendre.leggauss``, nodes
@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import pairwise
-from math import cos, erf, exp, inf, lgamma, pi, sin, sqrt
+from math import cos, erf, exp, inf, pi, sin, sqrt
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .analytic import poisson_tail
 from .errors import PrecisionError
 
 _EIGENVALUE_CLAMP = -1e-12
@@ -74,42 +73,6 @@ def helstrom_mpsk(alpha: float, M: int) -> float:
         raise PrecisionError(f"Gram eigenvalue {eig.min():.3g} below clamp")
     eig = np.clip(eig, 0.0, None)
     return float(1.0 - (np.sqrt(eig).sum() / M) ** 2)
-
-
-def gram_srm_oracle(alpha: float, M: int, dim: int) -> float:
-    """Helstrom value via photon-number-basis state vectors.
-
-    Builds the M coherent states numerically in a dim-level Fock space,
-    forms their Gram matrix from the actual inner products, and applies
-    the square-root measurement: P = 1 - (1/M) sum_k (sqrt(G)_kk)^2.
-    Entirely independent of the circulant formula above.
-    """
-    if not alpha >= 0.0:
-        raise ValueError(f"amplitude must be >= 0, got {alpha}")
-    if M < 2:
-        raise ValueError(f"need at least 2 states, got M={M}")
-    # basis must carry the overlap integrals: photon distributions at
-    # amplitude up to 2*alpha have to fit below the truncation
-    if poisson_tail((2.0 * alpha) ** 2, dim - 1) >= 1e-12:
-        raise PrecisionError(
-            f"Fock truncation dim={dim} too small for amplitude {alpha}"
-        )
-    n = np.arange(dim)
-    log_mag = -0.5 * alpha * alpha + n * np.log(alpha) if alpha > 0 else None
-    if alpha == 0.0:
-        vectors = np.zeros((M, dim), dtype=complex)
-        vectors[:, 0] = 1.0
-    else:
-        log_fact = np.array([lgamma(k + 1) for k in range(dim)])
-        mag = np.exp(log_mag - 0.5 * log_fact)
-        phases = 2.0 * np.pi * np.arange(M) / M
-        vectors = mag[None, :] * np.exp(1j * np.outer(phases, n))
-    gram = vectors.conj() @ vectors.T
-    eigval, eigvec = np.linalg.eigh(gram)
-    eigval = np.clip(eigval, 0.0, None)
-    root = (eigvec * np.sqrt(eigval)) @ eigvec.conj().T
-    diag = root.diagonal().real
-    return float(1.0 - np.sum(diag**2) / M)
 
 
 def _wedge_integrand(phi: float, alpha: float) -> float:

@@ -63,6 +63,7 @@ from .mc import (
     click_update,
     estimate_error,
     final_update,
+    rate_tables,
     simulate_outcomes,
     usable_cpus,
 )
@@ -431,8 +432,8 @@ def trace_rows(M: int, alpha_sq: float, beta_sq: float, clicks: list[float]) -> 
 
     Each row carries the probe active on the interval *starting* at the
     row's time; the receiver always begins by probing state 1.  The
-    posterior is one column of the trial engine's, updated by the
-    engine's own functions.
+    posterior is one column of the trial engine's log weights L, updated
+    by the engine's own functions; a row prints exp(L - L_max) / sum.
     """
     if any(not 0.0 < t < 1.0 for t in clicks):
         raise ValueError(f"click times must lie strictly inside (0, 1): {clicks}")
@@ -440,15 +441,15 @@ def trace_rows(M: int, alpha_sq: float, beta_sq: float, clicks: list[float]) -> 
         raise ValueError(f"click times must be strictly increasing: {clicks}")
     alphabet = PskAlphabet.from_power(M, alpha_sq)
     scratch = PosteriorScratch(Workspace(), M, 1)
-    rate_table = probe_relative_rates(alphabet, sqrt(beta_sq))[scratch.steps]
-    w = np.full((M, 1), 1.0 / M)
+    rates = probe_relative_rates(alphabet, sqrt(beta_sq))
+    rate_table, log_table = rate_tables(rates, scratch.steps)
+    w = np.zeros((M, 1))
     probe = np.zeros(1, dtype=np.int64)
     last = 0.0
     rows = []
 
-    def _row(t: float, probs: np.ndarray, map_state: np.ndarray) -> dict:
-        if not np.isfinite(probs).all():
-            raise PrecisionError(f"the posterior underflows at t={t} under every hypothesis")
+    def _row(t: float, weights: np.ndarray, map_state: np.ndarray) -> dict:
+        probs = weights / scratch.column_sums(weights)
         row = {"t": t, "probe": int(probe[0]) + 1}
         for k in range(M):
             row[f"p{k + 1}"] = float(probs[k, 0])
@@ -457,11 +458,12 @@ def trace_rows(M: int, alpha_sq: float, beta_sq: float, clicks: list[float]) -> 
 
     for t in clicks:
         lag = np.array([last - t])
-        w = click_update(w, rate_table[:, probe], np.empty((M, 1)), lag, probe, scratch)
-        # the click moved the probe to the MAP state
-        rows.append(_row(t, w, probe))
+        w = click_update(w, rate_table[:, probe], log_table[:, probe], lag, probe, scratch)
+        # the click moved the probe to the MAP state, of log weight 0
+        rows.append(_row(t, np.exp(w), probe))
         last = t
     final, decision = rate_table[:, probe], probe.copy()
+    # final_update leaves exp(L - L_max) in final
     final_update(w, final, np.array([last - 1.0]), decision, scratch)
     rows.append(_row(1.0, final, decision))
     return rows

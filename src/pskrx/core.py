@@ -100,11 +100,14 @@ def probe_relative_rates(alphabet: PskAlphabet, beta: float) -> np.ndarray:
 
     Entry d (0-based, d = (k - probe) mod M) is the rate of the state d
     phase steps ahead of the probed one; entry 0 is exactly beta**2.
-    Every probe choice is a cyclic relabeling of this table.
+    Every probe choice is a cyclic relabeling of this table.  A table
+    whose largest rate, (2 alpha + beta)^2, overflows is refused.
     """
     if not beta >= 0.0:
         raise ValueError(f"displacement surplus must be >= 0, got {beta}")
     a, c = alphabet.alpha, alphabet.alpha + beta
+    if not (a + c) * (a + c) < inf:
+        raise ValueError(f"click rates overflow at alpha={a!r}, beta={beta!r}")
     rates = a * a + c * c - 2.0 * a * c * _mirror_cosines(alphabet.M)
     rates[0] = beta * beta
     return rates

@@ -30,10 +30,7 @@ and dark counts) with exposure times that exclude blind windows (the
 receiver knows its own detector); the realized thermal offset is *not*
 known to the receiver, so excess noise acts purely as a channel
 impairment.  A click that no hypothesis the receiver still holds can
-explain changes nothing (see :func:`click_update`).  A posterior that
-still turns non-finite (a likelihood that underflows under every held
-hypothesis) raises :class:`~pskrx.errors.PrecisionError`; no NaN is
-returned.
+explain changes nothing (see :func:`click_update`).
 
 Randomness is addressed per trial through counter-based streams
 (see :mod:`pskrx._rng`): trial i's r-th wait is slot 3 + r of trial i
@@ -55,17 +52,20 @@ run in this process and no pool starts.  :func:`simulate_outcomes` runs
 the same trials in process, in the blocks one process gets, and keeps
 the engine's columns as :class:`TrialRecords`.
 
-The block engine keeps the Bayesian posterior hypothesis-major: one
-(M, n) array whose row k holds state k's weight in each of the n trials
-still running.  With M of 2 to a few dozen, every step of the click
-loop (likelihoods, normalisation, the MAP pick with its tie-break) is
-then a few operations on whole rows of n values, not a per-trial
-operation on M values.  Those steps are :func:`click_update`,
-:func:`final_update` and :func:`map_pick`; the ``trace`` command runs
-the same functions on one column.  The normaliser adds a column's M
-weights in one order, left to right: row 0, then each later row added in
-turn.  So a column gets the same bits whatever other columns share its
-call, and the scalar reference adds one trial's weights in that order.
+The block engine keeps the Bayesian posterior hypothesis-major, as log
+weights: one (M, n) array whose row k holds state k's log weight in each
+of the n trials still running, each column's maximum 0.  With M of 2 to
+a few dozen, every step of the click loop (log-likelihoods, the MAP pick
+with its tie-break) is then a few operations on whole rows of n values,
+not a per-trial operation on M values.  Those steps are
+:func:`click_update`, :func:`final_update` and :func:`map_pick`; the
+``trace`` command runs the same functions on one column.  A click adds
+log n_k - n_k dt to row k and needs no normaliser.  Only
+:func:`final_update` normalises, once per trial, adding a column's
+weights exp(L_k - L_max) in one order, left to right: row 0, then each
+later row added in turn.  So a column gets the same bits whatever other
+columns share its call, and the scalar reference adds one trial's
+weights in that order.
 ``np.add.reduce(x, axis=0)`` would not do: it adds the rows in sequence
 for several columns but pairwise for one, and one-column calls are
 common (the trials that never click, a round's last running trial, every
@@ -110,13 +110,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, log, sqrt
 
 import numpy as np
 
 from ._rng import box_muller, slot_uniform, trial_keys
 from .core import PskAlphabet, probe_relative_rates
-from .errors import PrecisionError
 
 _BLOCK = 1 << 15
 # no block is split below this size: a short call stays one block, run in process
@@ -203,6 +202,12 @@ def nominal_rate_table(
     add to the optical rate.
     """
     return imperfections.eta * probe_relative_rates(alphabet, beta) + imperfections.dark_rate
+
+
+def rate_tables(rates: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rates by phase offset, and their ``math.log`` (-inf for 0), indexed by ``steps``."""
+    logs = np.array([log(r) if r > 0.0 else -inf for r in rates.tolist()])
+    return rates[steps], logs[steps]
 
 
 def phase_steps(M: int) -> np.ndarray:
@@ -299,13 +304,12 @@ class PosteriorScratch:
 def map_pick(w: np.ndarray, probe: np.ndarray, scratch: PosteriorScratch) -> np.ndarray:
     """Move each column's probe to its maximum-a-posteriori state; return that state's weight.
 
-    ``w`` holds the posteriors and ``probe`` the columns' 0-based probes,
-    moved in place.  Of several states that share the maximal weight
-    (mirror-symmetric states tie exactly) the pick is the one fewest
-    phase steps ahead of the probe, the smallest (k - probe) mod M:
-    deterministic, the least feedback actuation, and the probe itself
-    wins any tie it is part of.  A column holding NaN has a NaN maximum
-    and keeps its probe.
+    ``w`` holds the posteriors, as weights or log weights, and ``probe``
+    the columns' 0-based probes, moved in place.  Of several states that
+    share the maximal weight (mirror-symmetric states tie exactly) the
+    pick is the one fewest phase steps ahead of the probe, the smallest
+    (k - probe) mod M: deterministic, the least feedback actuation, and
+    the probe itself wins any tie it is part of.
     """
     M, m = w.shape
     top = w.max(axis=0, out=scratch.top[:m])
@@ -321,49 +325,39 @@ def map_pick(w: np.ndarray, probe: np.ndarray, scratch: PosteriorScratch) -> np.
 def click_update(
     w: np.ndarray,
     rates: np.ndarray,
-    lik: np.ndarray,
+    logs: np.ndarray,
     lag: np.ndarray,
     probe: np.ndarray,
     scratch: PosteriorScratch,
 ) -> np.ndarray:
-    """Each column's posterior after a click, its probe moved to the new MAP state.
+    """Each column's log weights after a click, its probe moved to the new MAP state.
 
-    ``w`` holds the posteriors at the last event; ``rates`` the nominal
+    ``w`` holds the log weights at the last event; ``rates`` the nominal
     rate of each state while probing the column's probe, overwritten with
-    the posteriors after the click and returned; ``lik`` (M, m) is
-    scratch; ``lag`` is the last event's time minus the click's, the
-    exposure negated.  Each state is reweighted by its inter-event
-    likelihood n_k e^{-n_k dt} (survival since the last event times the
-    click density), then :func:`map_pick` moves the probe.
+    the log weights after the click and returned; ``logs`` the rates'
+    logs; ``lag`` is the last event's time minus the click's, the
+    exposure negated.  Each state's log weight gains its inter-event
+    log-likelihood: the survival term -n_k dt since the last event, then
+    the log click density log n_k.  :func:`map_pick` moves the probe,
+    and the column's maximum is subtracted so that it is 0 again.
 
     A click with zero likelihood under every state that a column still
-    holds (every state of nonzero posterior has nominal rate 0: a thermal
+    holds (every state of finite log weight has nominal rate 0: a thermal
     click while nulling the last surviving state at beta = 0, or any
     click when every nominal rate is zero) carries no usable information
-    and leaves that column's posterior and probe unchanged.  A likelihood
-    that underflows under every held state leaves the column NaN, for the
-    caller to refuse.
+    and leaves that column's log weights and probe unchanged.
     """
-    lik = np.multiply(w, rates, out=lik)
     # rates * -dt is -rates * dt to the bit: rounding is sign-symmetric
     wn = rates
     wn *= lag
-    np.exp(wn, out=wn)
-    wn *= lik
-    total = scratch.column_sums(wn)
-    if total.all():
-        held = None
-    else:
-        held = lik.any(axis=0)
-        wn[:, ~held], total[~held] = w[:, ~held], 1.0
-    with np.errstate(invalid="ignore"):
-        wn /= total
-    if held is None:
-        map_pick(wn, probe, scratch)
-    else:
-        moved = probe[held]
-        map_pick(wn[:, held], moved, scratch)
-        probe[held] = moved
+    wn += w
+    wn += logs
+    # a column all -inf ties everywhere, so the pick keeps its probe
+    top = map_pick(wn, probe, scratch)
+    if top.min() == -inf:
+        held = top > -inf
+        wn[:, ~held], top[~held] = w[:, ~held], 0.0
+    wn -= top
     return wn
 
 
@@ -374,23 +368,24 @@ def final_update(
     probe: np.ndarray,
     scratch: PosteriorScratch,
 ) -> np.ndarray:
-    """Each column's decision at the pulse's end; return its posterior weight.
+    """Each column's decision at the pulse's end; return its posterior probability.
 
-    ``w`` holds the posteriors at the last event; ``rates`` the nominal
+    ``w`` holds the log weights at the last event; ``rates`` the nominal
     rate of each state while probing the column's probe, overwritten with
-    the posteriors at t = 1; ``lag`` is the last event's time minus 1.
-    The trailing no-click survival e^{-n_k dt} reweights the states, also
-    for dt = 0 (the pulse ends in a blind window), and :func:`map_pick`
-    moves the probe to the decision; its weight is the confidence.
-    Survival that underflows under every state leaves NaN, for the caller
-    to refuse.
+    the weights exp(L_k - L_max) at t = 1; ``lag`` is the last event's
+    time minus 1.  The trailing no-click survival adds -n_k dt to each
+    log weight, also for dt = 0 (the pulse ends in a blind window), and
+    :func:`map_pick` moves the probe to the decision, the state of log
+    weight L_max.  The confidence is its posterior probability,
+    1 / sum_k exp(L_k - L_max), the sum taken by
+    :meth:`PosteriorScratch.column_sums`.
     """
     rates *= lag
+    rates += w
+    rates -= map_pick(rates, probe, scratch)
     np.exp(rates, out=rates)
-    rates *= w
-    with np.errstate(invalid="ignore"):
-        rates /= scratch.column_sums(rates)
-    return map_pick(rates, probe, scratch)
+    total = scratch.column_sums(rates)
+    return np.divide(1.0, total, out=total)
 
 
 def _run_block(
@@ -465,8 +460,8 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     recv = -(alphabet.alpha + beta) * np.exp(1j * alphabet.phases)
     recv_parts = np.ascontiguousarray(recv.real), np.ascontiguousarray(recv.imag)
     scratch = PosteriorScratch(ws, M, n)
-    # rate_table[k, p]: nominal rate of state k while probing p
-    rate_table = nominal_rate_table(alphabet, beta, imp)[scratch.steps]
+    # rate_table[k, p]: nominal rate of state k while probing p; log_table its log
+    rate_table, log_table = rate_tables(nominal_rate_table(alphabet, beta, imp), scratch.steps)
 
     # outputs, each written once, when its trial finishes
     hyp0 = ws("hyp0", n, np.int64)
@@ -480,11 +475,11 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     # the state of the trials still running, column j for the j-th of them:
     # ints rows trial (position in the block), key, probe, click count and,
     # without an offset, true state * M; reals rows resume time and, with an
-    # offset, the field's real and imaginary parts; w[k, j] the posterior
-    # weight of state k.  The state lives in the first buffer of its pair;
+    # offset, the field's real and imaginary parts; w[k, j] the log weight
+    # of state k.  The state lives in the first buffer of its pair;
     # compaction takes the columns kept into the second and swaps the two.
     # The posterior has a trio: the click update writes the next posterior
-    # over the rates, with the likelihoods in the third
+    # over the rates, with the rates' logs in the third
     ints_rows = 5 if field0 is None else 4
     reals_rows = 1 if field0 is None else 3
     ints_pair = [ws("ints0", ints_rows * n, np.int64), ws("ints1", ints_rows * n, np.int64)]
@@ -507,7 +502,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     if bayes:
         w_trio = [ws("w0", M * n), ws("w1", M * n), ws("w2", M * n)]
         w = w_trio[0].reshape(M, n)
-        w.fill(1.0 / M)
+        w.fill(0.0)
 
     # scratch of a round
     rate_buf, index_buf, mix_buf = ws("rate", n), ws("index", n, np.int64), ws("mix", n, np.uint64)
@@ -590,8 +585,9 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
         probe, resume = ints[2], reals[0]
         if bayes:
             rates = rate_table.take(probe, axis=1, out=_view(w_trio[1], M, m), mode="clip")
+            logs = log_table.take(probe, axis=1, out=_view(w_trio[2], M, m), mode="clip")
             lag = np.subtract(resume, t_click, out=rate_buf[:m])
-            w = click_update(w, rates, _view(w_trio[2], M, m), lag, probe, scratch)
+            w = click_update(w, rates, logs, lag, probe, scratch)
             w_trio[:2] = w_trio[1], w_trio[0]
         ints[3] += 1
         if not bayes:
@@ -607,12 +603,6 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
             clicks_probe.append(probe + 1)
         rnd += 1
 
-    bad = n - np.count_nonzero(np.isfinite(conf, out=done_buf))
-    if bad:
-        raise PrecisionError(
-            f"{bad} of {n} trials ended with a non-finite posterior "
-            f"(M={M}, beta={beta!r}): a click likelihood underflowed"
-        )
     n_err = int(np.count_nonzero(np.not_equal(hyp0, true0, out=done_buf)))
     if not collect:
         return n_err, None

@@ -11,15 +11,16 @@ the engine's records bit for bit.
 memoryless in the click times; the final hypothesis is fixed by the
 count alone: 1 + (clicks mod M).
 
-*Bayesian probing* tracks the posterior over all M hypotheses as a
-:class:`PosteriorState`.  Between events the posterior is reweighted by
-the no-click survival factors e^{-n_k dt}; at a click it is additionally
-reweighted by the click densities n_k, after which the receiver probes
-the maximum-a-posteriori state (:func:`select_probe`, ties to the
-smallest phase step from the current probe).  The final decision (at
-t = 1) includes the trailing no-click factor since the last event.
-The posterior is normalised by adding its M weights left to right, the
-order in which the engine adds its rows.
+*Bayesian probing* tracks the posterior over all M hypotheses as the
+log weights of a :class:`PosteriorState`, their maximum 0.  Between
+events each log weight gains the no-click survival term -n_k dt; at a
+click it also gains the log click density log n_k, after which the
+receiver probes the maximum-a-posteriori state (:func:`select_probe`,
+ties to the smallest phase step from the current probe) and the maximum
+is subtracted.  The final decision (at t = 1) includes the trailing
+no-click term since the last event, and its confidence is the one
+normalisation: 1 / sum_k exp(L_k - L_max), the M terms added left to
+right, the order in which the engine adds its rows.
 
 A trial's record is a :class:`TrialOutcome`; :func:`outcome` reads trial
 i of the engine's :class:`~pskrx.mc.TrialRecords` as one, for comparing
@@ -30,17 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from math import sqrt
+from math import inf, log, sqrt
 from operator import add
 
 import numpy as np
 
 from pskrx._rng import box_muller, slot_uniform, trial_keys
 from pskrx.core import PskAlphabet, probe_relative_rates
-from pskrx.errors import PrecisionError
 from pskrx.mc import STRATEGIES, ImperfectionModel, TrialRecords, nominal_rate_table
-
-_NORMALIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,6 +82,11 @@ def outcome(rec: TrialRecords, i: int) -> TrialOutcome:
 def weight_sum(w: np.ndarray) -> float:
     """One trial's posterior weights added left to right, as the engine adds its rows."""
     return reduce(add, w.tolist())
+
+
+def rate_logs(rates: np.ndarray) -> np.ndarray:
+    """The natural log of each rate, -inf for a zero rate."""
+    return np.array([log(r) if r > 0.0 else -inf for r in rates.tolist()])
 
 
 class TrialStream:
@@ -136,69 +139,81 @@ def cyclic_finalize(click_count: int, M: int) -> Hypothesis:
 class PosteriorState:
     """Bayesian-probing state between events.
 
-    ``probs[k-1]`` is the posterior of hypothesis k; ``probe`` the state
-    currently displaced nearest the vacuum; ``last_event_time`` the time
-    from which the next exposure interval is measured.
+    ``log_weights[k-1]`` is the log weight of hypothesis k, the largest
+    0 (a weight of 0 is -inf); ``probe`` the state currently displaced
+    nearest the vacuum; ``last_event_time`` the time from which the next
+    exposure interval is measured.
     """
 
-    probs: np.ndarray
+    log_weights: np.ndarray
     probe: int
     last_event_time: float = 0.0
     click_count: int = 0
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1 or len(probs) < 2:
+        lw = np.asarray(self.log_weights, dtype=float)
+        object.__setattr__(self, "log_weights", lw)
+        if lw.ndim != 1 or len(lw) < 2:
             raise ValueError("posterior needs one entry per state")
-        if (probs < 0).any() or abs(probs.sum() - 1.0) > _NORMALIZATION_TOL:
-            raise ValueError("posterior must be nonnegative and sum to 1")
-        if not 1 <= self.probe <= len(probs):
-            raise ValueError(f"probe {self.probe} outside 1..{len(probs)}")
+        if np.isnan(lw).any() or lw.max() != 0.0:
+            raise ValueError("log weights must be numbers whose maximum is 0")
+        if not 1 <= self.probe <= len(lw):
+            raise ValueError(f"probe {self.probe} outside 1..{len(lw)}")
+
+    @property
+    def probs(self) -> np.ndarray:
+        """The posterior probabilities, exp(L_k) / sum_j exp(L_j)."""
+        w = np.exp(self.log_weights)
+        return w / weight_sum(w)
 
 
 def initial_posterior(M: int) -> PosteriorState:
     """Symmetric priors at t = 0, probing state 1."""
-    return PosteriorState(np.full(M, 1.0 / M), probe=1)
+    return PosteriorState(np.zeros(M), probe=1)
 
 
-def select_probe(probs: np.ndarray, current_probe: int) -> int:
+def select_probe(weights: np.ndarray, current_probe: int) -> int:
     """Maximum-a-posteriori state, ties broken by the smallest phase step.
 
-    Candidates are scanned in order of (k - current_probe) mod M, so the
-    first maximum encountered is the cheapest feedback action; in
-    particular the current probe wins any tie it is part of.
+    ``weights`` are the posterior's weights or log weights.  Candidates
+    are scanned in order of (k - current_probe) mod M, so the first
+    maximum encountered is the cheapest feedback action; in particular
+    the current probe wins any tie it is part of.
     """
-    M = len(probs)
+    M = len(weights)
     order = (current_probe - 1 + np.arange(M)) % M
-    return int(order[np.argmax(probs[order])]) + 1
+    return int(order[np.argmax(weights[order])]) + 1
+
+
+def _survived(ps: PosteriorState, t: float, rates: np.ndarray) -> np.ndarray:
+    """Log weights at t after the click-free exposure since the last event, unshifted.
+
+    A time equal to the last event (an exponential wait can round to
+    zero) is accepted as zero exposure; going backward is an error.
+    """
+    if t < ps.last_event_time:
+        raise ValueError(f"time {t} before last event {ps.last_event_time}")
+    # rates * -dt is -rates * dt to the bit: rounding is sign-symmetric
+    return rates * (ps.last_event_time - t) + ps.log_weights
 
 
 def bayes_click_update(ps: PosteriorState, t: float, rates: np.ndarray) -> PosteriorState:
     """Posterior after a detection at time t under the given rates.
 
-    Each hypothesis is reweighted by its inter-event likelihood
-    n_k e^{-n_k dt}, then the probe moves to the new MAP state.  A click
-    with zero likelihood under every hypothesis still held leaves the
+    Each hypothesis's log weight gains its inter-event log-likelihood
+    log n_k - n_k dt, the probe moves to the new MAP state, and the
+    maximum is subtracted.  A click with zero likelihood under every
+    hypothesis still held (every log weight -inf after it) leaves the
     posterior and the probe unchanged; only the clock and the click
-    count advance.  A click time equal to the last event (an exponential
-    wait can round to zero) is accepted as zero exposure; going backward
-    is an error.
+    count advance.
     """
-    if t < ps.last_event_time:
-        raise ValueError(f"click time {t} before last event {ps.last_event_time}")
-    dt = t - ps.last_event_time
-    lik = ps.probs * rates
-    if not lik.any():
+    lw = _survived(ps, t, rates) + rate_logs(rates)
+    top = lw.max()
+    if top == -inf:
         return replace(ps, last_event_time=t, click_count=ps.click_count + 1)
-    w = lik * np.exp(-rates * dt)
-    total = weight_sum(w)
-    if not total > 0.0:
-        raise PrecisionError(f"click likelihood underflows at t={t} under every hypothesis")
-    w /= total
     return PosteriorState(
-        probs=w,
-        probe=select_probe(w, ps.probe),
+        log_weights=lw - top,
+        probe=select_probe(lw, ps.probe),
         last_event_time=t,
         click_count=ps.click_count + 1,
     )
@@ -207,27 +222,23 @@ def bayes_click_update(ps: PosteriorState, t: float, rates: np.ndarray) -> Poste
 def bayes_silence_update(ps: PosteriorState, t_end: float, rates: np.ndarray) -> PosteriorState:
     """Posterior after a click-free interval ending at t_end.
 
-    Reweights by the survival factors e^{-n_k dt} only; silence triggers
-    no feedback, so the probe stays put.  The posterior is renormalized
-    even for dt = 0 (a pulse that ends in a blind window), as the block
-    engine does, so both give the same bits.
+    Each log weight gains its survival term -n_k dt only, and the maximum
+    is subtracted; silence triggers no feedback, so the probe stays put.
     """
-    if t_end < ps.last_event_time:
-        raise ValueError(f"end time {t_end} before last event {ps.last_event_time}")
-    dt = t_end - ps.last_event_time
-    w = ps.probs * np.exp(-rates * dt)
-    total = weight_sum(w)
-    if not total > 0.0:
-        raise PrecisionError(f"survival underflows by t={t_end} under every hypothesis")
-    w /= total
-    return replace(ps, probs=w, last_event_time=t_end)
+    lw = _survived(ps, t_end, rates)
+    return replace(ps, log_weights=lw - lw.max(), last_event_time=t_end)
 
 
 def bayes_finalize(ps: PosteriorState, rates: np.ndarray) -> Hypothesis:
-    """Decision at the end of the pulse: the MAP state after the trailing survival."""
-    final = bayes_silence_update(ps, 1.0, rates)
-    state = select_probe(final.probs, final.probe)
-    return Hypothesis(state, float(final.probs[state - 1]))
+    """Decision at the end of the pulse: the MAP state after the trailing survival.
+
+    The survival term applies also for dt = 0 (a pulse that ends in a
+    blind window), as in the engine.  The confidence is the decision's
+    posterior probability, 1 / sum_k exp(L_k - L_max).
+    """
+    lw = _survived(ps, 1.0, rates)
+    state = select_probe(lw, ps.probe)
+    return Hypothesis(state, 1.0 / weight_sum(np.exp(lw - lw[state - 1])))
 
 
 def sample_thermal_offset(n_th: float, trial_rng: TrialStream) -> complex:
@@ -291,7 +302,7 @@ def simulate_trial(
         probes.append(probe)
         resume = min(float(t) + imp.dead_time, 1.0)
         if strategy == "bayes":
-            ps = PosteriorState(ps.probs, ps.probe, resume, ps.click_count)
+            ps = replace(ps, last_event_time=resume)
 
     if strategy == "bayes":
         rates = nominal[(np.arange(M) - (probe - 1)) % M]

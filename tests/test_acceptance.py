@@ -13,12 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from pskrx.analytic import cyclic_error_probability, m_click_probability, poisson_pmf
-from pskrx.bench import gram_srm_oracle, helstrom_mpsk, sql_heterodyne
+from pskrx.analytic import cyclic_error_probability, m_click_probability
+from pskrx.bench import helstrom_mpsk, sql_heterodyne
 from pskrx.cli import main, trace_rows
 from pskrx.core import PskAlphabet
 from pskrx.mc import IDEAL, ImperfectionModel, estimate_error
 from pskrx.optimize import optimize_beta_analytic, optimize_beta_mc
+
+from oracles import gram_srm_oracle, poisson_pmf
 
 SEED = 20260809
 TRIALS = 1_000_000

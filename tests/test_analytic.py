@@ -9,13 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pskrx
-from pskrx.analytic import (
-    _poisson_table,
-    cyclic_error_probability,
-    m_click_probability,
-    poisson_pmf,
-    poisson_tail,
-)
+from pskrx.analytic import _poisson_table, cyclic_error_probability, m_click_probability
 from pskrx.bench import helstrom_mpsk, sql_heterodyne
 from pskrx.core import PskAlphabet
 
@@ -26,6 +20,7 @@ from conftest import (
     quad_one_click,
     quad_two_clicks,
 )
+from oracles import poisson_pmf, poisson_tail
 
 
 class TestPoissonPmf:

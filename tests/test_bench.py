@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import pskrx.bench
-from pskrx.bench import gram_srm_oracle, helstrom_mpsk, sql_heterodyne
+from pskrx.bench import helstrom_mpsk, sql_heterodyne
 from pskrx.errors import PrecisionError
 
 from conftest import sql_wedge_oracle
+from oracles import gram_srm_oracle
 
 
 def binary_helstrom(alpha_sq: float) -> float:

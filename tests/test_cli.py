@@ -129,17 +129,17 @@ class TestTrace:
         [
             # the reference record
             ("4", "0.5", "0.23", "0.15,0.35,0.54,0.71",
-             "e4428749fb852966a6358026eb29f5303a46a2f40bf24eaeeb5d848fdcab762f"),
+             "c91a4a95f18ff4401c64be3cc76f6c45bbd2b1a6e91e2dbc082bbc630d527006"),
             # nulling: the second click is impossible under the one state still held
             ("2", "0.5", "0", "0.3,0.6",
              "839bded991ffe696a837fe7327e28a715d2af8a7d9cfbaddd1b48af8e1907a62"),
             # mirror ties; at M >= 8 the normaliser's left-to-right order fixes the last bits
             ("8", "2", "0.1", "0.1,0.2,0.45,0.9",
-             "6efe20d3bb5bb9a5f9e9541ca02677ee12841b1cc991d4a23cfdb669092b9086"),
+             "920b26ede70d7d7ea0631f5d27e53d9e4eac1017df4f90ba97c625f4a9daa535"),
             ("16", "3", "0", "0.05,0.2,0.3,0.6,0.61,0.9",
-             "7710c7272a5c37cfd76f1c122a39c9e12f8e9227edc27a52b6a385c624b2ef13"),
+             "0f6ac08c65219d577621d45b25e3c8e106b7396cf0ae17055cccbb06449b39e0"),
             ("4", "0.5", "0.23", "",
-             "7982f59418f08bbeac90e5a11cd94445e1da80c40f42a9e156c5be2c7b015158"),
+             "aa0c095179b0fb7ce8a6aead44e92a4b1545d5580c3049a0fd331f8491320043"),
         ],
     )
     def test_golden_bytes(self, capsys, m, alpha_sq, beta_sq, clicks, digest):
@@ -179,17 +179,27 @@ class TestTrace:
         "argv",
         [
             # a click on the nulled state of a bright signal: its likelihood
-            # e^{-4000 t} under the other state underflows, and so does the total
+            # e^{-4000 t} under the other state underflows, its log does not
             ["--m", "2", "--alpha-sq", "1000", "--beta-sq", "0", "--clicks", "0.5"],
-            # no click under rates of 1000 and more: the survival to t = 1 underflows
+            # no click under rates of 1000 and more: every survival to t = 1
+            # underflows, the differences of their logs do not
             ["--m", "4", "--alpha-sq", "1000", "--beta-sq", "1000", "--clicks", ""],
         ],
     )
-    def test_underflow_refused(self, capsys, argv):
+    def test_bright_pulse_answered(self, capsys, argv):
         code, out, err = run_cli(capsys, "trace", *argv)
-        assert code == EXIT_PRECISION
-        assert "precision error" in err
+        assert code == EXIT_OK and err == ""
         assert "nan" not in out.lower()
+        rows = parse_csv(out)
+        for row in rows:
+            probs = [float(row[f"p{k + 1}"]) for k in range(len(row) - 3)]
+            assert sum(probs) == pytest.approx(1.0, abs=1e-15)
+            assert probs[int(row["map_state"]) - 1] == max(probs)
+
+    def test_overflowing_power_refused(self, capsys):
+        # a power whose click rates overflow is an argument error, not a NaN row
+        code, out, err = run_cli(capsys, "trace", "--alpha-sq", "1e308", "--clicks", "0.5")
+        assert code == EXIT_ARGS and out == "" and "overflow" in err
 
 
 class TestSweep:
@@ -894,29 +904,29 @@ class TestSimulate:
             ),
             pytest.param(
                 _small("bayes", "csv", []),
-                "a01c65bc821cf21675dedabaa81c6550d3c573250bdd824915e66ff392bd24d7",
+                "8f68ca871844ef2818fa4a808e485fee28aabe93ed28ab7ef090fd1475263ebd",
                 id="bayes-ideal-csv",
             ),
             pytest.param(
                 _small("bayes", "json", []),
-                "b3b791a07067397c76a8a499e89700e5717999e1b579b1dcc2af7612d755824d",
+                "afab4e1418ada753b172fb63226af792e37bc40d7fa641172f9de1fa034912a5",
                 id="bayes-ideal-json",
             ),
             pytest.param(
                 _small("bayes", "csv", IMPERFECT),
-                "7834a55303ed8ab4e225963c500c32a463fb61b0140aa8da04494d2ca85660f9",
+                "1f2d8a7508a0f85fd45198791b32177830a8bbe730ba724629d44d5f88fdf2a0",
                 id="bayes-imperfect-csv",
             ),
             pytest.param(
                 _small("bayes", "json", IMPERFECT),
-                "b839e3e53f115c095cc5d25596e6ab5fbacaf82d99728e2e177652404fc8ec92",
+                "6fe2b91c4eb50fb9decdb4bb747246d84b5c20448d346397ad5f55ab529097d4",
                 id="bayes-imperfect-json",
             ),
             # 40,000 trials: two engine blocks
             pytest.param(
                 ["--m", "8", "--alpha-sq", "2", "--beta-sq", "0.23", "--strategy", "bayes",
                  "--trials", "40000", "--seed", "22", *IMPERFECT],
-                "aef94a684fcb84d27f1c24e9c88de63bacfd592793d1faa6ee8c9c26ce5454fd",
+                "d62f55ab46580b0c333ba673406c4a57acaf4f091029537ac3723bb9a4b0ff6a",
                 id="bayes-imperfect-40000-csv",
             ),
             pytest.param(
@@ -929,14 +939,14 @@ class TestSimulate:
             pytest.param(
                 ["--alpha-sq", "1", "--beta-sq", "0", "--strategy", "bayes", "--n-th", "0.8",
                  "--trials", "3000", "--seed", "15"],
-                "47e2b2e8e85361fdfe24d9ca2e80ed166e0c08345924eaa14c5159b3f9caccbb",
+                "f4e2bc9380e99db55b8a7996f242228ae31a62d9ebd74d3f55baf9ca0a3dcbe6",
                 id="bayes-nulling-thermal-csv",
             ),
             # M=16 over two engine blocks: posterior row sums of 16 terms
             pytest.param(
                 ["--m", "16", "--alpha-sq", "2", "--beta-sq", "0.23", "--strategy", "bayes",
                  "--trials", "40000", "--seed", "24", *IMPERFECT],
-                "8d730a4e8a4c51524be97620eff09d75bdd3a20c2f3aac0b199e89c12dbedea6",
+                "c6021a5fe2fb3c933645795987bbe30b138aaa3d581ba37682d0bdcbe115d75d",
                 id="bayes-m16-imperfect-40000-csv",
             ),
             # two blocks with dead-time blocking and no thermal offset

@@ -66,6 +66,13 @@ class TestDisplacedRates:
         with pytest.raises(ValueError):
             probe_relative_rates(PskAlphabet(4, 1.0), -0.2)
 
+    @pytest.mark.parametrize("alpha_sq, beta", [(1e308, 0.0), (4.5e307, 0.0), (1.0, 1.4e154)])
+    def test_overflowing_rates_refused(self, alpha_sq, beta):
+        # (2 alpha + beta)^2 past the largest float: a table of inf and NaN
+        with pytest.raises(ValueError, match="overflow"):
+            probe_relative_rates(PskAlphabet.from_power(4, alpha_sq), beta)
+        probe_relative_rates(PskAlphabet.from_power(4, 4.4e307), 0.0)
+
     @given(
         M=st.integers(2, 12),
         alpha=st.floats(0.0, 4.0),
@@ -151,6 +158,9 @@ def test_every_export_resolves():
 
     for name in pskrx.__all__:
         assert hasattr(pskrx, name), name
+    # the test-only oracles live in tests/oracles.py, not in the package
+    for name in ("gram_srm_oracle", "poisson_pmf", "poisson_tail"):
+        assert name not in pskrx.__all__ and not hasattr(pskrx, name), name
     namespace = {}
     exec("from pskrx import *", namespace)
     assert set(pskrx.__all__) <= set(namespace)

@@ -9,9 +9,8 @@ from scipy import stats
 
 import pskrx.mc
 from pskrx._rng import box_muller, counter_uniform, slot_uniform, trial_keys
-from pskrx.analytic import cyclic_error_probability, poisson_pmf
+from pskrx.analytic import cyclic_error_probability
 from pskrx.core import PskAlphabet
-from pskrx.errors import PrecisionError
 from pskrx.mc import (
     _BLOCK,
     _MIN_BLOCK,
@@ -32,6 +31,7 @@ from pskrx.mc import (
     simulate_outcomes,
 )
 
+from oracles import poisson_pmf
 from scalar_reference import (
     PosteriorState,
     TrialStream,
@@ -253,14 +253,14 @@ class TestTrialRecords:
             ("cyclic", 4, 1.0, 0.23, 0.0, 0.2,
              "501d151895bbf343266ad2cea2b3ec1a8eab01834b9ce45fead9c1907040a9e8"),
             ("bayes", 4, 1.0, 0.23, 0.0, 0.2,
-             "1802b3e982cdb0eca40481c8642c208157beef73202e44c632756006907df841"),
+             "c6db2ea7d1b32f8a5478fb50bcbd74a03e8f4af5ddfda6057d4479509ae4ccf3"),
             ("bayes", 8, 2.0, 0.23, 0.1, 0.01,
-             "5d5fbf8cad19c27d83f75e1f3d61bac522113cf4872ce810105871381e2d49e3"),
+             "5fdd15cd16fa471a596eacfb718e2ac7816b90a23af3bc26d8350441b4f6a633"),
             ("cyclic", 8, 2.0, 0.23, 0.1, 0.01,
              "79cac6c397596e9811f73a9af97186925037df52a782225345d8320c132a2d2d"),
             # nulling under excess noise: zero-likelihood clicks as well
             ("bayes", 4, 1.0, 0.0, 0.8, 0.0,
-             "edd3f0a7b0fda7571a501ae9ce00de07c19bfd0a2ccf7dba17ed4a398b0b5a9d"),
+             "35dc8ee1fee4f074440f0cd15c47bdc211bcf7e2e32b4c7bf5f4e43a15c21325"),
         ],
     )
     def test_golden_columns_long_dead_time(
@@ -312,12 +312,12 @@ class TestBlockSequence:
                 (14624, "b03074cab611b598d72ff3881d204040c35ba18eed4fe7f32bc93c51c2a637f4"),
             ]),
             ("bayes", [
-                (16551, "df0bf4c22146ebbd37f892ab327cc0c33e3156b801016464deb208bf79ce2e34"),
-                (15779, "2f44dbde74b6c89008f897a732e77005a0dbdeefe7062ab4ccd5f155f9f322cf"),
+                (16551, "853ccab4e7e9944a5aebf9975382e7afcaebcb364cc788d32f223a4156e89312"),
+                (15779, "c8b797284950aa1b4a50ed56e61732fbcfbd25a564f56511e634eb44e0f211f1"),
                 (0, "bc940dcc0d266d5c5fee84ab04f46b10d93170bfef96441e2d2a5a3cb31dc942"),
-                (0, "e649ccd16a359dba4661de79f638bcc399c469334868e40c0549af2757b54c34"),
-                (12252, "3a29a4e1dc6f108d59ee3638f021b05abd33f480e609c84204de95aa16de5cac"),
-                (11832, "aa125ddd62ea2363dceccc6c58409fcf5bae9e633ee331463912238ffacf94dd"),
+                (0, "1092e50c9fd75066ae337a8d250a6a4550aca6a3ee5419a3a3d76259a939358b"),
+                (12252, "50384928668c3704e2ab01c053d7725195f5265bef6c5fdd9ce9af3489006d88"),
+                (11832, "faf928467c7438fb23553478953a62c22b6cb561214aa59bb8495b21ce782249"),
             ]),
         ],
     )
@@ -515,17 +515,23 @@ class TestColumnCount:
     def test_a_column_alone_as_among_many(self, M):
         m = 64
         rng = np.random.default_rng(M)
-        w = rng.random((M, m)) * 10.0 ** rng.uniform(-6.0, 0.0, (M, m))
-        w /= w.sum(axis=0)
+        w = rng.uniform(-14.0, 0.0, (M, m))
+        w -= w.max(axis=0)
         click_rates, final_rates = rng.uniform(0.0, 8.0, (2, M, m))
         click_lag, final_lag = -rng.random((2, m))
         probe = rng.integers(0, M, m)
+        # every fifth column holds its probe alone, at rate 0: a click it
+        # cannot explain, which leaves its log weights and probe unchanged
+        for j in range(0, m, 5):
+            w[:, j], click_rates[probe[j], j] = -np.inf, 0.0
+            w[probe[j], j] = 0.0
+        click_logs = np.log(click_rates, out=np.full((M, m), -np.inf), where=click_rates > 0.0)
         scratch = PosteriorScratch(Workspace(), M, m)
 
         def update(cols):
             p = probe[cols].copy()
             after = click_update(
-                w[:, cols], click_rates[:, cols].copy(), np.empty((M, len(p))),
+                w[:, cols], click_rates[:, cols].copy(), click_logs[:, cols],
                 click_lag[cols], p, scratch,
             )
             clicked = after.copy(), p.copy()
@@ -534,6 +540,9 @@ class TestColumnCount:
             return clicked, (final, p, conf.copy())
 
         (w_all, p_all), (f_all, d_all, c_all) = update(slice(None))
+        held = np.arange(m) % 5 != 0
+        assert (w_all[:, ~held] == w[:, ~held]).all() and (p_all[~held] == probe[~held]).all()
+        assert (w_all.max(axis=0) == 0.0).all()
         for j in range(m):
             (w_j, p_j), (f_j, d_j, c_j) = update(slice(j, j + 1))
             assert w_j[:, 0].tobytes() == w_all[:, j].tobytes()
@@ -557,25 +566,31 @@ class TestZeroLikelihoodClick:
 
     def test_posterior_and_probe_unchanged(self):
         # one hypothesis left, probed at rate 0: the click changes nothing
-        ps = PosteriorState(np.array([0.0, 1.0, 0.0, 0.0]), probe=2, last_event_time=0.2)
+        log_weights = np.array([-np.inf, 0.0, -np.inf, -np.inf])
+        ps = PosteriorState(log_weights, probe=2, last_event_time=0.2)
         out = bayes_click_update(ps, 0.5, np.array([2.0, 0.0, 2.0, 8.0]))
-        assert (out.probs == ps.probs).all()
+        assert (out.log_weights == ps.log_weights).all()
         assert out.probe == 2
         assert out.last_event_time == 0.5
         assert out.click_count == ps.click_count + 1
 
-    def test_underflow_raises(self):
-        # bright nulling receiver: a late thermal click on the probed state
-        # has likelihood e^{-4000 t} under the other hypothesis, which
-        # underflows; both paths refuse rather than emitting NaN
-        alphabet = PskAlphabet.from_power(2, 1000.0)
-        with pytest.raises(PrecisionError):
-            estimate_error(alphabet, 0.0, "bayes", ImperfectionModel(n_th=1.0), 2000, 1)
-        rates = np.array([0.0, 4000.0])
-        with pytest.raises(PrecisionError):
-            bayes_click_update(initial_posterior(2), 0.5, rates)
-        with pytest.raises(PrecisionError):
-            bayes_silence_update(initial_posterior(2), 0.5, np.array([4000.0, 4000.0]))
+    def test_bright_noisy_pulses_answered(self):
+        # bright nulling receivers: a late thermal click on the probed state
+        # has likelihood e^{-4000 t} under the other hypothesis, a weight
+        # that underflows but a log weight that does not
+        for M, alpha_sq, n_th in [(2, 1000.0, 1.0), (4, 300.0, 0.4)]:
+            alphabet = PskAlphabet.from_power(M, alpha_sq)
+            imp = ImperfectionModel(n_th=n_th)
+            est = estimate_error(alphabet, 0.0, "bayes", imp, 20_000, 1)
+            assert 0.0 < est.p_err < 1.0 and est.std_err > 0.0
+            conf = simulate_outcomes(alphabet, 0.0, "bayes", imp, 20_000, 1).confidence
+            assert ((conf > 0.0) & (conf <= 1.0)).all()
+            for out, ref in _replay(alphabet, 0.0, "bayes", imp, 300, 1):
+                _assert_same_trial(out, ref)
+        out = bayes_click_update(initial_posterior(2), 0.5, np.array([0.0, 4000.0]))
+        assert out.log_weights.tolist() == [-np.inf, 0.0] and out.probe == 2
+        out = bayes_silence_update(initial_posterior(2), 0.5, np.array([4000.0, 4000.0]))
+        assert out.probs.tolist() == [0.5, 0.5]
 
 
 class TestBatchedEstimates:
@@ -643,6 +658,13 @@ class TestTrialPartition:
             assert estimate_errors(alphabet, grid, strategy, imp, trials, 23, workers) == one
 
 
+def _fail_on_job_1(job, workspace=None):
+    """A job function for a worker: it raises on job 1."""
+    if job == 1:
+        raise ValueError("job 1 failed")
+    return job
+
+
 @pytest.mark.usefixtures("two_cpus")
 class TestWorkerPool:
     def test_one_pool_serves_every_call(self, pool_events):
@@ -707,9 +729,9 @@ class TestWorkerPool:
             assert context is None
 
     def test_stops_on_an_error(self, pool_events):
-        alphabet = PskAlphabet.from_power(2, 1000.0)
-        with pytest.raises(PrecisionError):
-            estimate_error(alphabet, 0.0, "bayes", ImperfectionModel(n_th=1.0), 20_000, 1, 2)
+        with pytest.raises(ValueError, match="job 1 failed"):
+            with WorkerPool(2) as pool:
+                pool.map(_fail_on_job_1, [0, 1])
         assert pool_events == ["start", "stop"]
 
 

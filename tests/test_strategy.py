@@ -172,7 +172,7 @@ class TestBayesUpdates:
     def test_rotation_equivariance(self, shift, t1, rates):
         rates = np.array(rates)
         out = bayes_click_update(initial_posterior(4), t1, rates)
-        rolled = PosteriorState(np.full(4, 0.25), probe=1 + shift)
+        rolled = PosteriorState(np.zeros(4), probe=1 + shift)
         out_rolled = bayes_click_update(rolled, t1, np.roll(rates, shift))
         np.testing.assert_allclose(out_rolled.probs, np.roll(out.probs, shift), atol=1e-14)
         assert out_rolled.probe == 1 + (out.probe - 1 + shift) % 4
