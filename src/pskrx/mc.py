@@ -61,11 +61,11 @@ not a per-trial operation on M values.  Those steps are
 :func:`click_update`, :func:`final_update` and :func:`map_pick`; the
 ``trace`` command runs the same functions on one column.  A click adds
 log n_k - n_k dt to row k and needs no normaliser.  Only
-:func:`final_update` normalises, once per trial, adding a column's
-weights exp(L_k - L_max) in one order, left to right: row 0, then each
-later row added in turn.  So a column gets the same bits whatever other
-columns share its call, and the scalar reference adds one trial's
-weights in that order.
+:func:`final_update` normalises, once per trial (and ``trace`` once a
+row), adding a column's weights exp(L_k - L_max) in one order, left to
+right: row 0, then each later row added in turn.  So a column gets the
+same bits whatever other columns share its call, and the scalar
+reference adds one trial's weights in that order.
 ``np.add.reduce(x, axis=0)`` would not do: it adds the rows in sequence
 for several columns but pairwise for one, and one-column calls are
 common (the trials that never click, a round's last running trial, every

@@ -844,10 +844,14 @@ class TestSimulate:
         "argv, digest",
         [
             pytest.param(
-                _small("bayes", "csv", []), "e90df377e8c6c429ec3992c3dafbc0aebe9977d25eab29903eaed656319889a3", id="bayes-ideal",
+                _small("bayes", "csv", []),
+                "e90df377e8c6c429ec3992c3dafbc0aebe9977d25eab29903eaed656319889a3",
+                id="bayes-ideal",
             ),
             pytest.param(
-                _small("bayes", "csv", IMPERFECT), "1d32ae250ea859f8fa6563d368d56b57a30e04d48c032dab8815cacaac8f85fb", id="bayes-imperfect",
+                _small("bayes", "csv", IMPERFECT),
+                "1d32ae250ea859f8fa6563d368d56b57a30e04d48c032dab8815cacaac8f85fb",
+                id="bayes-imperfect",
             ),
             pytest.param(
                 ["--m", "8", "--alpha-sq", "2", "--beta-sq", "0.23", "--strategy", "bayes",
@@ -960,8 +964,9 @@ class TestSimulate:
         ],
     )
     def test_golden_bytes(self, capsys, argv, digest):
-        # digests taken from the earlier writer, which formatted one row object
-        # per trial: writing from the record columns must not change a byte
+        # the cyclic digests come from an earlier writer, which formatted one
+        # row object per trial: writing from the record columns must not
+        # change a byte
         code, out, _ = run_cli(capsys, "simulate", *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
