@@ -51,19 +51,15 @@ from math import sqrt
 import numpy as np
 
 from . import bench as bench_mod
-from .core import PskAlphabet, probe_relative_rates
+from .core import PskAlphabet
 from .errors import PrecisionError
 from .mc import (
     STRATEGIES,
     ImperfectionModel,
-    PosteriorScratch,
     TrialRecords,
     WorkerPool,
-    Workspace,
-    click_update,
     estimate_error,
-    final_update,
-    rate_tables,
+    posterior_trace,
     simulate_outcomes,
     usable_cpus,
 )
@@ -432,40 +428,23 @@ def trace_rows(M: int, alpha_sq: float, beta_sq: float, clicks: list[float]) -> 
 
     Each row carries the probe active on the interval *starting* at the
     row's time; the receiver always begins by probing state 1.  The
-    posterior is one column of the trial engine's log weights L, updated
-    by the engine's own functions; a row prints exp(L - L_max) / sum.
+    posteriors are :func:`pskrx.mc.posterior_trace`'s.
     """
     if any(not 0.0 < t < 1.0 for t in clicks):
         raise ValueError(f"click times must lie strictly inside (0, 1): {clicks}")
     if any(later <= earlier for earlier, later in zip(clicks, clicks[1:])):
         raise ValueError(f"click times must be strictly increasing: {clicks}")
-    alphabet = PskAlphabet.from_power(M, alpha_sq)
-    scratch = PosteriorScratch(Workspace(), M, 1)
-    rates = probe_relative_rates(alphabet, sqrt(beta_sq))
-    rate_table, log_table = rate_tables(rates, scratch.steps)
-    w = np.zeros((M, 1))
-    probe = np.zeros(1, dtype=np.int64)
-    last = 0.0
+    posteriors, probes, map_states = posterior_trace(
+        PskAlphabet.from_power(M, alpha_sq), sqrt(beta_sq), clicks
+    )
     rows = []
-
-    def _row(t: float, weights: np.ndarray, map_state: np.ndarray) -> dict:
-        probs = weights / scratch.column_sums(weights)
-        row = {"t": t, "probe": int(probe[0]) + 1}
-        for k in range(M):
-            row[f"p{k + 1}"] = float(probs[k, 0])
-        row["map_state"] = int(map_state[0]) + 1
-        return row
-
-    for t in clicks:
-        lag = np.array([last - t])
-        w = click_update(w, rate_table[:, probe], log_table[:, probe], lag, probe, scratch)
-        # the click moved the probe to the MAP state, of log weight 0
-        rows.append(_row(t, np.exp(w), probe))
-        last = t
-    final, decision = rate_table[:, probe], probe.copy()
-    # final_update leaves exp(L - L_max) in final
-    final_update(w, final, np.array([last - 1.0]), decision, scratch)
-    rows.append(_row(1.0, final, decision))
+    for t, probe, column, map_state in zip(
+        [*clicks, 1.0], probes.tolist(), posteriors.T.tolist(), map_states.tolist()
+    ):
+        row = {"t": t, "probe": probe}
+        row.update((f"p{k + 1}", p) for k, p in enumerate(column))
+        row["map_state"] = map_state
+        rows.append(row)
     return rows
 
 

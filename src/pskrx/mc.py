@@ -48,9 +48,11 @@ processes that run them, not the workers asked for: the fewest of at
 most ``_BLOCK`` trials whose count is a multiple of the pool's
 processes (:func:`_trial_blocks`), since each block pays a fixed cost
 in numpy calls a round, whatever its size.  With one process the blocks
-run in this process and no pool starts.  :func:`simulate_outcomes` runs
-the same trials in process, in the blocks one process gets, and keeps
-the engine's columns as :class:`TrialRecords`.
+run in this process and no pool starts.  Every block is one job of
+:func:`_jobs`, run by :func:`_run_block`.  :func:`simulate_outcomes`
+runs the same trials through a one-process pool, so in this process, in
+the blocks one process gets, and keeps the engine's columns as
+:class:`TrialRecords`.
 
 The block engine keeps the Bayesian posterior hypothesis-major, as log
 weights: one (M, n) array whose row k holds state k's log weight in each
@@ -58,34 +60,35 @@ of the n trials still running, each column's maximum 0.  With M of 2 to
 a few dozen, every step of the click loop (log-likelihoods, the MAP pick
 with its tie-break) is then a few operations on whole rows of n values,
 not a per-trial operation on M values.  Those steps are
-:func:`click_update`, :func:`final_update` and :func:`map_pick`; the
-``trace`` command runs the same functions on one column.  A click adds
-log n_k - n_k dt to row k and needs no normaliser.  Only
-:func:`final_update` normalises, once per trial (and ``trace`` once a
-row), adding a column's weights exp(L_k - L_max) in one order, left to
-right: row 0, then each later row added in turn.  So a column gets the
-same bits whatever other columns share its call, and the scalar
-reference adds one trial's weights in that order.
-``np.add.reduce(x, axis=0)`` would not do: it adds the rows in sequence
-for several columns but pairwise for one, and one-column calls are
-common (the trials that never click, a round's last running trial, every
-``trace`` call).
+:func:`click_update`, :func:`final_update` and :func:`map_pick`;
+:func:`posterior_trace`, which the ``trace`` command calls, runs the
+same functions on one column.  A click adds log n_k - n_k dt to row k
+and needs no normaliser.  Only :func:`final_update` normalises, once per
+trial (and :func:`posterior_trace` once, for all its columns), adding a
+column's weights exp(L_k - L_max) in one order, left to right: row 0,
+then each later row added in turn.  So a column gets the same bits
+whatever other columns share its call, and the scalar reference adds one
+trial's weights in that order.  ``np.add.reduce(x, axis=0)`` would not
+do: it adds the rows in sequence for several columns but pairwise for
+one, and one-column calls are common (the trials that never click, a
+round's last running trial, every ``trace`` call).
 
 The rest of a running trial's state is compacted the same way and kept
 column-aligned with the posterior.  One int64 array holds each trial's
 position in the block, its RNG key (hashed once per block; each round
-finishes one slot from it), its probe, its click count and, without
-excess noise, its true state; one float row holds its resume time.  A
-round reads them as contiguous rows and, when trials finish, shrinks
-every array with one take of the columns kept: nothing is gathered from
-or scattered back to full-length per-trial arrays.  A trial's
-hypothesis, confidence and click count are written once, when it
-finishes, so no round writes state that a later round reads back by
-index.  The trials that never click all hold the prior at probe 0 from
-t = 0, so one column gives their decision.  Without excess noise a
-trial's true click rate is one lookup in an (M, M) table of true state
-and probe, built with the expression the scalar reference evaluates;
-with it, the trial's offset field rides along as two more float rows.
+finishes one slot from it), its probe and, without excess noise, its
+true state; one float row holds its resume time.  A round reads them as
+contiguous rows and, when trials finish, shrinks every array with one
+take of the columns kept: nothing is gathered from or scattered back to
+full-length per-trial arrays.  A trial's hypothesis and confidence are
+written once, when it finishes, so no round writes state that a later
+round reads back by index; the records' click counts are counted from
+the clicks collected.  The trials that never click all hold the prior at
+probe 0 from t = 0, so one column gives their decision.  Without excess
+noise a trial's true click rate is one lookup in an (M, M) table of true
+state and probe, built with the expression the scalar reference
+evaluates; with it, the trial's offset field rides along as two more
+float rows.
 
 The engine owns its working memory.  Every array of block size (the
 state above and its spare for compaction, the rates, the click times,
@@ -98,8 +101,8 @@ its working set back to the allocator and faulted it in again: about
 2,000 minor page faults a 32,768-trial block, kernel time that a
 profile of the Python process does not show.  A worker process keeps
 one workspace for its life; a run in this process (one process, a
-single block, :func:`simulate_outcomes`) holds one for the call and
-drops it when the call returns, so none outlives a command.
+single block, :func:`simulate_outcomes`) holds one for the pool's map
+call and drops it when the call returns, so none outlives a command.
 """
 
 from __future__ import annotations
@@ -133,9 +136,9 @@ class ImperfectionModel:
     """Detector and channel imperfections; defaults are ideal.
 
     eta: quantum efficiency of the photon counter in [0, 1].
-    n_th: mean thermal photons per pulse (excess noise), >= 0.
+    n_th: mean thermal photons per pulse (excess noise), finite and >= 0.
     dead_time: post-click blind window as a fraction of the pulse, in [0, 1).
-    dark_rate: mean dark counts per pulse, >= 0.
+    dark_rate: mean dark counts per pulse, finite and >= 0.
     """
 
     eta: float = 1.0
@@ -146,12 +149,12 @@ class ImperfectionModel:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"quantum efficiency {self.eta} outside [0, 1]")
-        if not self.n_th >= 0.0:
-            raise ValueError(f"thermal photon number {self.n_th} must be >= 0")
+        if not 0.0 <= self.n_th < inf:
+            raise ValueError(f"thermal photon number {self.n_th} must be finite and >= 0")
         if not 0.0 <= self.dead_time < 1.0:
             raise ValueError(f"dead time {self.dead_time} outside [0, 1)")
-        if not self.dark_rate >= 0.0:
-            raise ValueError(f"dark rate {self.dark_rate} must be >= 0")
+        if not 0.0 <= self.dark_rate < inf:
+            raise ValueError(f"dark rate {self.dark_rate} must be finite and >= 0")
 
 
 IDEAL = ImperfectionModel()
@@ -186,11 +189,6 @@ class ErrorEstimate:
     std_err: float
     trials: int
     seed: int
-
-
-def _check_strategy(strategy: str) -> None:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
 
 
 def nominal_rate_table(
@@ -388,18 +386,43 @@ def final_update(
     return np.divide(1.0, total, out=total)
 
 
-def _run_block(
-    alphabet: PskAlphabet,
-    betas: tuple[float, ...],
-    strategy: str,
-    imp: ImperfectionModel,
-    master_seed: int,
-    lo: int,
-    hi: int,
-    collect: bool = False,
-    workspace: Workspace | None = None,
-) -> list:
-    """Simulate trials [lo, hi) at every surplus in ``betas``.
+def posterior_trace(
+    alphabet: PskAlphabet, beta: float, clicks: list[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An ideal receiver's posteriors after each click and at t = 1.
+
+    Returns the posteriors as the (M, len(clicks) + 1) columns
+    exp(L - L_max) / sum of one trial's log weights L, updated by
+    :func:`click_update` at each click and by :func:`final_update` at
+    t = 1; the probe active from each column's time on; and each column's
+    MAP state, the decision in the last.  States are 1-based.
+    """
+    M, n = alphabet.M, len(clicks) + 1
+    scratch = PosteriorScratch(Workspace(), M, n)
+    rate_table, log_table = rate_tables(probe_relative_rates(alphabet, beta), scratch.steps)
+    posteriors = np.empty((M, n))
+    probes, map_states = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    w = np.zeros((M, 1))
+    probe = np.zeros(1, dtype=np.int64)
+    last = 0.0
+    for j, t in enumerate(clicks):
+        lag = np.array([last - t])
+        w = click_update(w, rate_table[:, probe], log_table[:, probe], lag, probe, scratch)
+        # the click moved the probe to the MAP state, of log weight 0
+        posteriors[:, j : j + 1] = np.exp(w)
+        probes[j] = map_states[j] = probe[0]
+        last = t
+    final, decision = rate_table[:, probe], probe.copy()
+    # final_update leaves exp(L - L_max) in final
+    final_update(w, final, np.array([last - 1.0]), decision, scratch)
+    posteriors[:, -1:] = final
+    probes[-1], map_states[-1] = probe[0], decision[0]
+    posteriors /= scratch.column_sums(posteriors)
+    return posteriors, probes + 1, map_states + 1
+
+
+def _run_block(job: tuple, workspace: Workspace | None = None) -> list:
+    """Simulate one job of :func:`_jobs`: trials [lo, hi) at every surplus in ``betas``.
 
     Each trial's key is hashed once; the true states and thermal offsets
     (slots 0-2) are drawn once and every surplus runs on them.  Returns
@@ -410,6 +433,7 @@ def _run_block(
     ``workspace``, by default the one this process keeps for its life.
     """
     global _process_workspace
+    alphabet, betas, strategy, imp, master_seed, lo, hi, collect = job
     if workspace is None:
         if _process_workspace is None:
             _process_workspace = Workspace()
@@ -467,20 +491,19 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     hyp0 = ws("hyp0", n, np.int64)
     conf = ws("conf", n)
     conf.fill(1.0)
-    count = ws("count", n, np.int64) if collect else None
     clicks_trial = [np.empty(0, dtype=np.int64)]
     clicks_time = [np.empty(0)]
     clicks_probe = [np.empty(0, dtype=np.int64)]
 
     # the state of the trials still running, column j for the j-th of them:
-    # ints rows trial (position in the block), key, probe, click count and,
-    # without an offset, true state * M; reals rows resume time and, with an
+    # ints rows trial (position in the block), key, probe and, without an
+    # offset, true state * M; reals rows resume time and, with an
     # offset, the field's real and imaginary parts; w[k, j] the log weight
     # of state k.  The state lives in the first buffer of its pair;
     # compaction takes the columns kept into the second and swaps the two.
     # The posterior has a trio: the click update writes the next posterior
     # over the rates, with the rates' logs in the third
-    ints_rows = 5 if field0 is None else 4
+    ints_rows = 4 if field0 is None else 3
     reals_rows = 1 if field0 is None else 3
     ints_pair = [ws("ints0", ints_rows * n, np.int64), ws("ints1", ints_rows * n, np.int64)]
     reals_pair = [ws("reals0", reals_rows * n), ws("reals1", reals_rows * n)]
@@ -488,14 +511,15 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     ints = ints_pair[0].reshape(ints_rows, n)
     ints[0] = ws.iota(n)
     ints[1] = keys.view(np.int64)
-    ints[2:4] = 0
+    ints[2] = 0
     reals = reals_pair[0].reshape(reals_rows, n)
     reals[0] = 0.0
+    # the field path would serve n_th = 0 too, bit for bit, but 6-12% slower
     if field0 is None:
         # the true click rate of state k probed at p is true_rate[k * M + p]
         f = alphabet.amplitudes[:, None] + recv
         true_rate = (imp.eta * (f.real**2 + f.imag**2) + imp.dark_rate).ravel()
-        np.multiply(true0, M, out=ints[4])
+        np.multiply(true0, M, out=ints[3])
     else:
         reals[1:] = field0
     w = w_trio = None
@@ -507,7 +531,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
     # scratch of a round
     rate_buf, index_buf, mix_buf = ws("rate", n), ws("index", n, np.int64), ws("mix", n, np.uint64)
     clicked_buf, done_buf = ws("clicked", n, bool), ws("done", n, bool)
-    finished_buf, exposure_buf = ws("finished", 4 * n, np.int64), ws("exposure", n)
+    finished_buf, exposure_buf = ws("finished", 3 * n, np.int64), ws("exposure", n)
 
     def shrink(running, alike):
         """Finish the trials whose column of ``running`` is False; keep the rest.
@@ -518,10 +542,8 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
         """
         nonlocal ints, reals, w
         cols = np.flatnonzero(np.logical_not(running, out=done_buf[: len(running)]))
-        finished = _view(finished_buf, 4, len(cols))
-        trial, _, probe, clicks = ints[:4].take(cols, axis=1, out=finished, mode="clip")
-        if collect:
-            count[trial] = clicks
+        finished = _view(finished_buf, 3, len(cols))
+        trial, _, probe = ints[:3].take(cols, axis=1, out=finished, mode="clip")
         if bayes:
             rep = cols[:1] if alike else cols
             r = len(rep)
@@ -551,7 +573,7 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
         probe = ints[2]
         rate = rate_buf[:m]
         if field0 is None:
-            true_rate.take(np.add(ints[4], probe, out=index_buf[:m]), out=rate, mode="clip")
+            true_rate.take(np.add(ints[3], probe, out=index_buf[:m]), out=rate, mode="clip")
         else:
             # eta * (fr**2 + fi**2) + dark_rate, fr and fi the field's parts
             # at this probe, fi in the spare buffer of the click times
@@ -589,7 +611,6 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
             lag = np.subtract(resume, t_click, out=rate_buf[:m])
             w = click_update(w, rates, logs, lag, probe, scratch)
             w_trio[:2] = w_trio[1], w_trio[0]
-        ints[3] += 1
         if not bayes:
             # the probe is the click count mod M: one step ahead, wrapped
             scratch.wrap[1:].take(probe, out=probe, mode="clip")
@@ -608,20 +629,17 @@ def _run_surplus(alphabet, beta, strategy, imp, keys, true0, field0, collect, ws
         return n_err, None
     # clicks were collected round by round and each trial clicks at most
     # once a round, so a stable sort by trial puts each trial's in time order
-    order = np.argsort(np.concatenate(clicks_trial), kind="stable")
+    clicks_trial = np.concatenate(clicks_trial)
+    order = np.argsort(clicks_trial, kind="stable")
     payload = (
         true0 + 1,
         hyp0 + 1,
         conf.copy(),
-        count.copy(),
+        np.bincount(clicks_trial, minlength=n),
         np.concatenate(clicks_time)[order],
         np.concatenate(clicks_probe)[order],
     )
     return n_err, payload
-
-
-def _block_errors(job, workspace: Workspace | None = None) -> list[int]:
-    return [n_err for n_err, _ in _run_block(*job, workspace=workspace)]
 
 
 def _trial_blocks(trials: int, processes: int) -> list[tuple[int, int]]:
@@ -638,6 +656,24 @@ def _trial_blocks(trials: int, processes: int) -> list[tuple[int, int]]:
     n = -(-trials // _BLOCK)
     n = max(n, min(-(-n // processes) * processes, trials // _MIN_BLOCK))
     return [(i * trials // n, (i + 1) * trials // n) for i in range(n)]
+
+
+def _jobs(alphabet, betas, strategy, imperfections, trials, master_seed, processes, collect):
+    """The :func:`_run_block` jobs, one per block of ``trials`` on ``processes`` processes.
+
+    A job is (alphabet, betas, strategy, imperfections, master_seed, lo, hi, collect).
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    betas = tuple(float(b) for b in betas)
+    if not betas:
+        raise ValueError("need at least one surplus")
+    return [
+        (alphabet, betas, strategy, imperfections, master_seed, lo, hi, collect)
+        for lo, hi in _trial_blocks(trials, processes)
+    ]
 
 
 def usable_cpus() -> int:
@@ -711,31 +747,14 @@ def estimate_errors(
     ``workers`` is.  Each estimate equals the one :func:`estimate_error`
     gives for its surplus alone.
     """
-    _check_strategy(strategy)
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    betas = tuple(float(b) for b in betas)
-    if not betas:
-        raise ValueError("need at least one surplus")
     shared = isinstance(workers, WorkerPool)
     with (nullcontext(workers) if shared else WorkerPool(workers)) as pool:
-        jobs = [
-            (alphabet, betas, strategy, imperfections, master_seed, lo, hi)
-            for lo, hi in _trial_blocks(trials, pool.processes)
-        ]
-        per_block = pool.map(_block_errors, jobs)
-    estimates = []
-    for n_err in map(sum, zip(*per_block)):
-        p = n_err / trials
-        estimates.append(
-            ErrorEstimate(
-                p_err=p,
-                std_err=sqrt(p * (1.0 - p) / trials),
-                trials=trials,
-                seed=master_seed,
-            )
+        jobs = _jobs(
+            alphabet, betas, strategy, imperfections, trials, master_seed, pool.processes, False
         )
-    return estimates
+        per_block = pool.map(_run_block, jobs)
+    p_errs = [sum(n_err for n_err, _ in surplus) / trials for surplus in zip(*per_block)]
+    return [ErrorEstimate(p, sqrt(p * (1.0 - p) / trials), trials, master_seed) for p in p_errs]
 
 
 def estimate_error(
@@ -763,20 +782,13 @@ def simulate_outcomes(
 ) -> TrialRecords:
     """Full records of trials 0..trials-1, the ones :func:`estimate_error` counts.
 
-    Runs in this process, in the blocks that :func:`_trial_blocks` gives one
-    process.
+    Runs in this process, through a one-process :class:`WorkerPool`, in the
+    blocks that :func:`_trial_blocks` gives one process; the pool drops its
+    workspace before the columns are joined.
     """
-    _check_strategy(strategy)
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    workspace = Workspace()
-    blocks = []
-    for lo, hi in _trial_blocks(trials, 1):
-        [(_, payload)] = _run_block(
-            alphabet, (beta,), strategy, imperfections, master_seed, lo, hi, True, workspace
-        )
-        blocks.append(payload)
-    del workspace  # freed before the columns are joined
+    with WorkerPool(1) as pool:
+        jobs = _jobs(alphabet, (beta,), strategy, imperfections, trials, master_seed, 1, True)
+        blocks = [payload for [(_, payload)] in pool.map(_run_block, jobs)]
     true_state, hypothesis, confidence, count, click_times, probes = map(
         np.concatenate, zip(*blocks)
     )

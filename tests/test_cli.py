@@ -141,6 +141,7 @@ class TestTrace:
             ("4", "0.5", "0.23", "",
              "aa0c095179b0fb7ce8a6aead44e92a4b1545d5580c3049a0fd331f8491320043"),
         ],
+        ids=["reference", "nulling", "m8-ties", "m16", "no-clicks"],
     )
     def test_golden_bytes(self, capsys, m, alpha_sq, beta_sq, clicks, digest):
         code, out, _ = run_cli(
@@ -164,6 +165,7 @@ class TestTrace:
             ("4", "0.5", "0.23", "",
              "cd916cc2f04fc6f8bc12c2de7d65857893026db16d7e7ac669093a40add9a5bd"),
         ],
+        ids=["reference", "nulling", "m8-ties", "m16", "no-clicks"],
     )
     def test_golden_decisions(self, capsys, m, alpha_sq, beta_sq, clicks, digest):
         # the runs of test_golden_bytes: their probes and MAP states, pinned
@@ -817,6 +819,18 @@ class TestSimulate:
     def test_nonpositive_trials_rejected(self, capsys, trials):
         code, out, err = run_cli(capsys, "simulate", "--trials", trials, "--seed", "1")
         assert code == EXIT_ARGS and out == "" and "trial" in err
+
+    @pytest.mark.parametrize("option", ["--n-th", "--dark-rate"])
+    def test_infinite_rate_refused(self, capsys, monkeypatch, option):
+        # an infinite rate would keep the engine clicking at t = 0 for ever
+        def engine(*args):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(pskrx.cli, "simulate_outcomes", engine)
+        code, out, err = run_cli(
+            capsys, "simulate", "--trials", "3", "--seed", "1", "--alpha-sq", "0.5", option, "inf"
+        )
+        assert code == EXIT_ARGS and out == "" and "must be finite" in err
 
     def test_csv_and_json_agree(self, capsys):
         # one writer fills the same values into each format's row template;

@@ -62,6 +62,9 @@ class TestImperfectionModel:
             {"dead_time": 1.0},
             {"dead_time": -0.1},
             {"dark_rate": -1.0},
+            # an infinite rate makes every wait -log(u)/inf = 0: a trial would never end
+            {"n_th": math.inf},
+            {"dark_rate": math.inf},
         ],
     )
     def test_validation(self, kwargs):
@@ -262,6 +265,8 @@ class TestTrialRecords:
             ("bayes", 4, 1.0, 0.0, 0.8, 0.0,
              "35dc8ee1fee4f074440f0cd15c47bdc211bcf7e2e32b4c7bf5f4e43a15c21325"),
         ],
+        ids=["cyclic-m4-dark", "bayes-m4-dark", "bayes-m8-imperfect", "cyclic-m8-imperfect",
+             "bayes-m4-nulling-thermal"],
     )
     def test_golden_columns_long_dead_time(
         self, strategy, M, alpha_sq, beta_sq, n_th, dark_rate, digest
@@ -325,8 +330,7 @@ class TestBlockSequence:
         got = []
         for M, alpha_sq, imp, lo, hi in _BLOCK_SEQUENCE:
             blocks = _run_block(
-                PskAlphabet.from_power(M, alpha_sq), (0.0, 0.48), strategy, imp, 41, lo, hi,
-                collect=True,
+                (PskAlphabet.from_power(M, alpha_sq), (0.0, 0.48), strategy, imp, 41, lo, hi, True)
             )
             got += [(n_err, _payload_digest(payload)) for n_err, payload in blocks]
         assert got == expected + expected[:2]
@@ -359,6 +363,7 @@ class TestGoldenDecisions:
             (4, 1.0, 0.0, 0.8, 0.0,
              "56ebdb33407e49196742caa30cd1384055822ba99bdbc2d123cc334c215addcd"),
         ],
+        ids=["m4-dark", "m8-imperfect", "m4-nulling-thermal"],
     )
     def test_long_dead_time(self, M, alpha_sq, beta_sq, n_th, dark_rate, digest):
         imp = ImperfectionModel(eta=0.8, n_th=n_th, dead_time=0.3, dark_rate=dark_rate)
@@ -374,8 +379,7 @@ class TestGoldenDecisions:
         got = []
         for M, alpha_sq, imp, lo, hi in _BLOCK_SEQUENCE:
             blocks = _run_block(
-                PskAlphabet.from_power(M, alpha_sq), (0.0, 0.48), "bayes", imp, 41, lo, hi,
-                collect=True,
+                (PskAlphabet.from_power(M, alpha_sq), (0.0, 0.48), "bayes", imp, 41, lo, hi, True)
             )
             # payload column 2 is the confidence
             got += [(n_err, _payload_digest(p[:2] + p[3:])) for n_err, p in blocks]
@@ -401,10 +405,10 @@ class TestWorkspace:
         def addresses():
             return {key: buf.__array_interface__["data"][0] for key, buf in ws._buffers.items()}
 
-        _run_block(alphabet, (0.0, BETA), "bayes", imp, 3, 0, 32_768, workspace=ws)
+        _run_block((alphabet, (0.0, BETA), "bayes", imp, 3, 0, 32_768, False), ws)
         first = addresses()
         for lo, hi in ((32_768, 65_536), (65_536, 65_600)):
-            _run_block(alphabet, (0.0, BETA), "bayes", imp, 3, lo, hi, workspace=ws)
+            _run_block((alphabet, (0.0, BETA), "bayes", imp, 3, lo, hi, False), ws)
             assert addresses() == first
 
     @pytest.mark.skipif(
@@ -697,6 +701,11 @@ class TestWorkerPool:
         estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=2)
         assert pool_events == ["start", "stop"]
 
+    def test_records_start_no_pool(self, pool_events):
+        # four blocks on two CPUs, all run in this process
+        simulate_outcomes(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1)
+        assert pool_events == []
+
     def test_one_usable_cpu_starts_no_pool(self, pool_events, monkeypatch):
         monkeypatch.setattr(pskrx.mc, "usable_cpus", lambda: 1)
         estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=4)
@@ -704,13 +713,13 @@ class TestWorkerPool:
 
     def test_blocks_follow_the_processes(self, pool_events, monkeypatch):
         # on two CPUs a million workers cut the trials as two do
-        block_errors, blocks = pskrx.mc._block_errors, []
+        run_block, blocks = pskrx.mc._run_block, []
 
         def logged(job, workspace=None):
-            blocks.append(job[5:])
-            return block_errors(job, workspace)
+            blocks.append(job[5:7])
+            return run_block(job, workspace)
 
-        monkeypatch.setattr(pskrx.mc, "_block_errors", logged)
+        monkeypatch.setattr(pskrx.mc, "_run_block", logged)
         estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=2)
         two = blocks[:]
         estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 100_000, 1, workers=10**6)
