@@ -7,7 +7,12 @@ detector and channel imperfections, against the heterodyne standard
 quantum limit and the Helstrom bound.
 """
 
-from .analytic import CyclicError, cyclic_error_probability, m_click_probability
+from .analytic import (
+    CyclicError,
+    cyclic_error_probabilities,
+    cyclic_error_probability,
+    m_click_probability,
+)
 from .bench import helstrom_mpsk, sql_heterodyne
 from .core import PskAlphabet, probe_relative_rates
 from .errors import PrecisionError
@@ -35,6 +40,7 @@ __all__ = [
     "PskAlphabet",
     "TrialRecords",
     "WorkerPool",
+    "cyclic_error_probabilities",
     "cyclic_error_probability",
     "estimate_error",
     "estimate_errors",

@@ -33,11 +33,25 @@ end, so it lies within a few ulps of the exact value.  The term at the
 mode is Loader's saddle-point form (``stirlerr`` and ``bd0``, as in R's
 ``dpois_raw``), accurate to a few ulps at any mean.
 
+A series runs over a batch of chains of one size, one member per
+surplus, through a leading batch axis: their step matrices are stacked,
+and every round's rows and every squaring of the members still doubling
+are one ``np.matmul`` over the stack.  What each member keeps for
+itself: its lam, its Poisson table (built in Python, term by term, as
+for one chain alone), its number of terms and its stopping N, and the
+products whose row count is its own (the rows of the round in which its
+series ends, its target product and its weighted sum), because the BLAS
+kernel, and with it the rounding, follows a product's row count.  So a
+member of a batch gets bit for bit the value it gets alone.  A batch is
+doubled a fixed number of bytes of matrices at a time, so a batch of
+large chains needs no more memory than one of them.
+
 Two chains are evaluated:
 
 * ``m_click_probability``: the (m+2)-state pure-birth chain whose last
   state (more than m clicks) absorbs;
-* ``cyclic_error_probability``: with probe rotation 1 -> 2 -> ... -> M
+* ``cyclic_error_probabilities`` (and ``cyclic_error_probability``, its
+  batch of one surplus): with probe rotation 1 -> 2 -> ... -> M
   -> 1 on each click, the decision is fixed by the count mod M, and the
   rate depends only on the offset u = (true - probed) mod M.  Offset u
   clicks at rate n_u (the probe-relative rate table, mirror-symmetric,
@@ -66,12 +80,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from bisect import bisect_left
 from math import exp, isfinite, pi, prod, sqrt
+from operator import itemgetter, neg
 from typing import Sequence
 
 import numpy as np
 
-from .core import PskAlphabet, probe_relative_rates, probe_relative_slopes
+from .core import PskAlphabet, probe_relative_tables
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -86,6 +102,10 @@ _M_CLICK_TAIL_TOL = 1e-16
 
 #: Terms below this fraction of a sum leave its float64 value unchanged.
 _EPS = 2.0**-53
+
+#: A batch is doubled this many bytes of step matrices, squares and rows
+#: at a time (one member at least).
+_BATCH_BYTES = 2**23
 
 
 def _stirlerr(k: int) -> float:
@@ -155,58 +175,99 @@ def _poisson_table(lam: float, first: int, floor: float) -> tuple[list[float], l
     return terms, tails
 
 
-def _max_rate(rates: np.ndarray) -> float:
-    lam = float(rates.max())
-    if not isfinite(lam):
-        raise ValueError(f"rates must be finite, got maximum {lam}")
-    return lam
-
-
 def _uniformized(
-    step: np.ndarray, start: np.ndarray, targets: np.ndarray, lam: float, tail_tol: float
-) -> tuple[np.ndarray, list[float], int]:
-    """sum_n Pois(n; lam) start P^n targets, for the step matrix P = ``step``.
+    lams: list[float], index: np.ndarray, entries: np.ndarray, start: np.ndarray,
+    targets: np.ndarray, mass: float, tail_tol: float,
+) -> list[tuple[np.ndarray, int, tuple[float, float]]]:
+    """sum_n Pois(n; lams[i]) start P_i^n targets for every member i of a batch.
 
-    Column 0 of ``targets`` weights the states, each weight in [0, 1]
-    and the start a probability vector, so its every term is at most
-    Pois(n; lam); the other columns ride along.  The series stops at the
-    first N whose tail P(Pois(lam) > N) is at most ``tail_tol`` and at
-    most _RELATIVE_TOL times column 0's mass summed so far (or below
-    _TAIL_FLOOR).  The rows start P^n are made by doubling.
+    The step matrix P_i of member i holds entries[i] / lams[i] at the
+    flat positions ``index`` and zeros elsewhere.  Column 0 of
+    ``targets`` weights the states, each weight in [0, 1] and the start
+    a probability vector, so its every term is at most Pois(n; lam); the
+    other columns ride along.  ``mass`` is column 0 at the start,
+    ``float(start @ targets[:, 0])``.
+    A member's series stops at the first N whose tail P(Pois(lam) > N)
+    is at most ``tail_tol`` and at most _RELATIVE_TOL times column 0's
+    mass summed so far (or below _TAIL_FLOOR).
 
-    Returns (sums, tails, terms): ``terms`` = N + 1 terms were summed,
-    tails[n] = P(Pois(lam) >= n), and column 0's exact value lies in
-    [sums[0], sums[0] + tails[terms]].
+    The rows start P^n are made by doubling, with every member's full
+    rounds and squarings in one ``np.matmul``.  A member whose series
+    ends inside a round takes that round's rows, its target product and
+    its weighted sum in the shapes it has alone, since the BLAS kernel,
+    and with it the rounding, follows a product's row count.  Members
+    are doubled _BATCH_BYTES of step matrices, squares and rows at a
+    time (one member at least), so a batch of large chains needs no
+    more memory than its largest member alone.
+
+    Returns, member by member, (sums, terms, edges): N + 1 = terms
+    terms were summed, edges = (P(Pois(lam) >= N), P(Pois(lam) > N)),
+    and column 0's exact value lies in [sums[0], sums[0] + edges[1]].
     """
-    if lam == 0.0:
-        return start @ targets, [1.0, 0.0], 1
-    # the bound only grows with the mass, so one table, accurate down to
-    # the first term's bound, serves the whole series, and no term past
-    # the first tail below that bound is needed
-    bound = max(min(tail_tol, _RELATIVE_TOL * exp(-lam) * float(start @ targets[:, 0])),
-                _TAIL_FLOOR)
-    pmf, tails = _poisson_table(lam, 0, bound)
-    count = next(n for n, t in enumerate(tails) if n and t <= bound)
-    rows = np.empty((count, len(start)))
-    rows[0] = start
-    power, h = step, 1
-    while True:
-        new = min(h, count - h)
-        np.matmul(rows[:new], power, out=rows[h : h + new])
-        h += new
-        if h == count:
-            break
-        power = power @ power
-    weights = np.array(pmf[:count])
-    values = rows @ targets
-    mass = np.cumsum(weights * values[:, 0])
-    stop = np.array(tails[1 : count + 1]) <= np.maximum(
-        np.minimum(tail_tol, _RELATIVE_TOL * mass), _TAIL_FLOOR
-    )
-    n = int(stop.argmax())
-    sums = weights[: n + 1] @ values[: n + 1]
-    sums[0] = mass[n]
-    return sums, tails, n + 1
+    results = [None] * len(lams)
+    series = []
+    for i, lam in enumerate(lams):
+        if not isfinite(lam):
+            raise ValueError(f"rates must be finite, got maximum {lam}")
+        if lam == 0.0:
+            results[i] = (start @ targets, 1, (1.0, 0.0))
+            continue
+        # the bound only grows with the mass, so one table, accurate down
+        # to the first term's bound, serves the whole series, and no term
+        # past the first tail below that bound is needed
+        bound = max(min(tail_tol, _RELATIVE_TOL * exp(-lam) * mass), _TAIL_FLOOR)
+        pmf, tails = _poisson_table(lam, 0, bound)
+        # the terms: up to the first n >= 1 whose tail (the tails fall) is within the bound
+        series.append((bisect_left(tails, -bound, 1, key=neg), i, pmf, tails))
+    # longest series first, so the members still doubling are a prefix
+    series.sort(key=itemgetter(0), reverse=True)
+    size = len(start)
+    while series:
+        batch = series[: max(1, _BATCH_BYTES // (8 * size * (3 * size + series[0][0])))]
+        del series[: len(batch)]
+        counts = [c for c, _, _, _ in batch]
+        rows = np.empty((len(batch), counts[0], size))
+        rows[:, 0] = start
+        members = [i for _, i, _, _ in batch]
+        steps = np.zeros((len(batch), size * size))
+        steps[:, index] = entries[members] / np.array([lams[i] for i in members])[:, None]
+        power, h = steps.reshape(len(batch), size, size), 1
+        full = len(batch)
+        while full:
+            # a member whose series ends inside this round takes its rows alone
+            while full and counts[full - 1] < 2 * h:
+                full -= 1
+                if counts[full] > h:
+                    np.matmul(rows[full, : counts[full] - h], power[full],
+                              out=rows[full, h : counts[full]])
+            if not full:
+                break
+            np.matmul(rows[:full, :h], power[:full], out=rows[:full, h : 2 * h])
+            going = full
+            while going and counts[going - 1] == 2 * h:
+                going -= 1
+            if not going:
+                break
+            power = power[:going] @ power[:going]
+            h *= 2
+        # column 0's running masses of every member at once, zero-padded
+        values = np.zeros((len(batch), counts[0], targets.shape[1]))
+        weights = np.zeros((len(batch), counts[0]))
+        for m, (count, _, pmf, _) in enumerate(batch):
+            np.matmul(rows[m, :count], targets, out=values[m, :count])
+            weights[m, :count] = pmf[:count]
+        masses = np.add.accumulate(weights * values[:, :, 0], axis=1).tolist()
+        for m, (count, i, _, tails) in enumerate(batch):
+            # the stop test only turns true as n grows, since the tails
+            # fall and the mass grows: the first n it holds at, else 0
+            summed = masses[m]
+            n = bisect_left(range(count), True, key=lambda k: tails[k + 1] <= max(
+                min(tail_tol, _RELATIVE_TOL * summed[k]), _TAIL_FLOOR))
+            n = n if n < count else 0
+            sums = weights[m, : n + 1] @ values[m, : n + 1]
+            sums[0] = summed[n]
+            results[i] = (sums, n + 1, (tails[n], tails[n + 1]))
+    return results
 
 
 def m_click_probability(seq: Sequence[float], m: int) -> float:
@@ -225,14 +286,18 @@ def m_click_probability(seq: Sequence[float], m: int) -> float:
             raise ValueError(f"rates must be >= 0, got {r}")
     rates = np.zeros(m + 2)
     rates[: m + 1] = seq[: m + 1]
-    lam = _max_rate(rates)
+    lam = float(rates.max())
     start = np.zeros(m + 2)
     start[0] = 1.0
     target = np.zeros((m + 2, 1))
     target[m] = 1.0
+
     # state j moves on to j + 1 at rates[j]; the last state absorbs
-    step = (np.diag(lam - rates) + np.diag(rates[:-1], 1)) / lam if lam > 0.0 else None
-    return float(_uniformized(step, start, target, lam, _M_CLICK_TAIL_TOL)[0][0])
+    index = np.concatenate((np.arange(m + 2) * (m + 3), np.arange(m + 1) * (m + 3) + 1))
+    entries = np.concatenate((lam - rates, rates[:-1]))[None]
+    mass = float(start @ target[:, 0])
+    (sums, _, _), = _uniformized([lam], index, entries, start, target, mass, _M_CLICK_TAIL_TOL)
+    return float(sums[0])
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +306,26 @@ def m_click_probability(seq: Sequence[float], m: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _augmented_index(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the stay and move-on entries of P, P and dP sit in [[P, dP], [0, P]]."""
+def _cyclic_chain(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The parts of the augmented M-phase chain that do not depend on beta.
+
+    (index, start, targets, mass), the arrays read-only: the flat
+    positions of the stay and move-on entries of P, P and dP in
+    [[P, dP], [0, P]]; the uniform start on the M phases; the targets
+    that sum the error mass (every phase but 0) of the value and of its
+    derivative; and the start's error mass.
+    """
     j = np.arange(M)
     k = (j + 1) % M
     rows = np.concatenate((j, j, j + M, j + M, j, j))
-    cols = np.concatenate((j, k, j + M, k + M, j + M, k + M))
-    return rows, cols
+    index = 2 * M * rows + np.concatenate((j, k, j + M, k + M, j + M, k + M))
+    start = np.zeros(2 * M)
+    start[:M] = 1.0 / M
+    targets = np.zeros((2 * M, 2))
+    targets[1:M, 0] = targets[M + 1 :, 1] = 1.0
+    for array in (index, start, targets):
+        array.flags.writeable = False
+    return index, start, targets, float(start @ targets[:, 0])
 
 
 @dataclass(frozen=True)
@@ -272,43 +350,46 @@ class CyclicError:
         return self.p_err
 
 
+def cyclic_error_probabilities(
+    alphabet: PskAlphabet, betas, tail_tol: float = DEFAULT_TAIL_TOL
+) -> list[CyclicError]:
+    """Average error of the cyclic-probing receiver at each surplus in ``betas``.
+
+    Uniformizes the one M-phase chain that covers all M true states (see
+    the module docstring) and sums the error mass (every phase but 0)
+    directly, so small errors keep their relative accuracy.  Each
+    surplus's series stops once the Poisson tail at its maximum
+    displaced rate is below ``tail_tol`` and below 1e-9 of the error
+    mass; ``m_max`` of its result is the number of terms summed.  The
+    derivative in beta is summed over the same terms.  The surpluses run
+    as one batch, and each result is bit for bit the one it gets alone.
+    """
+    if not 0.0 < tail_tol <= 1e-3:
+        raise ValueError(f"tail_tol must be in (0, 1e-3], got {tail_tol}")
+    if not len(betas):
+        return []
+    rates, slopes = probe_relative_tables(alphabet, betas)
+    lams = rates.max(axis=1)
+    index, start, targets, mass = _cyclic_chain(alphabet.M)
+    # [[P, dP], [0, P]]: P = I + Q / lam (lam - rates is exact near lam,
+    # so P keeps full relative accuracy) and dP = dQ / lam
+    stay = lams[:, None] - rates
+    entries = np.concatenate((stay, rates, stay, rates, -slopes, slopes), axis=1)
+    reach = slopes.max(axis=1).tolist()  # every slope is >= 0
+    return [
+        CyclicError(p_err=float(sums[0]) + tail, tail_bound=tail, m_max=terms,
+                    slope=float(sums[1]), slope_bound=2.0 * c * before)
+        for (sums, terms, (before, tail)), c in zip(
+            _uniformized(lams.tolist(), index, entries, start, targets, mass, tail_tol), reach
+        )
+    ]
+
+
 def cyclic_error_probability(
     alphabet: PskAlphabet, beta: float, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> CyclicError:
     """Average error of the cyclic-probing receiver at surplus ``beta``.
 
-    Uniformizes the one M-phase chain that covers all M true states (see
-    the module docstring) and sums the error mass (every phase but 0)
-    directly, so small errors keep their relative accuracy.  The series
-    stops once the Poisson tail at the maximum displaced rate is below
-    ``tail_tol`` and below 1e-9 of the error mass; ``m_max`` of the
-    result is the number of terms summed.  The derivative in ``beta``
-    is summed over the same terms.
+    The one-surplus batch of :func:`cyclic_error_probabilities`.
     """
-    if not 0.0 < tail_tol <= 1e-3:
-        raise ValueError(f"tail_tol must be in (0, 1e-3], got {tail_tol}")
-    rates = probe_relative_rates(alphabet, beta)
-    slopes = probe_relative_slopes(alphabet, beta)
-    M = alphabet.M
-    lam = _max_rate(rates)
-    step = None
-    if lam > 0.0:
-        # [[P, dP], [0, P]]: P = I + Q / lam (lam - rates is exact near lam,
-        # so P keeps full relative accuracy) and dP = dQ / lam
-        step = np.zeros((2 * M, 2 * M))
-        step[_augmented_index(M)] = np.concatenate(
-            (lam - rates, rates, lam - rates, rates, -slopes, slopes)
-        ) / lam
-    start = np.zeros(2 * M)
-    start[:M] = 1.0 / M
-    targets = np.zeros((2 * M, 2))
-    targets[1:M, 0] = targets[M + 1 :, 1] = 1.0
-    (error, slope), tails, terms = _uniformized(step, start, targets, lam, tail_tol)
-    tail = float(tails[terms])
-    return CyclicError(
-        p_err=float(error) + tail,
-        tail_bound=tail,
-        m_max=terms,
-        slope=float(slope),
-        slope_bound=2.0 * float(np.abs(slopes).max()) * float(tails[terms - 1]),
-    )
+    return cyclic_error_probabilities(alphabet, [beta], tail_tol)[0]

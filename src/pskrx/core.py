@@ -95,31 +95,49 @@ def _mirror_cosines(M: int) -> np.ndarray:
     return cosines
 
 
-def probe_relative_rates(alphabet: PskAlphabet, beta: float) -> np.ndarray:
+def probe_relative_tables(alphabet: PskAlphabet, beta) -> tuple[np.ndarray, np.ndarray]:
+    """(``probe_relative_rates``, ``probe_relative_slopes``) at one surplus or a sequence.
+
+    A sequence of surpluses gives one row of each table per surplus.
+    Each surplus's scalar terms are taken one by one and its cosine
+    terms in one broadcast over all of them, by the same operations as
+    for that surplus alone, so every row is bit for bit its own table.
+    """
+    a = alphabet.alpha
+    near = []
+    for b in np.asarray(beta, dtype=float).ravel().tolist():
+        if not b >= 0.0:
+            raise ValueError(f"displacement surplus must be >= 0, got {beta}")
+        c = a + b
+        if not (a + c) * (a + c) < inf:
+            raise ValueError(f"click rates overflow at alpha={a!r}, beta={beta!r}")
+        near.append((a * a + c * c, 2.0 * a * c, b * b, 2.0 * c, 2.0 * b))
+    near = np.array(near).reshape(-1, 5)
+    cosines = _mirror_cosines(alphabet.M)
+    rates = near[:, :1] - near[:, 1:2] * cosines
+    slopes = near[:, 3:4] - 2.0 * a * cosines
+    rates[:, 0] = near[:, 2]
+    slopes[:, 0] = near[:, 4]
+    return (rates, slopes) if np.ndim(beta) else (rates[0], slopes[0])
+
+
+def probe_relative_rates(alphabet: PskAlphabet, beta) -> np.ndarray:
     """Mean photon numbers by phase offset from the probed state.
 
     Entry d (0-based, d = (k - probe) mod M) is the rate of the state d
     phase steps ahead of the probed one; entry 0 is exactly beta**2.
     Every probe choice is a cyclic relabeling of this table.  A table
-    whose largest rate, (2 alpha + beta)^2, overflows is refused.
+    whose largest rate, (2 alpha + beta)^2, overflows is refused.  A
+    sequence of surpluses gives one table per surplus, stacked along a
+    leading axis (see ``probe_relative_tables``).
     """
-    if not beta >= 0.0:
-        raise ValueError(f"displacement surplus must be >= 0, got {beta}")
-    a, c = alphabet.alpha, alphabet.alpha + beta
-    if not (a + c) * (a + c) < inf:
-        raise ValueError(f"click rates overflow at alpha={a!r}, beta={beta!r}")
-    rates = a * a + c * c - 2.0 * a * c * _mirror_cosines(alphabet.M)
-    rates[0] = beta * beta
-    return rates
+    return probe_relative_tables(alphabet, beta)[0]
 
 
-def probe_relative_slopes(alphabet: PskAlphabet, beta: float) -> np.ndarray:
-    """d/dbeta of ``probe_relative_rates``, entry by entry.
+def probe_relative_slopes(alphabet: PskAlphabet, beta) -> np.ndarray:
+    """d/dbeta of ``probe_relative_rates``, entry by entry (and surplus by surplus).
 
     Entry d is 2 (alpha + beta) - 2 alpha cos(2 pi d / M), with the
     cosine at the mirror offset as there; entry 0 is exactly 2 beta.
     """
-    a = alphabet.alpha
-    slopes = 2.0 * (a + beta) - 2.0 * a * _mirror_cosines(alphabet.M)
-    slopes[0] = 2.0 * beta
-    return slopes
+    return probe_relative_tables(alphabet, beta)[1]

@@ -130,6 +130,11 @@ _START_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" 
 
 STRATEGIES = ("cyclic", "bayes")
 
+# most clicks a pulse may be expected to have: each click is one round of
+# the trial engine (the bright-pulse tests run at about 4,000), so a count
+# far past this would keep a run clicking for hours
+MAX_EXPECTED_CLICKS = 1e5
+
 
 @dataclass(frozen=True)
 class ImperfectionModel:
@@ -662,6 +667,8 @@ def _jobs(alphabet, betas, strategy, imperfections, trials, master_seed, process
     """The :func:`_run_block` jobs, one per block of ``trials`` on ``processes`` processes.
 
     A job is (alphabet, betas, strategy, imperfections, master_seed, lo, hi, collect).
+    A surplus whose pulse is expected to click more than
+    ``MAX_EXPECTED_CLICKS`` times is refused before any block runs.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
@@ -670,6 +677,17 @@ def _jobs(alphabet, betas, strategy, imperfections, trials, master_seed, process
     betas = tuple(float(b) for b in betas)
     if not betas:
         raise ValueError("need at least one surplus")
+    for beta in betas:
+        # the largest rate plus the mean thermal count, at most 1/dead_time
+        clicks = (float(nominal_rate_table(alphabet, beta, imperfections).max())
+                  + imperfections.eta * imperfections.n_th)
+        if imperfections.dead_time > 0.0:
+            clicks = min(clicks, 1.0 / imperfections.dead_time)
+        if not clicks <= MAX_EXPECTED_CLICKS:
+            raise ValueError(
+                f"a pulse at beta={beta!r} is expected to click {clicks:.3g} times; "
+                f"the trial engine simulates at most {MAX_EXPECTED_CLICKS:g} clicks per pulse"
+            )
     return [
         (alphabet, betas, strategy, imperfections, master_seed, lo, hi, collect)
         for lo, hi in _trial_blocks(trials, processes)

@@ -6,10 +6,13 @@ stationarity condition d P_err / d beta = 0:
 
 * the analytic cyclic objective has an exact derivative, summed by the
   evaluator beside the error itself (see :mod:`pskrx.analytic`).  A
-  coarse scan finds the basin, and the stationarity condition is solved
-  in the scan cell where the derivative changes sign, by safeguarded
-  secant steps; the reported stationarity gap is the exact |dP/dbeta|
-  at the optimum;
+  coarse scan finds the basin: its points, and the new points of each
+  rescan after the bracket doubles, are one batched evaluation
+  (:func:`~pskrx.analytic.cyclic_error_probabilities`).  The
+  stationarity condition is then solved in the scan cell where the
+  derivative changes sign, by safeguarded secant steps of one
+  evaluation each; the reported stationarity gap is the exact
+  |dP/dbeta| at the optimum;
 * the Monte Carlo objective is noisy and has no usable derivative.  It
   is evaluated on a caller-visible grid with common random numbers (one
   master seed shared by every candidate, so the comparison noise is
@@ -31,7 +34,7 @@ from math import sqrt
 
 import numpy as np
 
-from .analytic import CyclicError, cyclic_error_probability
+from .analytic import CyclicError, cyclic_error_probabilities, cyclic_error_probability
 from .core import PskAlphabet
 from .errors import PrecisionError
 from .mc import ImperfectionModel, WorkerPool, estimate_error, estimate_errors
@@ -77,7 +80,8 @@ def optimize_beta_analytic(
     A coarse scan locates the global basin inside the bracket (the
     objective is not assumed unimodal), and the bracket's upper edge is
     doubled while the minimum keeps landing on it (up to a hard cap,
-    beyond which the boundary flag is set).  The exact derivative then
+    beyond which the boundary flag is set).  Each scan evaluates the
+    points it has not seen before as one batch.  The exact derivative then
     picks the scan cell where dP/dbeta changes sign beside the scan
     minimum, and ``_stationary_point`` solves dP/dbeta = 0 in it to
     amplitude tolerance ``_BETA_TOL``.  The optimum sits at the bracket's
@@ -97,8 +101,10 @@ def optimize_beta_analytic(
         return cache[b]
 
     while True:
-        grid = np.linspace(lo, hi, _SCAN_POINTS)
-        scan = [f(b) for b in grid]
+        grid = np.linspace(lo, hi, _SCAN_POINTS).tolist()
+        fresh = [b for b in grid if b not in cache]
+        cache.update(zip(fresh, cyclic_error_probabilities(alphabet, fresh, _TAIL_TOL)))
+        scan = [cache[b] for b in grid]
         i = int(np.argmin([e.p_err for e in scan]))
         if i == _SCAN_POINTS - 1 and hi < _MAX_BRACKET_HI:
             hi = min(2.0 * hi, _MAX_BRACKET_HI)

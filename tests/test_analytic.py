@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pskrx
-from pskrx.analytic import _poisson_table, cyclic_error_probability, m_click_probability
+import pskrx.analytic
+from pskrx.analytic import (
+    _poisson_table,
+    cyclic_error_probabilities,
+    cyclic_error_probability,
+    m_click_probability,
+)
 from pskrx.bench import helstrom_mpsk, sql_heterodyne
 from pskrx.core import PskAlphabet
 
@@ -276,6 +282,45 @@ class TestCyclicErrorProbability:
         for tol in (0.0, 1e-2, -1e-6):
             with pytest.raises(ValueError):
                 cyclic_error_probability(alphabet, beta, tail_tol=tol)
+
+
+class TestCyclicErrorProbabilities:
+    # a 9-point grid with beta = 0: lambda = 0 at alpha = 0, and Loader's
+    # term at the mode past lambda = 700 (alpha^2 = 1000)
+    GRID = [0.0, 0.05, 0.3, 0.6, 0.9, 1.2, 1.5, 1.75, 2.0]
+
+    @pytest.mark.parametrize("alpha_sq", [0.0, 1e-4, 1.0, 4.0, 50.0, 1000.0])
+    @pytest.mark.parametrize("M", [2, 3, 4, 8, 16, 64])
+    def test_batch_is_bit_for_bit_one_at_a_time(self, M, alpha_sq):
+        # every field of every result, as each surplus gets it alone: the
+        # batch doubles in shared products but keeps each member's own
+        # shapes where the BLAS kernel could round differently
+        alphabet = PskAlphabet.from_power(M, alpha_sq)
+        for tol in (1e-9, 1e-12):
+            batch = cyclic_error_probabilities(alphabet, self.GRID, tol)
+            alone = [cyclic_error_probability(alphabet, beta, tol) for beta in self.GRID]
+            for got, want in zip(batch, alone):
+                assert got.m_max == want.m_max
+                for field in ("p_err", "slope", "tail_bound", "slope_bound"):
+                    assert getattr(got, field).hex() == getattr(want, field).hex(), field
+            # the order of the batch does not matter either
+            backward = cyclic_error_probabilities(alphabet, self.GRID[::-1], tol)
+            assert backward[::-1] == batch
+
+    def test_batches_split_by_bytes(self, monkeypatch):
+        # a byte budget below one member doubles the members one at a time
+        alphabet = PskAlphabet.from_power(8, 1.0)
+        whole = cyclic_error_probabilities(alphabet, self.GRID)
+        monkeypatch.setattr(pskrx.analytic, "_BATCH_BYTES", 1)
+        assert cyclic_error_probabilities(alphabet, self.GRID) == whole
+
+    def test_empty_and_invalid(self):
+        alphabet = PskAlphabet.from_power(4, 1.0)
+        assert cyclic_error_probabilities(alphabet, []) == []
+        with pytest.raises(ValueError):
+            cyclic_error_probabilities(alphabet, [0.5, -0.1])
+        with pytest.raises(ValueError):
+            cyclic_error_probabilities(alphabet, [0.5], tail_tol=0.0)
 
 
 def test_import_does_not_load_mpmath():

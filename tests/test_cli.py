@@ -686,6 +686,21 @@ class TestOptimize:
                                   "--seed", "0")
         assert code == EXIT_OK and seeded == out
 
+    @pytest.mark.parametrize(
+        "m, digest",
+        [("16", "eb4c5bd73834e20a48fbb77e0343c3da50ba0aa9d414f688d4b93b341a954b81"),
+         ("64", "4b2b37abece471edcf121bef29304bcaf3e5e9177d30a05c0eb7e5bb2cb55461")],
+        ids=["m16", "m64"],
+    )
+    def test_golden_bytes_rescan(self, capsys, m, digest):
+        # alpha^2 = 1e-4: the optimum lies past the first bracket, so the
+        # scan doubles it and runs again (17 and 22 exact evaluations)
+        code, out, _ = run_cli(
+            capsys, "optimize", "--m", m, "--alpha-sq", "0.0001", "--objective", "analytic",
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_golden_bytes_long_series(self, capsys):
         # M=8 up to alpha^2 = 4: uniformization series of many terms
         code, out, _ = run_cli(
@@ -831,6 +846,19 @@ class TestSimulate:
             capsys, "simulate", "--trials", "3", "--seed", "1", "--alpha-sq", "0.5", option, "inf"
         )
         assert code == EXIT_ARGS and out == "" and "must be finite" in err
+
+    def test_bright_pulse_refused(self, capsys, monkeypatch):
+        # a pulse expected to click 10^12 times would keep the engine running
+        # for hours: the command exits 2 before any block runs
+        def engine(*args):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(pskrx.mc, "_run_block", engine)
+        code, out, err = run_cli(
+            capsys, "sweep", "--alpha-sq", "1", "--beta-policy", "fixed", "--beta-sq", "1e12",
+            "--trials", "1000", "--seed", "1", "--workers", "1",
+        )
+        assert code == EXIT_ARGS and out == "" and "clicks per pulse" in err
 
     def test_csv_and_json_agree(self, capsys):
         # one writer fills the same values into each format's row template;

@@ -15,12 +15,14 @@ from pskrx.mc import (
     _BLOCK,
     _MIN_BLOCK,
     IDEAL,
+    MAX_EXPECTED_CLICKS,
     STRATEGIES,
     ImperfectionModel,
     PosteriorScratch,
     TrialRecords,
     WorkerPool,
     Workspace,
+    _jobs,
     _run_block,
     _trial_blocks,
     click_update,
@@ -192,6 +194,47 @@ class TestEstimateError:
     def test_invalid_trials(self):
         with pytest.raises(ValueError):
             estimate_error(QPSK_HALF, BETA, "cyclic", IDEAL, 0, 1)
+
+    def test_bright_pulse_refused(self, monkeypatch):
+        # each click is one round of the engine: 10^12 expected clicks per
+        # pulse would never finish, so the surplus is refused before any block
+        def engine(*args):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(pskrx.mc, "_run_block", engine)
+        alphabet = PskAlphabet.from_power(4, 1.0)
+        runs = [
+            lambda: estimate_error(alphabet, 1e6, "cyclic", IDEAL, 1000, 1, workers=1),
+            lambda: estimate_errors(alphabet, [0.5, 1e6], "bayes", IDEAL, 1000, 1, workers=1),
+            lambda: simulate_outcomes(alphabet, 1e6, "cyclic", IDEAL, 10, 1),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match="clicks per pulse"):
+                run()
+
+    @pytest.mark.parametrize(
+        "beta_sq, kwargs, refused",
+        [
+            (0.5 * MAX_EXPECTED_CLICKS, {}, False),
+            (2.0 * MAX_EXPECTED_CLICKS, {}, True),
+            # the mean thermal count adds eta * n_th, the dark counts add too
+            (0.5 * MAX_EXPECTED_CLICKS, {"n_th": 0.6 * MAX_EXPECTED_CLICKS}, True),
+            (0.5 * MAX_EXPECTED_CLICKS, {"eta": 0.5, "n_th": 0.6 * MAX_EXPECTED_CLICKS}, False),
+            (0.5 * MAX_EXPECTED_CLICKS, {"dark_rate": 0.6 * MAX_EXPECTED_CLICKS}, True),
+            # dead time lets at most 1 / dead_time clicks through
+            (1e12, {"dead_time": 10.0 / MAX_EXPECTED_CLICKS}, False),
+            (1e12, {"dead_time": 0.5 / MAX_EXPECTED_CLICKS}, True),
+        ],
+    )
+    def test_click_bound(self, beta_sq, kwargs, refused):
+        # states of zero amplitude click at beta^2, so the count is plain
+        jobs = lambda: _jobs(PskAlphabet(4, 0.0), [0.1, math.sqrt(beta_sq)], "cyclic",
+                             ImperfectionModel(**kwargs), 10, 1, 1, False)
+        if refused:
+            with pytest.raises(ValueError, match="clicks per pulse"):
+                jobs()
+        else:
+            assert len(jobs()) == 1
 
 
 class TestTrialRecords:

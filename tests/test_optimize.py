@@ -74,6 +74,12 @@ class TestAnalytic:
         assert res.at_boundary and res.beta_opt < 1e-5
         assert res.stationarity_gap is None
 
+    @pytest.mark.parametrize("M, evaluations", [(16, 17), (64, 22)])
+    def test_rescan_evaluations(self, M, evaluations):
+        # the doubled bracket's scan reuses the points it shares with the first
+        res = optimize_beta_analytic(PskAlphabet.from_power(M, 1e-4))
+        assert res.evaluations == evaluations
+
     def test_root_solve_evaluations(self):
         # the 9-point scan plus a few root-solve steps, not ~20 of Brent's
         res = optimize_beta_analytic(PskAlphabet.from_power(4, 1.0))
