@@ -43,8 +43,9 @@ products whose row count is its own (the rows of the round in which its
 series ends, its target product and its weighted sum), because the BLAS
 kernel, and with it the rounding, follows a product's row count.  So a
 member of a batch gets bit for bit the value it gets alone.  A batch is
-doubled a fixed number of bytes of matrices at a time, so a batch of
-large chains needs no more memory than one of them.
+doubled a fixed number of bytes of matrices at a time, and each power
+is dropped once squared, so a batch of large chains holds no more than
+two powers of one of them.
 
 Two chains are evaluated:
 
@@ -82,7 +83,7 @@ from functools import lru_cache
 from itertools import accumulate
 from bisect import bisect_left
 from math import exp, isfinite, pi, prod, sqrt
-from operator import itemgetter, neg
+from operator import neg
 from typing import Sequence
 
 import numpy as np
@@ -176,7 +177,7 @@ def _poisson_table(lam: float, first: int, floor: float) -> tuple[list[float], l
 
 
 def _uniformized(
-    lams: list[float], index: np.ndarray, entries: np.ndarray, start: np.ndarray,
+    lams: np.ndarray, index: np.ndarray, entries: np.ndarray, start: np.ndarray,
     targets: np.ndarray, mass: float, tail_tol: float,
 ) -> list[tuple[np.ndarray, int, tuple[float, float]]]:
     """sum_n Pois(n; lams[i]) start P_i^n targets for every member i of a batch.
@@ -196,9 +197,9 @@ def _uniformized(
     ends inside a round takes that round's rows, its target product and
     its weighted sum in the shapes it has alone, since the BLAS kernel,
     and with it the rounding, follows a product's row count.  Members
-    are doubled _BATCH_BYTES of step matrices, squares and rows at a
-    time (one member at least), so a batch of large chains needs no
-    more memory than its largest member alone.
+    are doubled _BATCH_BYTES of powers and rows at a time (one member
+    at least), and a power is dropped once squared, so a batch of large
+    chains holds no more than two powers of its largest member.
 
     Returns, member by member, (sums, terms, edges): N + 1 = terms
     terms were summed, edges = (P(Pois(lam) >= N), P(Pois(lam) > N)),
@@ -206,7 +207,7 @@ def _uniformized(
     """
     results = [None] * len(lams)
     series = []
-    for i, lam in enumerate(lams):
+    for i, lam in enumerate(lams.tolist()):
         if not isfinite(lam):
             raise ValueError(f"rates must be finite, got maximum {lam}")
         if lam == 0.0:
@@ -220,20 +221,20 @@ def _uniformized(
         # the terms: up to the first n >= 1 whose tail (the tails fall) is within the bound
         series.append((bisect_left(tails, -bound, 1, key=neg), i, pmf, tails))
     # longest series first, so the members still doubling are a prefix
-    series.sort(key=itemgetter(0), reverse=True)
+    # (the members' indices differ, so no two tables are compared)
+    series.sort(reverse=True)
     size = len(start)
     while series:
-        batch = series[: max(1, _BATCH_BYTES // (8 * size * (3 * size + series[0][0])))]
+        batch = series[: max(1, _BATCH_BYTES // (8 * size * (2 * size + series[0][0])))]
         del series[: len(batch)]
-        counts = [c for c, _, _, _ in batch]
+        counts, members, _, _ = zip(*batch)
+        power = np.zeros((len(batch), size * size))
+        power[:, index] = entries.take(members, 0) / lams.take(members)[:, None]
+        power = power.reshape(len(batch), size, size)
         rows = np.empty((len(batch), counts[0], size))
         rows[:, 0] = start
-        members = [i for _, i, _, _ in batch]
-        steps = np.zeros((len(batch), size * size))
-        steps[:, index] = entries[members] / np.array([lams[i] for i in members])[:, None]
-        power, h = steps.reshape(len(batch), size, size), 1
-        full = len(batch)
-        while full:
+        full, h = len(batch), 1
+        while True:
             # a member whose series ends inside this round takes its rows alone
             while full and counts[full - 1] < 2 * h:
                 full -= 1
@@ -242,29 +243,36 @@ def _uniformized(
                               out=rows[full, h : counts[full]])
             if not full:
                 break
-            np.matmul(rows[:full, :h], power[:full], out=rows[:full, h : 2 * h])
+            if full < len(power):
+                power = power[:full]
+            np.matmul(rows[:full, :h], power, out=rows[:full, h : 2 * h])
+            # the members whose series ends with this round need no square
             going = full
             while going and counts[going - 1] == 2 * h:
                 going -= 1
             if not going:
                 break
-            power = power[:going] @ power[:going]
+            if going < full:
+                power = power[:going]
+            power = power @ power
             h *= 2
-        # column 0's running masses of every member at once, zero-padded
-        values = np.zeros((len(batch), counts[0], targets.shape[1]))
-        weights = np.zeros((len(batch), counts[0]))
-        for m, (count, _, pmf, _) in enumerate(batch):
-            np.matmul(rows[m, :count], targets, out=values[m, :count])
-            weights[m, :count] = pmf[:count]
-        masses = np.add.accumulate(weights * values[:, :, 0], axis=1).tolist()
-        for m, (count, i, _, tails) in enumerate(batch):
-            # the stop test only turns true as n grows, since the tails
-            # fall and the mass grows: the first n it holds at, else 0
-            summed = masses[m]
-            n = bisect_left(range(count), True, key=lambda k: tails[k + 1] <= max(
-                min(tail_tol, _RELATIVE_TOL * summed[k]), _TAIL_FLOOR))
+        del power
+        for m, (count, i, pmf, tails) in enumerate(batch):
+            values = rows[m, :count] @ targets
+            weights = np.array(pmf[:count])
+            # column 0's mass summed term by term, as np.cumsum sums it
+            summed = list(accumulate((weights * values[:, 0]).tolist()))
+            # the stop test at n is tails[n + 1] <= its bound; it only turns
+            # true as n grows, since the tails fall and the bound grows with
+            # the mass, and not before the tails fall to the last n's bound:
+            # the first n it holds at, else 0
+            def limit(k):
+                return max(min(tail_tol, _RELATIVE_TOL * summed[k]), _TAIL_FLOOR)
+
+            lo = bisect_left(tails, -limit(count - 1), 1, count + 1, key=neg) - 1
+            n = bisect_left(range(count), True, lo, key=lambda k: tails[k + 1] <= limit(k))
             n = n if n < count else 0
-            sums = weights[m, : n + 1] @ values[m, : n + 1]
+            sums = weights[: n + 1] @ values[: n + 1]
             sums[0] = summed[n]
             results[i] = (sums, n + 1, (tails[n], tails[n + 1]))
     return results
@@ -286,7 +294,7 @@ def m_click_probability(seq: Sequence[float], m: int) -> float:
             raise ValueError(f"rates must be >= 0, got {r}")
     rates = np.zeros(m + 2)
     rates[: m + 1] = seq[: m + 1]
-    lam = float(rates.max())
+    lams = rates.max(keepdims=True)
     start = np.zeros(m + 2)
     start[0] = 1.0
     target = np.zeros((m + 2, 1))
@@ -294,9 +302,9 @@ def m_click_probability(seq: Sequence[float], m: int) -> float:
 
     # state j moves on to j + 1 at rates[j]; the last state absorbs
     index = np.concatenate((np.arange(m + 2) * (m + 3), np.arange(m + 1) * (m + 3) + 1))
-    entries = np.concatenate((lam - rates, rates[:-1]))[None]
+    entries = np.concatenate((lams - rates, rates[:-1]))[None]
     mass = float(start @ target[:, 0])
-    (sums, _, _), = _uniformized([lam], index, entries, start, target, mass, _M_CLICK_TAIL_TOL)
+    (sums, _, _), = _uniformized(lams, index, entries, start, target, mass, _M_CLICK_TAIL_TOL)
     return float(sums[0])
 
 
@@ -368,19 +376,19 @@ def cyclic_error_probabilities(
         raise ValueError(f"tail_tol must be in (0, 1e-3], got {tail_tol}")
     if not len(betas):
         return []
-    rates, slopes = probe_relative_tables(alphabet, betas)
-    lams = rates.max(axis=1)
+    tables = probe_relative_tables(alphabet, betas)
+    rates, slopes = tables[:, 0], tables[:, 1]
+    lams, reach = tables.max(axis=2).T  # every slope is >= 0
     index, start, targets, mass = _cyclic_chain(alphabet.M)
     # [[P, dP], [0, P]]: P = I + Q / lam (lam - rates is exact near lam,
     # so P keeps full relative accuracy) and dP = dQ / lam
     stay = lams[:, None] - rates
     entries = np.concatenate((stay, rates, stay, rates, -slopes, slopes), axis=1)
-    reach = slopes.max(axis=1).tolist()  # every slope is >= 0
     return [
         CyclicError(p_err=float(sums[0]) + tail, tail_bound=tail, m_max=terms,
                     slope=float(sums[1]), slope_bound=2.0 * c * before)
         for (sums, terms, (before, tail)), c in zip(
-            _uniformized(lams.tolist(), index, entries, start, targets, mass, tail_tol), reach
+            _uniformized(lams, index, entries, start, targets, mass, tail_tol), reach.tolist()
         )
     ]
 

@@ -95,49 +95,57 @@ def _mirror_cosines(M: int) -> np.ndarray:
     return cosines
 
 
-def probe_relative_tables(alphabet: PskAlphabet, beta) -> tuple[np.ndarray, np.ndarray]:
-    """(``probe_relative_rates``, ``probe_relative_slopes``) at one surplus or a sequence.
-
-    A sequence of surpluses gives one row of each table per surplus.
-    Each surplus's scalar terms are taken one by one and its cosine
-    terms in one broadcast over all of them, by the same operations as
-    for that surplus alone, so every row is bit for bit its own table.
-    """
-    a = alphabet.alpha
-    near = []
-    for b in np.asarray(beta, dtype=float).ravel().tolist():
-        if not b >= 0.0:
-            raise ValueError(f"displacement surplus must be >= 0, got {beta}")
-        c = a + b
-        if not (a + c) * (a + c) < inf:
-            raise ValueError(f"click rates overflow at alpha={a!r}, beta={beta!r}")
-        near.append((a * a + c * c, 2.0 * a * c, b * b, 2.0 * c, 2.0 * b))
-    near = np.array(near).reshape(-1, 5)
-    cosines = _mirror_cosines(alphabet.M)
-    rates = near[:, :1] - near[:, 1:2] * cosines
-    slopes = near[:, 3:4] - 2.0 * a * cosines
-    rates[:, 0] = near[:, 2]
-    slopes[:, 0] = near[:, 4]
-    return (rates, slopes) if np.ndim(beta) else (rates[0], slopes[0])
-
-
-def probe_relative_rates(alphabet: PskAlphabet, beta) -> np.ndarray:
+def probe_relative_rates(alphabet: PskAlphabet, beta: float) -> np.ndarray:
     """Mean photon numbers by phase offset from the probed state.
 
     Entry d (0-based, d = (k - probe) mod M) is the rate of the state d
     phase steps ahead of the probed one; entry 0 is exactly beta**2.
     Every probe choice is a cyclic relabeling of this table.  A table
-    whose largest rate, (2 alpha + beta)^2, overflows is refused.  A
-    sequence of surpluses gives one table per surplus, stacked along a
-    leading axis (see ``probe_relative_tables``).
+    whose largest rate, (2 alpha + beta)^2, overflows is refused.
     """
-    return probe_relative_tables(alphabet, beta)[0]
+    if not beta >= 0.0:
+        raise ValueError(f"displacement surplus must be >= 0, got {beta}")
+    a, c = alphabet.alpha, alphabet.alpha + beta
+    if not (a + c) * (a + c) < inf:
+        raise ValueError(f"click rates overflow at alpha={a!r}, beta={beta!r}")
+    rates = a * a + c * c - 2.0 * a * c * _mirror_cosines(alphabet.M)
+    rates[0] = beta * beta
+    return rates
 
 
-def probe_relative_slopes(alphabet: PskAlphabet, beta) -> np.ndarray:
-    """d/dbeta of ``probe_relative_rates``, entry by entry (and surplus by surplus).
+def probe_relative_slopes(alphabet: PskAlphabet, beta: float) -> np.ndarray:
+    """d/dbeta of ``probe_relative_rates``, entry by entry.
 
     Entry d is 2 (alpha + beta) - 2 alpha cos(2 pi d / M), with the
     cosine at the mirror offset as there; entry 0 is exactly 2 beta.
     """
-    return probe_relative_tables(alphabet, beta)[1]
+    a = alphabet.alpha
+    slopes = 2.0 * (a + beta) - 2.0 * a * _mirror_cosines(alphabet.M)
+    slopes[0] = 2.0 * beta
+    return slopes
+
+
+def probe_relative_tables(alphabet: PskAlphabet, betas) -> np.ndarray:
+    """``probe_relative_rates`` and ``probe_relative_slopes`` of every surplus in ``betas``.
+
+    A (len(betas), 2, M) array: [i, 0] is the rate table of surplus i and
+    [i, 1] its slope table.  Each surplus's scalar terms are taken one by
+    one and the cosine terms of all of them in one broadcast, by the same
+    operations as in the two functions above, so every row is bit for
+    bit that surplus's table.
+    """
+    a = alphabet.alpha
+    terms = []
+    for beta in betas:
+        if not beta >= 0.0:
+            raise ValueError(f"displacement surplus must be >= 0, got {beta}")
+        c = a + beta
+        if not (a + c) * (a + c) < inf:
+            raise ValueError(f"click rates overflow at alpha={a!r}, beta={beta!r}")
+        terms.append((a * a + c * c, 2.0 * c, 2.0 * a * c, 2.0 * a, beta * beta, 2.0 * beta))
+    # per surplus: the constant terms, the cosine coefficients and the
+    # entries at offset 0, each for the rates and the slopes
+    terms = np.array(terms).reshape(-1, 3, 2, 1)
+    tables = terms[:, 0] - terms[:, 1] * _mirror_cosines(alphabet.M)
+    tables[:, :, 0] = terms[:, 2, :, 0]
+    return tables

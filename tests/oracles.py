@@ -6,14 +6,17 @@ vectors in a truncated Fock space and the square root of their Gram
 matrix.  ``poisson_tail`` bounds that truncation; it reads the tails of
 the uniformization's Poisson table (:func:`pskrx.analytic._poisson_table`),
 so the tests of its accuracy check that table.  ``poisson_pmf`` is the
-Poisson probability in closed form.
+Poisson probability in closed form.  ``scalar_cyclic_error`` is the
+cyclic error at one surplus evaluated one chain alone, with the
+products, sums and stop test a batch member must reproduce bit for bit.
 """
 
 from math import exp, inf, lgamma, log
 
 import numpy as np
 
-from pskrx.analytic import _poisson_table
+from pskrx.analytic import _RELATIVE_TOL, _TAIL_FLOOR, CyclicError, _poisson_table
+from pskrx.core import probe_relative_rates, probe_relative_slopes
 from pskrx.errors import PrecisionError
 
 
@@ -81,3 +84,53 @@ def gram_srm_oracle(alpha: float, M: int, dim: int) -> float:
     root = (eigvec * np.sqrt(eigval)) @ eigvec.conj().T
     diag = root.diagonal().real
     return float(1.0 - np.sum(diag**2) / M)
+
+
+def scalar_cyclic_error(alphabet, beta: float, tail_tol: float) -> CyclicError:
+    """``pskrx.analytic.cyclic_error_probability`` for one chain alone.
+
+    One 2M x 2M step matrix [[P, dP], [0, P]], its rows start P^n
+    doubled by 2-D products of the chain's own shapes, the masses summed
+    by ``np.cumsum`` and the first stopping n taken by ``argmax``.
+    """
+    rates = probe_relative_rates(alphabet, beta)
+    slopes = probe_relative_slopes(alphabet, beta)
+    M = alphabet.M
+    lam = float(rates.max())
+    start = np.zeros(2 * M)
+    start[:M] = 1.0 / M
+    targets = np.zeros((2 * M, 2))
+    targets[1:M, 0] = targets[M + 1 :, 1] = 1.0
+    if lam == 0.0:
+        (error, slope), before, tail, terms = start @ targets, 1.0, 0.0, 1
+    else:
+        j = np.arange(M)
+        k = (j + 1) % M
+        step = np.zeros((2 * M, 2 * M))
+        step[np.concatenate((j, j, j + M, j + M, j, j)),
+             np.concatenate((j, k, j + M, k + M, j + M, k + M))] = np.concatenate(
+            (lam - rates, rates, lam - rates, rates, -slopes, slopes)) / lam
+        bound = max(min(tail_tol, _RELATIVE_TOL * exp(-lam) * float(start @ targets[:, 0])),
+                    _TAIL_FLOOR)
+        pmf, tails = _poisson_table(lam, 0, bound)
+        count = next(n for n, t in enumerate(tails) if n and t <= bound)
+        rows = np.empty((count, 2 * M))
+        rows[0] = start
+        power, h = step, 1
+        while True:
+            new = min(h, count - h)
+            np.matmul(rows[:new], power, out=rows[h : h + new])
+            h += new
+            if h == count:
+                break
+            power = power @ power
+        weights = np.array(pmf[:count])
+        values = rows @ targets
+        mass = np.cumsum(weights * values[:, 0])
+        stop = np.array(tails[1 : count + 1]) <= np.maximum(
+            np.minimum(tail_tol, _RELATIVE_TOL * mass), _TAIL_FLOOR)
+        n = int(stop.argmax())
+        slope = (weights[: n + 1] @ values[: n + 1])[1]
+        error, before, tail, terms = mass[n], tails[n], tails[n + 1], n + 1
+    return CyclicError(p_err=float(error) + tail, tail_bound=tail, m_max=terms,
+                       slope=float(slope), slope_bound=2.0 * float(np.abs(slopes).max()) * before)

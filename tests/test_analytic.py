@@ -26,7 +26,7 @@ from conftest import (
     quad_one_click,
     quad_two_clicks,
 )
-from oracles import poisson_pmf, poisson_tail
+from oracles import poisson_pmf, poisson_tail, scalar_cyclic_error
 
 
 class TestPoissonPmf:
@@ -292,17 +292,20 @@ class TestCyclicErrorProbabilities:
     @pytest.mark.parametrize("alpha_sq", [0.0, 1e-4, 1.0, 4.0, 50.0, 1000.0])
     @pytest.mark.parametrize("M", [2, 3, 4, 8, 16, 64])
     def test_batch_is_bit_for_bit_one_at_a_time(self, M, alpha_sq):
-        # every field of every result, as each surplus gets it alone: the
-        # batch doubles in shared products but keeps each member's own
-        # shapes where the BLAS kernel could round differently
+        # every field of every result, as each surplus gets it alone and as
+        # one chain evaluated alone gets it: the batch doubles in shared
+        # products but keeps each member's own shapes where the BLAS
+        # kernel could round differently
         alphabet = PskAlphabet.from_power(M, alpha_sq)
         for tol in (1e-9, 1e-12):
             batch = cyclic_error_probabilities(alphabet, self.GRID, tol)
-            alone = [cyclic_error_probability(alphabet, beta, tol) for beta in self.GRID]
-            for got, want in zip(batch, alone):
-                assert got.m_max == want.m_max
-                for field in ("p_err", "slope", "tail_bound", "slope_bound"):
-                    assert getattr(got, field).hex() == getattr(want, field).hex(), field
+            one = [cyclic_error_probability(alphabet, beta, tol) for beta in self.GRID]
+            alone = [scalar_cyclic_error(alphabet, beta, tol) for beta in self.GRID]
+            for results in (batch, one):
+                for got, want in zip(results, alone):
+                    assert got.m_max == want.m_max
+                    for field in ("p_err", "slope", "tail_bound", "slope_bound"):
+                        assert getattr(got, field).hex() == getattr(want, field).hex(), field
             # the order of the batch does not matter either
             backward = cyclic_error_probabilities(alphabet, self.GRID[::-1], tol)
             assert backward[::-1] == batch

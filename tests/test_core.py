@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pskrx.core import PskAlphabet, probe_relative_rates, probe_relative_slopes
+from pskrx.core import (
+    PskAlphabet,
+    probe_relative_rates,
+    probe_relative_slopes,
+    probe_relative_tables,
+)
 from pskrx.mc import phase_steps
 
 from conftest import brute_rate
@@ -130,6 +135,29 @@ def test_rate_and_slope_tables_bit_for_bit(M, digest):
         for table in (probe_relative_rates, probe_relative_slopes)
     ]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 8, 16, 64])
+@pytest.mark.parametrize("alpha_sq", [0.0, 1e-4, 0.5, 1000.0])
+def test_stacked_tables_bit_for_bit(M, alpha_sq):
+    # one row per surplus, each the surplus's own two tables to the last bit
+    alphabet = PskAlphabet.from_power(M, alpha_sq)
+    betas = [0.0, 1e-160, 0.3, 1.7, 40.0]
+    tables = probe_relative_tables(alphabet, betas)
+    assert tables.shape == (len(betas), 2, M)
+    for row, beta in zip(tables, betas):
+        for got, want in zip(row, (probe_relative_rates(alphabet, beta),
+                                   probe_relative_slopes(alphabet, beta))):
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
+def test_stacked_tables_refuse_what_one_table_refuses():
+    alphabet = PskAlphabet.from_power(4, 0.5)
+    with pytest.raises(ValueError, match="surplus"):
+        probe_relative_tables(alphabet, [0.3, -0.1])
+    with pytest.raises(ValueError, match="overflow"):
+        probe_relative_tables(alphabet, [0.3, 1e200])
+    assert probe_relative_tables(alphabet, []).shape == (0, 2, 4)
 
 
 @pytest.mark.parametrize("table", [probe_relative_rates, probe_relative_slopes])
