@@ -499,6 +499,15 @@ class TestAlphabetBounds:
         assert "mean photon number must be finite and >= 0, got inf" in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "argv", [["trace", "--clicks", "0.5"], ["simulate", "--seed", "1"]],
+        ids=["trace", "simulate"],
+    )
+    def test_list_of_powers_refused(self, capsys, argv):
+        # trace and simulate take a single power
+        code, out, _ = run_cli(capsys, *argv, "--alpha-sq", "0.5,1")
+        assert code == EXIT_ARGS and out == ""
+
 
 # one small run of each subcommand
 EVERY_COMMAND = {
@@ -615,6 +624,29 @@ class TestSpecFiles:
         assert "beta_policy = analytic" in text
         assert "beta_sq = 0" in text and "opt_trials = 100000" in text
         code, out2, _ = run_cli(capsys, "sweep", "--spec", str(spec))
+        assert code == EXIT_OK
+        assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv, dumped",
+        [
+            (["trace", "--m", "8", "--alpha-sq", "2", "--clicks", "0.1,0.45"],
+             "command = trace\nm = 8\nalpha_sq = 2\nbeta_sq = 0.23000000000000001\n"
+             "clicks = 0.10000000000000001,0.45000000000000001\nformat = csv\n"),
+            (["simulate", "--alpha-sq", "0.5", "--beta-sq", "0.23", "--strategy", "bayes",
+              "--trials", "20", "--seed", "5"],
+             "command = simulate\nm = 4\nalpha_sq = 0.5\nbeta_sq = 0.23000000000000001\n"
+             "strategy = bayes\ntrials = 20\neta = 1\nn_th = 0\ndead_time = 0\n"
+             "dark_rate = 0\nseed = 5\nformat = csv\n"),
+        ],
+        ids=["trace", "simulate"],
+    )
+    def test_dump_and_rerun_single_power(self, tmp_path, capsys, argv, dumped):
+        spec = tmp_path / "run.spec"
+        code, out1, _ = run_cli(capsys, *argv, "--dump-spec", str(spec))
+        assert code == EXIT_OK
+        assert spec.read_text() == dumped
+        code, out2, _ = run_cli(capsys, argv[0], "--spec", str(spec))
         assert code == EXIT_OK
         assert out1 == out2
 
