@@ -178,7 +178,7 @@ def _poisson_table(lam: float, first: int, floor: float) -> tuple[list[float], l
 
 def _uniformized(
     lams: np.ndarray, index: np.ndarray, entries: np.ndarray, start: np.ndarray,
-    targets: np.ndarray, mass: float, tail_tol: float,
+    targets: np.ndarray, tail_tol: float,
 ) -> list[tuple[np.ndarray, int, tuple[float, float]]]:
     """sum_n Pois(n; lams[i]) start P_i^n targets for every member i of a batch.
 
@@ -186,8 +186,7 @@ def _uniformized(
     flat positions ``index`` and zeros elsewhere.  Column 0 of
     ``targets`` weights the states, each weight in [0, 1] and the start
     a probability vector, so its every term is at most Pois(n; lam); the
-    other columns ride along.  ``mass`` is column 0 at the start,
-    ``float(start @ targets[:, 0])``.
+    other columns ride along.
     A member's series stops at the first N whose tail P(Pois(lam) > N)
     is at most ``tail_tol`` and at most _RELATIVE_TOL times column 0's
     mass summed so far (or below _TAIL_FLOOR).
@@ -207,6 +206,7 @@ def _uniformized(
     """
     results = [None] * len(lams)
     series = []
+    mass = float(start @ targets[:, 0])  # column 0 at n = 0, which term 0 weights by exp(-lam)
     for i, lam in enumerate(lams.tolist()):
         if not isfinite(lam):
             raise ValueError(f"rates must be finite, got maximum {lam}")
@@ -303,8 +303,7 @@ def m_click_probability(seq: Sequence[float], m: int) -> float:
     # state j moves on to j + 1 at rates[j]; the last state absorbs
     index = np.concatenate((np.arange(m + 2) * (m + 3), np.arange(m + 1) * (m + 3) + 1))
     entries = np.concatenate((lams - rates, rates[:-1]))[None]
-    mass = float(start @ target[:, 0])
-    (sums, _, _), = _uniformized(lams, index, entries, start, target, mass, _M_CLICK_TAIL_TOL)
+    (sums, _, _), = _uniformized(lams, index, entries, start, target, _M_CLICK_TAIL_TOL)
     return float(sums[0])
 
 
@@ -314,14 +313,13 @@ def m_click_probability(seq: Sequence[float], m: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _cyclic_chain(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _cyclic_chain(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The parts of the augmented M-phase chain that do not depend on beta.
 
-    (index, start, targets, mass), the arrays read-only: the flat
-    positions of the stay and move-on entries of P, P and dP in
-    [[P, dP], [0, P]]; the uniform start on the M phases; the targets
-    that sum the error mass (every phase but 0) of the value and of its
-    derivative; and the start's error mass.
+    (index, start, targets), read-only: the flat positions of the stay
+    and move-on entries of P, P and dP in [[P, dP], [0, P]]; the uniform
+    start on the M phases; and the targets that sum the error mass
+    (every phase but 0) of the value and of its derivative.
     """
     j = np.arange(M)
     k = (j + 1) % M
@@ -333,7 +331,7 @@ def _cyclic_chain(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     targets[1:M, 0] = targets[M + 1 :, 1] = 1.0
     for array in (index, start, targets):
         array.flags.writeable = False
-    return index, start, targets, float(start @ targets[:, 0])
+    return index, start, targets
 
 
 @dataclass(frozen=True)
@@ -354,9 +352,6 @@ class CyclicError:
     slope: float
     slope_bound: float
 
-    def __float__(self) -> float:
-        return self.p_err
-
 
 def cyclic_error_probabilities(
     alphabet: PskAlphabet, betas, tail_tol: float = DEFAULT_TAIL_TOL
@@ -374,12 +369,10 @@ def cyclic_error_probabilities(
     """
     if not 0.0 < tail_tol <= 1e-3:
         raise ValueError(f"tail_tol must be in (0, 1e-3], got {tail_tol}")
-    if not len(betas):
-        return []
     tables = probe_relative_tables(alphabet, betas)
     rates, slopes = tables[:, 0], tables[:, 1]
     lams, reach = tables.max(axis=2).T  # every slope is >= 0
-    index, start, targets, mass = _cyclic_chain(alphabet.M)
+    index, start, targets = _cyclic_chain(alphabet.M)
     # [[P, dP], [0, P]]: P = I + Q / lam (lam - rates is exact near lam,
     # so P keeps full relative accuracy) and dP = dQ / lam
     stay = lams[:, None] - rates
@@ -388,7 +381,7 @@ def cyclic_error_probabilities(
         CyclicError(p_err=float(sums[0]) + tail, tail_bound=tail, m_max=terms,
                     slope=float(sums[1]), slope_bound=2.0 * c * before)
         for (sums, terms, (before, tail)), c in zip(
-            _uniformized(lams, index, entries, start, targets, mass, tail_tol), reach.tolist()
+            _uniformized(lams, index, entries, start, targets, tail_tol), reach.tolist()
         )
     ]
 

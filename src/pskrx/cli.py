@@ -98,7 +98,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "trace": {
         "m": (int, 4, "alphabet size M"),
-        "alpha_sq": (_FLOATS, "0.5", "signal power |alpha|^2 (single value)"),
+        "alpha_sq": (float, "0.5", "signal power |alpha|^2 (single value)"),
         "beta_sq": (float, 0.23, "displacement surplus photon number"),
         "clicks": (_FLOATS, "", "detection times, comma list in (0,1)"),
         "format": (str, "csv", "output format: csv or json"),
@@ -125,7 +125,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "simulate": {
         "m": (int, 4, "alphabet size M"),
-        "alpha_sq": (_FLOATS, "0.5", "signal power |alpha|^2 (single value)"),
+        "alpha_sq": (float, "0.5", "signal power |alpha|^2 (single value)"),
         "beta_sq": (float, 0.0, "displacement surplus photon number"),
         "strategy": (str, "cyclic", "probing strategy: cyclic or bayes"),
         "trials": (int, 10, "number of trials to record"),
@@ -137,9 +137,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 _RANDOMIZED = {"sweep", "optimize", "simulate"}
-
-# commands whose alpha_sq is a power grid rather than a single value
-_GRID_COMMANDS = {"sweep", "bench", "optimize"}
 
 _BETA_POLICIES = ("fixed", "zero", "analytic", "mc")
 
@@ -226,8 +223,6 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _convert(name: str, conv, raw):
-    if raw is None:
-        return None
     try:
         if conv is _FLOATS:
             return _parse_floats(raw)
@@ -305,7 +300,7 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         raise ValueError(f"unknown format {resolved['format']!r}; use csv or json")
     if "strategy" in schema and resolved["strategy"] not in STRATEGIES:
         raise ValueError(f"unknown strategy {resolved['strategy']!r}")
-    if command in _GRID_COMMANDS:
+    if schema["alpha_sq"][0] is _FLOATS:  # a grid of powers
         powers = resolved["alpha_sq"]
         if not powers:
             raise ValueError("empty alpha_sq grid")
@@ -335,13 +330,6 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 def _imperfections(cfg: dict) -> ImperfectionModel:
     return ImperfectionModel(**{name: cfg[name] for name in _DETECTOR})
-
-
-def _single_power(cfg: dict) -> float:
-    powers = cfg["alpha_sq"]
-    if len(powers) != 1:
-        raise ValueError(f"this command takes a single alpha_sq, got {powers}")
-    return powers[0]
 
 
 def _write_rows(cfg: dict, header: list[str], rows: list[dict]) -> None:
@@ -450,7 +438,7 @@ def trace_rows(M: int, alpha_sq: float, beta_sq: float, clicks: list[float]) -> 
 
 def cmd_trace(cfg: dict) -> None:
     M = cfg["m"]
-    rows = trace_rows(M, _single_power(cfg), cfg["beta_sq"], cfg["clicks"])
+    rows = trace_rows(M, cfg["alpha_sq"], cfg["beta_sq"], cfg["clicks"])
     header = ["t", "probe"] + [f"p{k + 1}" for k in range(M)] + ["map_state"]
     _write_rows(cfg, header, rows)
 
@@ -459,7 +447,7 @@ def cmd_bench(cfg: dict) -> None:
     header = ["alpha_sq", "sql", "helstrom"]
     rows = []
     for alpha_sq in cfg["alpha_sq"]:
-        alpha = sqrt(alpha_sq)
+        alpha = PskAlphabet.from_power(cfg["m"], alpha_sq).alpha
         rows.append(
             {
                 "alpha_sq": float(alpha_sq),
@@ -604,7 +592,7 @@ def _record_text(rec: TrialRecords, fmt: str):
 
 
 def cmd_simulate(cfg: dict) -> None:
-    alphabet = PskAlphabet.from_power(cfg["m"], _single_power(cfg))
+    alphabet = PskAlphabet.from_power(cfg["m"], cfg["alpha_sq"])
     rec = simulate_outcomes(
         alphabet,
         sqrt(cfg["beta_sq"]),

@@ -28,10 +28,13 @@ adjacent state, i.e. a *weaker* click rate for the non-probed states,
 which defeats the purpose of the surplus displacement.  beta = 0
 recovers exact nulling.
 
-Rates are tabulated by the probe-relative phase offset
+One builder, ``probe_relative_tables``, computes every rate and its
+slope in beta for the exact evaluator, the trial engine and the
+posterior trace.  It tabulates them by the probe-relative phase offset
 d = (k - p) mod M, which makes two exact identities hold bitwise:
 
-* the probed state's rate (d = 0) is ``beta**2``, special-cased, and
+* the probed state's rate (d = 0) is ``beta**2`` and its slope
+  ``2 beta``, both special-cased, and
 * reflection symmetry: offsets d and M - d share one rate (the cosine
   is evaluated at ``min(d, M-d)`` so mirror offsets share one argument).
 
@@ -87,7 +90,7 @@ class PskAlphabet:
 def _mirror_cosines(M: int) -> np.ndarray:
     """cos(2 pi d / M) at the mirror offset min(d, M - d), d = 0..M-1.
 
-    Built once per M and shared by both tables below, so it is read-only.
+    Built once per M and read by every table, so it is read-only.
     """
     d = np.arange(M)
     cosines = np.cos(2.0 * np.pi * np.minimum(d, M - d) / M)
@@ -95,44 +98,18 @@ def _mirror_cosines(M: int) -> np.ndarray:
     return cosines
 
 
-def probe_relative_rates(alphabet: PskAlphabet, beta: float) -> np.ndarray:
-    """Mean photon numbers by phase offset from the probed state.
-
-    Entry d (0-based, d = (k - probe) mod M) is the rate of the state d
-    phase steps ahead of the probed one; entry 0 is exactly beta**2.
-    Every probe choice is a cyclic relabeling of this table.  A table
-    whose largest rate, (2 alpha + beta)^2, overflows is refused.
-    """
-    if not beta >= 0.0:
-        raise ValueError(f"displacement surplus must be >= 0, got {beta}")
-    a, c = alphabet.alpha, alphabet.alpha + beta
-    if not (a + c) * (a + c) < inf:
-        raise ValueError(f"click rates overflow at alpha={a!r}, beta={beta!r}")
-    rates = a * a + c * c - 2.0 * a * c * _mirror_cosines(alphabet.M)
-    rates[0] = beta * beta
-    return rates
-
-
-def probe_relative_slopes(alphabet: PskAlphabet, beta: float) -> np.ndarray:
-    """d/dbeta of ``probe_relative_rates``, entry by entry.
-
-    Entry d is 2 (alpha + beta) - 2 alpha cos(2 pi d / M), with the
-    cosine at the mirror offset as there; entry 0 is exactly 2 beta.
-    """
-    a = alphabet.alpha
-    slopes = 2.0 * (a + beta) - 2.0 * a * _mirror_cosines(alphabet.M)
-    slopes[0] = 2.0 * beta
-    return slopes
-
-
 def probe_relative_tables(alphabet: PskAlphabet, betas) -> np.ndarray:
-    """``probe_relative_rates`` and ``probe_relative_slopes`` of every surplus in ``betas``.
+    """Mean photon numbers by phase offset from the probed state, and their slopes.
 
-    A (len(betas), 2, M) array: [i, 0] is the rate table of surplus i and
-    [i, 1] its slope table.  Each surplus's scalar terms are taken one by
-    one and the cosine terms of all of them in one broadcast, by the same
-    operations as in the two functions above, so every row is bit for
-    bit that surplus's table.
+    A (len(betas), 2, M) array.  Entry [i, 0, d] (d = (k - probe) mod M)
+    is the rate, at surplus betas[i], of the state d phase steps ahead of
+    the probed one, so every probe choice is a cyclic relabeling of
+    [i, 0]; [i, 1] is its derivative in beta,
+    2 (alpha + beta) - 2 alpha cos(2 pi d / M).  A negative surplus, or
+    one whose largest rate (2 alpha + beta)^2 overflows, is refused.
+    Each surplus's scalar terms are taken one by one and the cosine terms
+    of all of them in one broadcast, so a row does not depend on the
+    other surpluses.
     """
     a = alphabet.alpha
     terms = []
@@ -149,3 +126,8 @@ def probe_relative_tables(alphabet: PskAlphabet, betas) -> np.ndarray:
     tables = terms[:, 0] - terms[:, 1] * _mirror_cosines(alphabet.M)
     tables[:, :, 0] = terms[:, 2, :, 0]
     return tables
+
+
+def probe_relative_rates(alphabet: PskAlphabet, beta: float) -> np.ndarray:
+    """The rate table of one surplus: row [0, 0] of :func:`probe_relative_tables`."""
+    return probe_relative_tables(alphabet, (beta,))[0, 0]

@@ -16,7 +16,7 @@ from math import exp, inf, lgamma, log
 import numpy as np
 
 from pskrx.analytic import _RELATIVE_TOL, _TAIL_FLOOR, CyclicError, _poisson_table
-from pskrx.core import probe_relative_rates, probe_relative_slopes
+from pskrx.core import probe_relative_tables
 from pskrx.errors import PrecisionError
 
 
@@ -93,8 +93,7 @@ def scalar_cyclic_error(alphabet, beta: float, tail_tol: float) -> CyclicError:
     doubled by 2-D products of the chain's own shapes, the masses summed
     by ``np.cumsum`` and the first stopping n taken by ``argmax``.
     """
-    rates = probe_relative_rates(alphabet, beta)
-    slopes = probe_relative_slopes(alphabet, beta)
+    (rates, slopes), = probe_relative_tables(alphabet, [beta])
     M = alphabet.M
     lam = float(rates.max())
     start = np.zeros(2 * M)

@@ -193,7 +193,6 @@ class TestCyclicErrorProbability:
     def test_indistinguishable_states(self):
         res = cyclic_error_probability(PskAlphabet(4, 0.0), 0.9)
         assert res.p_err == pytest.approx(0.75, abs=1e-11)
-        assert float(res) == res.p_err
 
     def test_brackets_between_bounds(self, qpsk_half):
         alphabet, beta = qpsk_half

@@ -83,6 +83,13 @@ class TestBench:
         assert code == EXIT_OK
         assert sha256(out) == BENCH_GOLDEN_DIGEST
 
+    @pytest.mark.parametrize("power", ["-1", "inf"])
+    def test_bad_power_refused(self, capsys, power):
+        # checked before anything takes its square root
+        code, out, err = run_cli(capsys, "bench", "--alpha-sq", power)
+        assert code == EXIT_ARGS and out == ""
+        assert f"error: mean photon number must be finite and >= 0, got {float(power)}" in err
+
 
 class TestTrace:
     def test_reference_click_record(self, capsys):

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pskrx.core import (
-    PskAlphabet,
-    probe_relative_rates,
-    probe_relative_slopes,
-    probe_relative_tables,
-)
+from pskrx.core import PskAlphabet, probe_relative_rates, probe_relative_tables
 from pskrx.mc import phase_steps
 
 from conftest import brute_rate
@@ -130,9 +125,9 @@ def test_rate_and_slope_tables_bit_for_bit(M, digest):
     # entry pinned to the last bit
     alphabet = PskAlphabet.from_power(M, 0.5)
     lines = [
-        " ".join(float(x).hex() for x in table(alphabet, beta))
-        for beta in (0.0, 0.3, 1.7)
-        for table in (probe_relative_rates, probe_relative_slopes)
+        " ".join(float(x).hex() for x in table)
+        for row in probe_relative_tables(alphabet, (0.0, 0.3, 1.7))
+        for table in row
     ]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
@@ -146,9 +141,8 @@ def test_stacked_tables_bit_for_bit(M, alpha_sq):
     tables = probe_relative_tables(alphabet, betas)
     assert tables.shape == (len(betas), 2, M)
     for row, beta in zip(tables, betas):
-        for got, want in zip(row, (probe_relative_rates(alphabet, beta),
-                                   probe_relative_slopes(alphabet, beta))):
-            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+        (alone,) = probe_relative_tables(alphabet, [beta])
+        assert row.tobytes() == alone.tobytes()
 
 
 def test_stacked_tables_refuse_what_one_table_refuses():
@@ -160,25 +154,29 @@ def test_stacked_tables_refuse_what_one_table_refuses():
     assert probe_relative_tables(alphabet, []).shape == (0, 2, 4)
 
 
-@pytest.mark.parametrize("table", [probe_relative_rates, probe_relative_slopes])
-def test_each_call_returns_a_new_writable_array(table):
-    # both tables share one cosine table per M; no caller may reach it
+@pytest.mark.parametrize(
+    "table, beta", [(probe_relative_rates, 0.3), (probe_relative_tables, [0.3])],
+    ids=["probe_relative_rates", "probe_relative_tables"],
+)
+def test_each_call_returns_a_new_writable_array(table, beta):
+    # every table reads one cosine table per M; no caller may reach it
     alphabet = PskAlphabet.from_power(4, 0.5)
-    first, second = table(alphabet, 0.3), table(alphabet, 0.3)
+    first, second = table(alphabet, beta), table(alphabet, beta)
     assert first.flags.writeable and second.flags.writeable
     assert not np.shares_memory(first, second)
     first[:] = -1.0
-    np.testing.assert_array_equal(table(alphabet, 0.3), second)
+    np.testing.assert_array_equal(table(alphabet, beta), second)
 
 
 @given(M=st.integers(2, 16), alpha=st.floats(0.0, 3.0), beta=st.floats(0.01, 1.5))
 def test_probe_relative_slopes_differentiate_the_table(M, alpha, beta):
     # the rates are quadratic in beta, so a central difference is exact
     # up to rounding
-    a, h = PskAlphabet(M, alpha), 1e-3
-    central = (probe_relative_rates(a, beta + h) - probe_relative_rates(a, beta - h)) / (2 * h)
-    np.testing.assert_allclose(probe_relative_slopes(a, beta), central, rtol=0, atol=1e-9)
-    assert probe_relative_slopes(a, beta)[0] == 2.0 * beta
+    h = 1e-3
+    (below, _), (_, slopes), (above, _) = probe_relative_tables(
+        PskAlphabet(M, alpha), [beta - h, beta, beta + h])
+    np.testing.assert_allclose(slopes, (above - below) / (2 * h), rtol=0, atol=1e-9)
+    assert slopes[0] == 2.0 * beta
 
 
 def test_every_export_resolves():
@@ -189,6 +187,9 @@ def test_every_export_resolves():
     # the test-only oracles live in tests/oracles.py, not in the package
     for name in ("gram_srm_oracle", "poisson_pmf", "poisson_tail"):
         assert name not in pskrx.__all__ and not hasattr(pskrx, name), name
+    # probe_relative_tables builds the slopes: no second copy of its expression
+    assert not hasattr(pskrx, "probe_relative_slopes")
+    assert not hasattr(pskrx.core, "probe_relative_slopes")
     namespace = {}
     exec("from pskrx import *", namespace)
     assert set(pskrx.__all__) <= set(namespace)
