@@ -24,28 +24,28 @@ known sign and a rigorous bound.
 The series is summed by doubling, not term by term: with the rows
 W[n] = start P^n known for n < h, the next h rows are W[:h] P^h, and
 P^h is squared for the round after.  So N + 1 terms cost about log2(N)
-matrix products, each over all the rows of a round at once.  The
-Poisson weights and tails of every term come from one table
-(``_poisson_table``), built with ``math`` alone: the terms run outward
-from the mode until they fall below 2**-53 of the tails asked for, a
-geometric series bounds the rest, and each tail is summed from the far
-end, so it lies within a few ulps of the exact value.  The term at the
-mode is Loader's saddle-point form (``stirlerr`` and ``bd0``, as in R's
-``dpois_raw``), accurate to a few ulps at any mean.
+matrix products, each over all the rows of a round at once (every round
+is whole: the last may run past N).  The Poisson weights and tails of
+every term come from one table (``_poisson_table``), built with
+``math`` alone: the terms run outward from the mode until they fall
+below 2**-53 of the tails asked for, a geometric series bounds the
+rest, and each tail is summed from the far end, so it lies within a few
+ulps of the exact value.  The term at the mode is Loader's saddle-point
+form (``stirlerr`` and ``bd0``, as in R's ``dpois_raw``), accurate to a
+few ulps at any mean.
 
 A series runs over a batch of chains of one size, one member per
 surplus, through a leading batch axis: their step matrices are stacked,
 and every round's rows and every squaring of the members still doubling
-are one ``np.matmul`` over the stack.  What each member keeps for
-itself: its lam, its Poisson table (built in Python, term by term, as
-for one chain alone), its number of terms and its stopping N, and the
-products whose row count is its own (the rows of the round in which its
-series ends, its target product and its weighted sum), because the BLAS
-kernel, and with it the rounding, follows a product's row count.  So a
-member of a batch gets bit for bit the value it gets alone.  A batch is
-doubled a fixed number of bytes of matrices at a time, and each power
-is dropped once squared, so a batch of large chains holds no more than
-two powers of one of them.
+are one ``np.matmul`` over the stack, so a member's rows come from
+products of the same shapes in a batch as alone.  What each member
+keeps for itself: its lam, its Poisson table (built in Python, term by
+term, as for one chain alone), its number of terms and its stopping N,
+its target product and its weighted sum.  So a member of a batch gets
+bit for bit the value it gets alone, whatever kernel BLAS rounds by.
+A batch is doubled a fixed number of bytes of matrices at a time, and
+each power is dropped once squared, so a batch of large chains holds
+no more than two powers of one of them.
 
 Two chains are evaluated:
 
@@ -105,7 +105,7 @@ _M_CLICK_TAIL_TOL = 1e-16
 _EPS = 2.0**-53
 
 #: A batch is doubled this many bytes of step matrices, squares and rows
-#: at a time (one member at least).
+#: (padded to a power of two) at a time (one member at least).
 _BATCH_BYTES = 2**23
 
 
@@ -191,12 +191,14 @@ def _uniformized(
     is at most ``tail_tol`` and at most _RELATIVE_TOL times column 0's
     mass summed so far (or below _TAIL_FLOOR).
 
-    The rows start P^n are made by doubling, with every member's full
-    rounds and squarings in one ``np.matmul``.  A member whose series
-    ends inside a round takes that round's rows, its target product and
-    its weighted sum in the shapes it has alone, since the BLAS kernel,
-    and with it the rounding, follows a product's row count.  Members
-    are doubled _BATCH_BYTES of powers and rows at a time (one member
+    The rows start P^n are made by doubling in whole rounds: round h
+    makes rows h to 2h - 1 of every member whose series is longer than
+    h in one ``np.matmul``, and squares the powers of the members whose
+    series is longer than 2h in one more.  So a member's rows have the
+    shapes they have alone, and only its target product and weighted
+    sum are its own.  Every member's rows run to the power of two that
+    covers the longest series of its batch.  Members are doubled
+    _BATCH_BYTES of powers and those padded rows at a time (one member
     at least), and a power is dropped once squared, so a batch of large
     chains holds no more than two powers of its largest member.
 
@@ -225,38 +227,24 @@ def _uniformized(
     series.sort(reverse=True)
     size = len(start)
     while series:
-        batch = series[: max(1, _BATCH_BYTES // (8 * size * (2 * size + series[0][0])))]
+        width = 1 << (series[0][0] - 1).bit_length()
+        batch = series[: max(1, _BATCH_BYTES // (8 * size * (2 * size + width)))]
         del series[: len(batch)]
         counts, members, _, _ = zip(*batch)
         power = np.zeros((len(batch), size * size))
         power[:, index] = entries.take(members, 0) / lams.take(members)[:, None]
         power = power.reshape(len(batch), size, size)
-        rows = np.empty((len(batch), counts[0], size))
+        rows = np.empty((len(batch), width, size))
         rows[:, 0] = start
-        full, h = len(batch), 1
-        while True:
-            # a member whose series ends inside this round takes its rows alone
-            while full and counts[full - 1] < 2 * h:
-                full -= 1
-                if counts[full] > h:
-                    np.matmul(rows[full, : counts[full] - h], power[full],
-                              out=rows[full, h : counts[full]])
-            if not full:
-                break
-            if full < len(power):
-                power = power[:full]
-            np.matmul(rows[:full, :h], power, out=rows[:full, h : 2 * h])
-            # the members whose series ends with this round need no square
-            going = full
-            while going and counts[going - 1] == 2 * h:
-                going -= 1
-            if not going:
-                break
-            if going < full:
-                power = power[:going]
+        h = 1
+        while h < counts[0]:
+            # round h: the members whose series is longer than h take their
+            # next h rows, and those longer than 2h square their power
+            going = bisect_left(counts, -h, key=neg)
+            np.matmul(rows[:going, :h], power[:going], out=rows[:going, h : 2 * h])
+            power = power[: bisect_left(counts, -2 * h, key=neg)]
             power = power @ power
             h *= 2
-        del power
         for m, (count, i, pmf, tails) in enumerate(batch):
             values = rows[m, :count] @ targets
             weights = np.array(pmf[:count])

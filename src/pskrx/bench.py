@@ -20,6 +20,9 @@ centre, where the integrand has width 1/alpha.  Its guard is order
 doubling: orders 64, 128, ... up to _SQL_MAX_ORDER until two agree
 within _SQL_QUAD_TOL, else ``PrecisionError``.
 
+Both values are 1 minus a probability near 1, so they are accurate in
+absolute terms only, to about 1e-16: a smaller error reads 0 or 2.2e-16.
+
 Conventions: quadratures X = (a + a^dag)/2, heterodyne outcome z
 distributed with the unit complex Gaussian density (1/pi) e^{-|z-alpha|^2}
 (variance 1/2 per quadrature).  Heterodyne visibility is taken as ideal
@@ -61,6 +64,7 @@ def helstrom_mpsk(alpha: float, M: int) -> float:
     priors: P = 1 - (1/M^2) (sum_k sqrt(lambda_k))^2, where lambda_k are
     the eigenvalues of the circulant Gram matrix with first row
     gamma_j = exp(-alpha^2 (1 - e^{2 pi i j / M})), obtained by DFT.
+    Accurate in absolute terms only, to about 1e-16.
     """
     if not alpha >= 0.0:
         raise ValueError(f"amplitude must be >= 0, got {alpha}")
@@ -126,7 +130,8 @@ def sql_heterodyne(alpha: float, M: int) -> float:
     Gauss-Legendre rules of orders 64, 128, ... on panels that narrow
     toward phi = 0.  The first two orders that agree within 1e-12 give
     the value; if none do up to order 512, ``PrecisionError`` is raised.
-    A result rounded below 0 is returned as 0.
+    A result rounded below 0 is returned as 0.  Accurate in absolute
+    terms only, to about 1e-16.
     """
     if not 0.0 <= alpha < inf:
         raise ValueError(f"amplitude must be finite and >= 0, got {alpha}")

@@ -40,9 +40,7 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -336,14 +334,12 @@ def _write_rows(cfg: dict, header: list[str], rows: list[dict]) -> None:
     if cfg["format"] == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        out = csv.writer(buf, lineterminator="\n")
-        out.writerow(header)
-        for row in rows:
-            out.writerow(
-                [_fmt(v) if isinstance(v, float) else v for v in (row[h] for h in header)]
-            )
-        text = buf.getvalue()
+        # every field is a number or a plain name: none needs quoting
+        lines = [header, *([row[h] for h in header] for row in rows)]
+        text = "".join(
+            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in line) + "\n"
+            for line in lines
+        )
     _emit(cfg, [text])
 
 

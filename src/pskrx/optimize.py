@@ -201,7 +201,7 @@ def optimize_beta_mc(
     grid=None,
     workers: int | WorkerPool = 1,
 ) -> OptimizationResult:
-    """Minimize a Monte Carlo error estimate over a beta grid.
+    """Minimize a Monte Carlo error estimate over a strictly increasing beta grid.
 
     Every candidate is evaluated with the same master seed (common
     random numbers), which makes the objective a deterministic function
@@ -217,8 +217,8 @@ def optimize_beta_mc(
     if grid is None:
         grid = default_beta_grid(alphabet, imperfections)
     grid = np.asarray(grid, dtype=float)
-    if len(grid) < 8:
-        raise ValueError(f"need a grid of >= 8 candidates, got {len(grid)}")
+    if len(grid) < 8 or not np.all(grid[1:] > grid[:-1]):
+        raise ValueError(f"need a strictly increasing grid of >= 8 candidates, got {grid}")
     if trials < 10_000:
         raise ValueError(f"need >= 10000 trials per candidate, got {trials}")
 
@@ -244,13 +244,12 @@ def optimize_beta_mc(
                 / denom
             )
             vertex = float(np.clip(vertex, x[0], x[2]))
-            if vertex >= 0.0:
-                cand = estimate_error(
-                    alphabet, vertex, strategy, imperfections, trials, master_seed, workers
-                )
-                evaluations += 1
-                if cand.p_err < best.p_err:
-                    best_beta, best = vertex, cand
+            cand = estimate_error(
+                alphabet, vertex, strategy, imperfections, trials, master_seed, workers
+            )
+            evaluations += 1
+            if cand.p_err < best.p_err:
+                best_beta, best = vertex, cand
     return OptimizationResult(
         beta_opt=best_beta,
         p_err_at_opt=best.p_err,

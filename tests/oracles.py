@@ -90,8 +90,10 @@ def scalar_cyclic_error(alphabet, beta: float, tail_tol: float) -> CyclicError:
     """``pskrx.analytic.cyclic_error_probability`` for one chain alone.
 
     One 2M x 2M step matrix [[P, dP], [0, P]], its rows start P^n
-    doubled by 2-D products of the chain's own shapes, the masses summed
-    by ``np.cumsum`` and the first stopping n taken by ``argmax``.
+    doubled in whole rounds by 2-D products (round h makes rows h to
+    2h - 1 from rows 0 to h - 1, so the last round may run past the
+    series), the masses summed by ``np.cumsum`` and the first stopping n
+    taken by ``argmax``.
     """
     (rates, slopes), = probe_relative_tables(alphabet, [beta])
     M = alphabet.M
@@ -113,16 +115,15 @@ def scalar_cyclic_error(alphabet, beta: float, tail_tol: float) -> CyclicError:
                     _TAIL_FLOOR)
         pmf, tails = _poisson_table(lam, 0, bound)
         count = next(n for n, t in enumerate(tails) if n and t <= bound)
-        rows = np.empty((count, 2 * M))
+        rows = np.empty((1 << (count - 1).bit_length(), 2 * M))
         rows[0] = start
         power, h = step, 1
-        while True:
-            new = min(h, count - h)
-            np.matmul(rows[:new], power, out=rows[h : h + new])
-            h += new
-            if h == count:
-                break
-            power = power @ power
+        while h < count:
+            np.matmul(rows[:h], power, out=rows[h : 2 * h])
+            if 2 * h < count:
+                power = power @ power
+            h *= 2
+        rows = rows[:count]
         weights = np.array(pmf[:count])
         values = rows @ targets
         mass = np.cumsum(weights * values[:, 0])

@@ -288,13 +288,17 @@ class TestCyclicErrorProbabilities:
     # term at the mode past lambda = 700 (alpha^2 = 1000)
     GRID = [0.0, 0.05, 0.3, 0.6, 0.9, 1.2, 1.5, 1.75, 2.0]
 
-    @pytest.mark.parametrize("alpha_sq", [0.0, 1e-4, 1.0, 4.0, 50.0, 1000.0])
-    @pytest.mark.parametrize("M", [2, 3, 4, 8, 16, 64])
+    @pytest.mark.parametrize(
+        "M, alpha_sq",
+        [(M, alpha_sq) for M in (2, 3, 4, 5, 7, 8, 16, 64)
+         for alpha_sq in (0.0, 1e-4, 1.0, 4.0, 50.0, 1000.0)]
+        + [(256, 0.0), (256, 1e-4)],
+    )
     def test_batch_is_bit_for_bit_one_at_a_time(self, M, alpha_sq):
         # every field of every result, as each surplus gets it alone and as
-        # one chain evaluated alone gets it: the batch doubles in shared
-        # products but keeps each member's own shapes where the BLAS
-        # kernel could round differently
+        # one chain evaluated alone gets it: the batch doubles in whole
+        # rounds, so every member's products have the shapes they have
+        # alone, whatever the BLAS kernel rounds by; odd and large M too
         alphabet = PskAlphabet.from_power(M, alpha_sq)
         for tol in (1e-9, 1e-12):
             batch = cyclic_error_probabilities(alphabet, self.GRID, tol)
@@ -308,6 +312,18 @@ class TestCyclicErrorProbabilities:
             # the order of the batch does not matter either
             backward = cyclic_error_probabilities(alphabet, self.GRID[::-1], tol)
             assert backward[::-1] == batch
+
+    def test_companions_leave_a_member_unchanged(self):
+        # beta = 0.6 alone, beside a surplus with a shorter series and beside
+        # one whose longer series takes a further doubling round, and so pads
+        # the batch's rows further: the same bits each time
+        alphabet = PskAlphabet.from_power(5, 4.0)
+        shorter, alone, longer = cyclic_error_probabilities(alphabet, [0.0, 0.6, 2.0])
+        assert shorter.m_max < alone.m_max < longer.m_max
+        assert (alone.m_max - 1).bit_length() < (longer.m_max - 1).bit_length()
+        assert cyclic_error_probabilities(alphabet, [0.6]) == [alone]
+        assert cyclic_error_probabilities(alphabet, [0.6, 0.0])[0] == alone
+        assert cyclic_error_probabilities(alphabet, [2.0, 0.6])[1] == alone
 
     def test_batches_split_by_bytes(self, monkeypatch):
         # a byte budget below one member doubles the members one at a time
@@ -355,10 +371,12 @@ def test_commands_run_without_scipy(tmp_path):
         ["simulate", "--alpha-sq", "0.5", "--beta-sq", "0.23", "--strategy", "bayes",
          "--trials", "2000", "--seed", "1", "--dead-time", "0.1", "--out", str(out)],
         ["trace", "--alpha-sq", "0.5", "--beta-sq", "0.23", "--clicks", "0.1,0.4"],
+        ["trace", "--m", "8", "--alpha-sq", "2", "--clicks", "0.1,0.45"],
         ["bench", "--m", "8", "--alpha-sq", "0.01,2,300"],
         ["sweep", "--alpha-sq", "0.5,1", "--beta-policy", "fixed", "--beta-sq", "0.23",
          "--trials", "2000", "--seed", "1", "--workers", "1"],
         ["optimize", "--alpha-sq", "0.5,1", "--objective", "analytic"],
+        ["optimize", "--m", "8", "--alpha-sq", "0.5,2,4", "--objective", "analytic"],
         ["optimize", "--alpha-sq", "0.5", "--objective", "mc", "--strategy", "bayes",
          "--trials", "10000", "--seed", "1", "--workers", "1"],
         ["sweep", "--alpha-sq", "0.5,1", "--beta-policy", "analytic",

@@ -824,6 +824,13 @@ class TestOptimize:
         assert code == EXIT_OK
         assert out1 == out2
 
+    def test_mc_objective_refuses_an_unordered_grid(self, capsys):
+        code, out, err = run_cli(
+            capsys, "optimize", "--alpha-sq", "1", "--objective", "mc", "--trials", "10000",
+            "--seed", "1", "--workers", "1", "--beta-grid=0.5,0.1,0.9,0.3,0.7,0.2,0.8,0.4",
+        )
+        assert code == EXIT_ARGS and out == "" and "strictly increasing" in err
+
     def test_mc_objective(self, capsys):
         code, out, _ = run_cli(
             capsys, "optimize", "--m", "4", "--alpha-sq", "0.5", "--strategy", "bayes",

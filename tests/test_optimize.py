@@ -156,6 +156,18 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             optimize_beta_mc(a, "cyclic", IDEAL, 500, 1, grid=np.linspace(0, 1, 9))
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.8, 0.4], [0.3] * 8,
+         [0.1, 0.2, 0.3, 0.4, 0.4, 0.5, 0.6, 0.7], np.linspace(1, 0, 9)],
+        ids=["shuffled", "repeated", "one-tie", "decreasing"],
+    )
+    def test_grid_must_increase(self, grid):
+        # the refinement fits a parabola through grid neighbours, and the
+        # bracket reads the grid's ends
+        with pytest.raises(ValueError, match="strictly increasing"):
+            optimize_beta_mc(PskAlphabet(4, 1.0), "cyclic", IDEAL, 10_000, 1, grid=grid)
+
     def test_default_grid_centers_on_compensated_optimum(self):
         from pskrx.mc import ImperfectionModel
 
